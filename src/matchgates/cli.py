@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
     0  success
     1  internal error (decomposition/synthesis bug)
-    2  parse or usage error
+    2  parse or usage error (including a bad shot count or a non-unitary
+       user matrix)
     3  target gate is a matchgate
     4  target gate is not parity-preserving
     5  problem too large for the requested mode
@@ -38,7 +39,9 @@ from .compiler import (
 )
 from .errors import (
     BackendRefusal,
+    BadSampleCount,
     MatchgatesError,
+    NonUnitaryInput,
     ParseError,
     SynthesisError,
     TargetIsMatchgate,
@@ -67,6 +70,8 @@ EXIT_SYNTHESIS = 7
 
 _EXIT_BY_ERROR = [
     (ParseError, EXIT_PARSE),
+    (BadSampleCount, EXIT_PARSE),
+    (NonUnitaryInput, EXIT_PARSE),
     (TargetIsMatchgate, EXIT_TARGET_IS_MATCHGATE),
     (TargetNotPP, EXIT_TARGET_NOT_PP),
     (TooLarge, EXIT_TOO_LARGE),
@@ -119,7 +124,7 @@ def main():
 @main.command()
 @click.option("--gate", required=True, help="Gate spec: name, NAME(args), or JSON file.")
 @click.option("--mc-samples", default=0, show_default=True, help="Monte-Carlo samples for the entangling-power estimator (0 = skip).")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol-unitary", default=DEFAULT_TOL.tol_unitary, show_default=True)
 @click.option("--tol-classify", default=DEFAULT_TOL.tol_classify, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
@@ -272,7 +277,7 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitar
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--backend", type=click.Choice(["sv", "ff"]), default="sv", show_default=True)
 @click.option("--shots", default=0, show_default=True, help="0 dumps the state (sv) or Z expectations (ff).")
-@click.option("--seed", type=int, default=None, help="RNG seed for sampling.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="RNG seed for sampling.")
 @click.option("--initial", default=None, help="Initial basis state, e.g. 0101.")
 @click.option("--strict", is_flag=True, help="Require an explicit --seed for sampling.")
 @click.option("--out", type=click.Path())
@@ -281,6 +286,12 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
     """Run a circuit on the statevector (sv) or free-fermion (ff) backend."""
     try:
         circuit = load_circuit(input_path)
+        if initial is not None and (
+            len(initial) != circuit.n or set(initial) - {"0", "1"}
+        ):
+            raise ParseError(
+                f"--initial must be a {circuit.n}-character bitstring, got {initial!r}"
+            )
         initial_label = initial if initial is not None else 0
         if shots and seed is None:
             if strict:
@@ -334,7 +345,7 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
 @click.option("--epsilon", default=1e-6, show_default=True)
 @click.option("--sampled", is_flag=True, help="Use statevector sampling instead of exact unitaries.")
 @click.option("--samples", default=8, show_default=True)
-@click.option("--seed", default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def verify(logical_path, physical_path, epsilon, sampled, samples, seed, as_json):
     """Check a physical circuit against a logical one under the pair encoding."""

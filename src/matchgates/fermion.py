@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
 
 from .analysis import classify
 from .circuits import Circuit
@@ -33,12 +33,17 @@ from .errors import (
     BadSampleCount,
     BadTargets,
     DimensionMismatch,
+    NonUnitaryInput,
     NotMatchgate,
 )
 from .gates import DEFAULT_TOL, I2, PAULIS, Mat2, Mat4, ToleranceConfig, det2, kron
 
 # Probability below which a measurement outcome is treated as impossible.
 PROB_FLOOR = 1e-12
+
+# Bytes of conditioned covariances the sampler keeps alive at once, shared
+# equally among the n levels of its prefix tree.
+SAMPLER_BUDGET_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -69,13 +74,6 @@ class MajoranaRotation:
     n: int
     site: int
     block: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        r = np.eye(2 * self.n)
-        s = 2 * self.site
-        r[s : s + 4, s : s + 4] = self.block
-        return r
 
 
 def _su2_log(m: Mat2) -> Mat2:
@@ -128,34 +126,6 @@ def matchgate_generator_coefficients(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL
     }
 
 
-def principal_log_pauli_coefficients(g: Mat4) -> dict[str, float]:
-    """Projection of the principal log of a P.P. gate onto its Pauli support
-    {II, XX, YY, XY, YX, ZI, IZ, ZZ}.
-
-    Cross-check for the matchgate test: the gate is a matchgate iff the ZZ
-    coefficient is 0 mod pi/2 (the principal branch can land on +-pi/2 for
-    legitimate matchgates, which is why the rotation extraction above works
-    blockwise instead).
-    """
-    g = np.asarray(g, dtype=complex)
-    t, z = schur(g, output="complex")
-    h = z @ np.diag(np.angle(np.diag(t))) @ z.conj().T
-    labels = {
-        "II": kron(I2, I2),
-        "XX": kron(PAULIS["X"], PAULIS["X"]),
-        "YY": kron(PAULIS["Y"], PAULIS["Y"]),
-        "XY": kron(PAULIS["X"], PAULIS["Y"]),
-        "YX": kron(PAULIS["Y"], PAULIS["X"]),
-        "ZI": kron(PAULIS["Z"], I2),
-        "IZ": kron(I2, PAULIS["Z"]),
-        "ZZ": kron(PAULIS["Z"], PAULIS["Z"]),
-    }
-    coeffs = {k: float((np.trace(p @ h) / 4.0).real) for k, p in labels.items()}
-    recon = sum(c * labels[k] for k, c in coeffs.items())
-    coeffs["residual"] = float(np.max(np.abs(h - recon)))
-    return coeffs
-
-
 def matchgate_to_rotation(
     g: Mat4, site: int, n: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> MajoranaRotation:
@@ -191,16 +161,42 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
     return CovarianceState(n, m)
 
 
+def _rotate(m: np.ndarray, rot: MajoranaRotation) -> None:
+    """In place M -> R M R^T; only the four rows and columns of the block change."""
+    sl = slice(2 * rot.site, 2 * rot.site + 4)
+    m[sl, :] = rot.block @ m[sl, :]
+    m[:, sl] = m[:, sl] @ rot.block.T
+
+
 def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
     """M -> R M R^T; local O(n) update using the 4x4 block."""
     if rot.n != state.n:
         raise DimensionMismatch(f"rotation is for n={rot.n}, state has n={state.n}")
     m = state.m.copy()
-    s = 2 * rot.site
-    sl = slice(s, s + 4)
-    m[sl, :] = rot.block @ m[sl, :]
-    m[:, sl] = m[:, sl] @ rot.block.T
+    _rotate(m, rot)
     return CovarianceState(state.n, m)
+
+
+def _condition(m: np.ndarray, parent: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Condition covariances on the Z outcome of their first qubit.
+
+    ``m`` stacks covariance matrices, shape (g, d, d).  Child i is
+    ``m[parent[i]]`` after outcome ``sign[i]`` (+1 for 0, -1 for 1) on the
+    Majorana pair (0, 1):
+
+        M -> M + sign / (2 p) (M[:, 1] M[:, 0]^T - M[:, 0] M[:, 1]^T)
+
+    with p the outcome's probability, floored at PROB_FLOOR.  After the update
+    the pair's rows and columns are zero apart from the (0, 1) entry, so only
+    the block of the other modes is returned, shape (len(parent), d-2, d-2).
+    """
+    p_out = np.maximum((1.0 + sign * m[parent, 0, 1]) / 2.0, PROB_FLOOR)
+    out = m[parent, 2:, 2:]
+    col_u = m[parent, 2:, 0]
+    col_v = m[parent, 2:, 1] * (sign / (2.0 * p_out))[:, None]
+    # The rank-2 update as one (d-2, 2) x (2, d-2) product per child.
+    out += np.stack([col_v, -col_u], axis=2) @ np.stack([col_u, col_v], axis=1)
+    return out
 
 
 def measure_z(
@@ -234,15 +230,16 @@ def measure_z(
     else:
         outcome = int(force_outcome)
     sign = 1.0 - 2.0 * outcome
-    p_out = (1.0 + sign * m[u, v]) / 2.0
-    if p_out < PROB_FLOOR:
+    if (1.0 + sign * m[u, v]) / 2.0 < PROB_FLOOR:
         raise BadSampleCount(f"outcome {outcome} on qubit {k} has probability ~0")
 
-    col_u = m[:, u].copy()
-    col_v = m[:, v].copy()
-    new = m + (sign / (2.0 * p_out)) * (np.outer(col_v, col_u) - np.outer(col_u, col_v))
-    new[(u, v), :] = 0.0
-    new[:, (u, v)] = 0.0
+    # Move the measured pair to the front, condition, and put the rest back.
+    rest = np.r_[0:u, v + 1 : 2 * state.n]
+    order = np.r_[u, v, rest]
+    new = np.zeros_like(m)
+    new[np.ix_(rest, rest)] = _condition(
+        m[np.ix_(order, order)][None], np.zeros(1, dtype=np.intp), np.array([sign])
+    )[0]
     new[u, v] = sign
     new[v, u] = -sign
     return outcome, CovarianceState(state.n, new)
@@ -276,6 +273,10 @@ def _op_rotation(op, n: int, tol: ToleranceConfig, index: int) -> MajoranaRotati
             )
     try:
         return matchgate_to_rotation(gate, targets[0], n, tol)
+    except NonUnitaryInput as exc:
+        raise NonUnitaryInput(
+            f"op {index} ({op.name or 'gate'} on {op.targets}) is not unitary: {exc}"
+        ) from exc
     except NotMatchgate as exc:
         raise BackendRefusal(
             f"op {index} ({op.name or 'gate'} on {op.targets}) is not a matchgate: {exc}"
@@ -297,50 +298,65 @@ def run_covariance(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CovarianceState:
     state = init_covariance(circuit.n, initial)
-    m = state.m
     for idx, op in enumerate(circuit.flat()):
-        rot = _op_rotation(op, circuit.n, tol, idx)
-        s = 2 * rot.site
-        sl = slice(s, s + 4)
-        m[sl, :] = rot.block @ m[sl, :]
-        m[:, sl] = m[:, sl] @ rot.block.T
+        _rotate(state.m, _op_rotation(op, circuit.n, tol, idx))
     return state
 
 
 def sample_covariance(state: CovarianceState, shots: int, seed: int) -> dict[int, int]:
     """Full-register measurement histogram, qubits read left to right.
 
-    Vectorized across shots: every shot conditions its own covariance copy,
-    so the joint statistics are exact.
+    Prefix-tree sampling: qubit k is measured after qubits 0..k-1, and all
+    shots that share an outcome prefix share one conditioned covariance.  At
+    qubit k each prefix's shot count splits binomially with
+    p0 = (1 + M[2k, 2k+1]) / 2 of that prefix's covariance.  By the chain
+    rule this is an exact multinomial draw from the joint distribution.  A
+    prefix of length k keeps only the covariance of the 2(n-k) modes not yet
+    measured.  Outcomes with probability within PROB_FLOOR of 0 or 1 are
+    clamped to certain.
+
+    Prefixes are expanded depth first, in batches sized so that each level
+    of the tree holds at most SAMPLER_BUDGET_BYTES / n bytes of covariances
+    (and at least one parent's children).  Live memory is therefore about
+    SAMPLER_BUDGET_BYTES plus one batch of temporaries, or O(n^3) bytes if
+    that is larger, whatever ``shots`` is.  Time is O(n^2) per distinct
+    prefix per level, at most O(shots n^3).  Keys are Python ints, exact
+    for any n.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise BadSampleCount(f"shots must be a positive integer, got {shots!r}")
+    if not isinstance(shots, (int, np.integer)) or not 1 <= shots < 2**63:
+        raise BadSampleCount(f"shots must be an integer in [1, 2**63), got {shots!r}")
     n = state.n
     rng = np.random.default_rng(seed)
-    m = np.broadcast_to(state.m, (shots, 2 * n, 2 * n)).copy()
-    bits = np.zeros((shots, n), dtype=np.int64)
-    for k in range(n):
-        u, v = 2 * k, 2 * k + 1
-        p0 = np.clip((1.0 + m[:, u, v]) / 2.0, 0.0, 1.0)
-        out = (rng.random(shots) >= p0).astype(np.int64)
-        # Clamp effectively-certain outcomes so conditioning never divides by ~0.
-        out[p0 >= 1.0 - PROB_FLOOR] = 0
-        out[p0 <= PROB_FLOOR] = 1
-        bits[:, k] = out
-        sign = 1.0 - 2.0 * out
-        p_out = np.maximum((1.0 + sign * m[:, u, v]) / 2.0, PROB_FLOOR)
-        col_u = m[:, :, u].copy()
-        col_v = m[:, :, v].copy()
-        scale = sign / (2.0 * p_out)
-        upd = np.einsum("s,sj,sl->sjl", scale, col_v, col_u)
-        m += upd - upd.transpose(0, 2, 1)
-        m[:, (u, v), :] = 0.0
-        m[:, :, (u, v)] = 0.0
-        m[:, u, v] = sign
-        m[:, v, u] = -sign
-    weights = 1 << np.arange(n - 1, -1, -1)
-    values = bits @ weights
+    level_budget = SAMPLER_BUDGET_BYTES // n
     hist: dict[int, int] = {}
-    for val, count in zip(*np.unique(values, return_counts=True)):
-        hist[int(val)] = int(count)
+    # Batches of prefixes of length k: (k, covariances of modes 2k.., shot
+    # counts, prefix bits).  Bit n-1-k of a key, qubit k's outcome, is bit
+    # (n-1-k) % 64 of word (n-1-k) // 64.
+    words = np.zeros((1, (n + 63) // 64), dtype=np.uint64)
+    stack = [(0, state.m[None], np.array([int(shots)]), words)]
+    while stack:
+        k, m, counts, prefixes = stack.pop()
+        if k == n:
+            for row, count in zip(prefixes.tolist(), counts.tolist()):
+                hist[sum(w << (64 * j) for j, w in enumerate(row))] = count
+            continue
+        child_dim = 2 * (n - k - 1)
+        take = max(1, level_budget // (2 * 8 * max(child_dim, 1) ** 2))
+        if len(counts) > take:
+            stack.append((k, m[take:], counts[take:], prefixes[take:]))
+            m, counts, prefixes = m[:take], counts[:take], prefixes[:take]
+        p0 = np.clip((1.0 + m[:, 0, 1]) / 2.0, 0.0, 1.0)
+        p0[p0 >= 1.0 - PROB_FLOOR] = 1.0
+        p0[p0 <= PROB_FLOOR] = 0.0
+        zeros = rng.binomial(counts, p0)
+        # Children interleaved as (prefix 0, outcome 0), (prefix 0, outcome 1), ...
+        child_counts = np.stack([zeros, counts - zeros], axis=1).ravel()
+        live = np.flatnonzero(child_counts)
+        parent, outcome = np.divmod(live, 2)
+        child_prefixes = prefixes[parent]
+        word, bit = divmod(n - 1 - k, 64)
+        child_prefixes[:, word] |= outcome.astype(np.uint64) << np.uint64(bit)
+        stack.append(
+            (k + 1, _condition(m, parent, 1.0 - 2.0 * outcome), child_counts[live], child_prefixes)
+        )
     return hist

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import PPParams, reconstruct_pp
 from .circuits import Circuit, CircuitOp, RepeatedSegment
-from .errors import BadArity, ParseError, UnknownGate
+from .errors import BadArity, BadTargets, MatchgatesError, ParseError, UnknownGate
 from .gates import build_pp, gate_library, off_block_weight
 
 FORMAT_VERSION = 1
@@ -41,32 +41,59 @@ _PI_RE = re.compile(
 )
 
 
+def _finite_number(value: Any) -> float | None:
+    """``value`` as a float if it is a finite JSON number (not a bool)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def parse_angle(value: Any) -> float:
-    """Float from a number or a pi-literal string."""
-    if isinstance(value, (int, float)):
-        return float(value)
+    """Finite float from a number or a pi-literal string."""
+    angle = _finite_number(value)
     if isinstance(value, str):
         m = _PI_RE.match(value)
         if m:
             sign = -1.0 if m.group(1) == "-" else 1.0
             num = float(m.group(2)) if m.group(2) else 1.0
             den = float(m.group(3)) if m.group(3) else 1.0
-            return sign * num * math.pi / den
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ParseError(f"cannot parse angle {value!r}")
+            if den != 0.0:
+                angle = sign * num * math.pi / den
+        else:
+            try:
+                angle = float(value)
+            except ValueError:
+                pass
+    if angle is None or not math.isfinite(angle):
+        raise ParseError(f"cannot parse angle {value!r}")
+    return angle
+
+
+def _angle_list(params: Any, where: str) -> tuple[float, ...]:
+    if not isinstance(params, list):
+        raise ParseError(f"{where}: 'params' must be a list of angles")
+    return tuple(parse_angle(p) for p in params)
+
+
+def _library_gate(name: str, params: tuple[float, ...], where: str) -> np.ndarray:
+    try:
+        return gate_library(name, params)
+    except (UnknownGate, BadArity) as exc:
+        raise ParseError(f"{where}{exc}") from exc
 
 
 def _complex_in(entry) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(x, (int, float)) for x in entry)
+        or any(_finite_number(x) is None for x in entry)
     ):
         raise ParseError(f"complex entries must be [re, im] pairs, got {entry!r}")
-    return complex(entry[0], entry[1])
+    return complex(float(entry[0]), float(entry[1]))
 
 
 def matrix_in(rows, dim: int, where: str) -> np.ndarray:
@@ -89,11 +116,17 @@ def _parse_gate_entry(entry: dict, where: str) -> CircuitOp:
     targets = entry.get("targets")
     if not isinstance(targets, list) or not targets:
         raise ParseError(f"{where}: missing or empty 'targets'")
-    targets = tuple(int(t) for t in targets)
+    if not all(isinstance(t, int) and not isinstance(t, bool) for t in targets):
+        raise ParseError(f"{where}: 'targets' must be qubit indices, got {targets!r}")
+    if len(targets) > 2:
+        raise ParseError(f"{where}: gates act on 1 or 2 qubits, got {len(targets)} targets")
+    targets = tuple(targets)
     name = entry.get("name")
     if not isinstance(name, str):
         raise ParseError(f"{where}: missing gate 'name'")
     tag = entry.get("tag")
+    if tag is not None and not isinstance(tag, str):
+        raise ParseError(f"{where}: 'tag' must be a string")
     key = name.lower()
     dim = 2 ** len(targets)
     if key == "matrix":
@@ -107,12 +140,13 @@ def _parse_gate_entry(entry: dict, where: str) -> CircuitOp:
             raise ParseError(f"{where}: gate 'g' acts on two qubits")
         a = matrix_in(blocks["a"], 2, f"{where}: block a")
         b = matrix_in(blocks["b"], 2, f"{where}: block b")
-        return CircuitOp(build_pp(a, b), targets, name="g", tag=tag)
-    params = tuple(parse_angle(p) for p in entry.get("params", []))
-    try:
-        gate = gate_library(key, params)
-    except UnknownGate as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        try:
+            gate = build_pp(a, b)
+        except MatchgatesError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        return CircuitOp(gate, targets, name="g", tag=tag)
+    params = _angle_list(entry.get("params", []), where)
+    gate = _library_gate(key, params, f"{where}: ")
     if gate.shape != (dim, dim):
         raise ParseError(
             f"{where}: gate {name!r} is a {gate.shape[0] // 2}-qubit gate but got "
@@ -122,6 +156,8 @@ def _parse_gate_entry(entry: dict, where: str) -> CircuitOp:
 
 
 def _parse_ops(entries, where: str):
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: expected a list of gate entries")
     ops = []
     for i, entry in enumerate(entries):
         spot = f"{where}[{i}]"
@@ -129,7 +165,7 @@ def _parse_ops(entries, where: str):
             raise ParseError(f"{spot}: gate entries must be objects")
         if "repeat" in entry:
             count = entry["repeat"]
-            if not isinstance(count, int) or count < 1:
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ParseError(f"{spot}: 'repeat' must be a positive integer")
             body = _parse_ops(entry.get("gates", []), f"{spot}.gates")
             if any(isinstance(op, RepeatedSegment) for op in body):
@@ -147,14 +183,20 @@ def parse_circuit_document(doc: dict) -> Circuit:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     n = doc.get("qubits")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("'qubits' must be a positive integer")
-    circuit = Circuit(n, metadata=dict(doc.get("metadata", {})))
-    for op in _parse_ops(doc.get("gates", []), "gates"):
-        if isinstance(op, RepeatedSegment):
-            circuit.append_segment(op.body, op.count)
-        else:
-            circuit.append(op.gate, op.targets, op.name, op.params, op.tag)
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError("'metadata' must be an object")
+    circuit = Circuit(n, metadata=dict(metadata))
+    for i, op in enumerate(_parse_ops(doc.get("gates", []), "gates")):
+        try:
+            if isinstance(op, RepeatedSegment):
+                circuit.append_segment(op.body, op.count)
+            else:
+                circuit.append(op.gate, op.targets, op.name, op.params, op.tag)
+        except BadTargets as exc:
+            raise ParseError(f"gates[{i}]: {exc}") from exc
     return circuit
 
 
@@ -212,7 +254,7 @@ def load_circuit(path: str) -> Circuit:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read circuit {path!r}: {exc}") from exc
     return parse_circuit_document(doc)
 
@@ -228,7 +270,7 @@ def parse_gate_spec(spec: str) -> np.ndarray:
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ParseError(f"cannot read gate file {spec!r}: {exc}") from exc
         return gate_from_document(doc)
     m = _GATE_CALL_RE.match(spec)
@@ -238,10 +280,7 @@ def parse_gate_spec(spec: str) -> np.ndarray:
     params = ()
     if arglist is not None and arglist.strip():
         params = tuple(parse_angle(tok) for tok in arglist.split(","))
-    try:
-        return gate_library(name, params)
-    except UnknownGate as exc:
-        raise ParseError(str(exc)) from exc
+    return _library_gate(name, params, "")
 
 
 def gate_from_document(doc: dict) -> np.ndarray:
@@ -268,11 +307,9 @@ def gate_from_document(doc: dict) -> np.ndarray:
         params = PPParams(**{k: parse_angle(angles[k]) for k in required})
         return reconstruct_pp(params, with_phase=False)
     if "name" in doc:
-        params = tuple(parse_angle(p) for p in doc.get("params", []))
-        try:
-            return gate_library(doc["name"], params)
-        except UnknownGate as exc:
-            raise ParseError(str(exc)) from exc
+        if not isinstance(doc["name"], str):
+            raise ParseError("gate 'name' must be a string")
+        return _library_gate(doc["name"], _angle_list(doc.get("params", []), "gate"), "")
     raise ParseError("gate document needs one of: matrix, blocks, pp_params, name")
 
 

@@ -94,9 +94,11 @@ def run(
     """Left-to-right application of the circuit to a basis state."""
     state = StateVector.basis(circuit.n, initial, cap=cap)
     amps = state.amps[:, None]
-    for op in circuit.flat():
+    for idx, op in enumerate(circuit.flat()):
         if check and not is_unitary(op.gate, tol.tol_unitary):
-            raise NonUnitaryInput(f"op {op.name or op.gate.shape} is not unitary")
+            raise NonUnitaryInput(
+                f"op {idx} ({op.name or 'gate'} on {op.targets}) is not unitary"
+            )
         amps = _left_apply(amps, op.gate, op.targets, circuit.n)
     return StateVector(circuit.n, amps[:, 0])
 
@@ -125,8 +127,8 @@ def circuit_unitary(circuit: Circuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarra
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     """Computational-basis histogram {basis index: count}."""
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise BadSampleCount(f"shots must be a positive integer, got {shots!r}")
+    if not isinstance(shots, (int, np.integer)) or not 1 <= shots < 2**63:
+        raise BadSampleCount(f"shots must be an integer in [1, 2**63), got {shots!r}")
     probs = state.probabilities()
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

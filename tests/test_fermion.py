@@ -2,6 +2,8 @@
 conjugation oracle, covariance evolution and measurement against the
 statevector simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,14 @@ from scipy.linalg import expm
 from scipy.stats import chi2
 
 from matchgates.circuits import Circuit
-from matchgates.errors import BackendRefusal, BadTargets, DimensionMismatch, NotMatchgate
+from matchgates.errors import (
+    BackendRefusal,
+    BadSampleCount,
+    BadTargets,
+    DimensionMismatch,
+    NonUnitaryInput,
+    NotMatchgate,
+)
 from matchgates.fermion import (
     CovarianceState,
     init_covariance,
@@ -18,19 +27,20 @@ from matchgates.fermion import (
     matchgate_to_rotation,
     measure_z,
     measurement_probability,
-    principal_log_pauli_coefficients,
     run_covariance,
     sample_covariance,
 )
-from matchgates.gates import H, I2, X, Y, Z, build_pp, gate_library, kron, nl
+from matchgates.gates import H, I2, X, Y, Z, build_pp, gate_library, kron, nl, phase_rz
 from matchgates.statevector import StateVector, apply as sv_apply, expectation_z, run as sv_run, sample as sv_sample
 from util import (
     embed_two_qubit,
     haar_unitary,
     majorana_operators,
+    principal_log_pauli_coefficients,
     random_matchgate,
     random_matchgate_circuit,
     random_nonmatchgate_pp,
+    rotation_matrix,
 )
 
 PI = np.pi
@@ -50,7 +60,7 @@ class TestRotationExtraction:
         for site in (0, 1):
             for _ in range(15):
                 g = random_matchgate(rng)
-                r = matchgate_to_rotation(g, site, n).matrix
+                r = rotation_matrix(matchgate_to_rotation(g, site, n))
                 full = embed_two_qubit(g, site, n)
                 for mu in range(2 * n):
                     lhs = full.conj().T @ cs[mu] @ full
@@ -171,7 +181,7 @@ class TestCovariance:
         r1 = matchgate_to_rotation(random_matchgate(rng), 0, 4)
         r2 = matchgate_to_rotation(random_matchgate(rng), 2, 4)
         stepped = evolve(evolve(s, r1), r2)
-        combined = r2.matrix @ r1.matrix
+        combined = rotation_matrix(r2) @ rotation_matrix(r1)
         assert_allclose(stepped.m, combined @ s.m @ combined.T, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -215,6 +225,13 @@ class TestCovariance:
         circ = Circuit(3)
         circ.append(random_matchgate(np.random.default_rng(2)), (0, 2))
         with pytest.raises(BackendRefusal, match="nearest-neighbor"):
+            run_covariance(circ, 0)
+
+    def test_non_unitary_op_names_its_index(self):
+        circ = Circuit(3)
+        circ.append(random_matchgate(np.random.default_rng(3)), (0, 1))
+        circ.append(2.0 * np.eye(4), (1, 2))
+        with pytest.raises(NonUnitaryInput, match=r"op 1 \(gate on \(1, 2\)\)"):
             run_covariance(circ, 0)
 
 
@@ -294,6 +311,119 @@ class TestMeasurement:
         circ.append(build_pp(H, H), (0, 1))
         cov = run_covariance(circ, 0)
         assert sample_covariance(cov, 300, 7) == sample_covariance(cov, 300, 7)
+
+    def test_forcing_impossible_outcome_refused(self):
+        s = init_covariance(3, "010")
+        with pytest.raises(BadSampleCount, match="probability ~0"):
+            measure_z(s, 1, 0, force_outcome=0)
+
+    def test_measure_z_rank_two_update(self):
+        # Post-measurement covariance against the textbook update
+        # M + s/(2p) (m_v m_u^T - m_u m_v^T), measured rows/columns cleared.
+        rng = np.random.default_rng(63)
+        cov = run_covariance(random_matchgate_circuit(rng, 5, 30), 0)
+        m = cov.m
+        for k in range(5):
+            for outcome in (0, 1):
+                u, v = 2 * k, 2 * k + 1
+                sign = 1.0 - 2.0 * outcome
+                p = (1.0 + sign * m[u, v]) / 2.0
+                want = m + sign / (2 * p) * (np.outer(m[:, v], m[:, u]) - np.outer(m[:, u], m[:, v]))
+                want[(u, v), :] = 0.0
+                want[:, (u, v)] = 0.0
+                want[u, v], want[v, u] = sign, -sign
+                got, post = measure_z(cov, k, 0, force_outcome=outcome)
+                assert got == outcome
+                assert_allclose(post.m, want, atol=1e-12)
+                assert post.purity_defect() < 1e-9
+
+
+def certain_qubit_circuit(rng: np.random.Generator, n: int) -> Circuit:
+    """Random matchgates on the first three qubits, then Z rotations and
+    fermionic swaps that keep every other qubit in a definite state up to
+    rounding, so the sampler's probability clamps are exercised."""
+    circ = Circuit(n)
+    for _ in range(12):
+        site = int(rng.integers(0, min(n, 3) - 1))
+        circ.append(random_matchgate(rng), (site, site + 1))
+    for site in range(3, n - 1):
+        circ.append(build_pp(phase_rz(rng.uniform(0, PI)), phase_rz(rng.uniform(0, PI))), (site, site + 1))
+        circ.append(gate_library("FSWAP"), (site, site + 1))
+    return circ
+
+
+class TestSampler:
+    def test_goodness_of_fit_against_exact_distribution(self):
+        rng = np.random.default_rng(64)
+        shots = 20_000
+        cases = []
+        for n in range(2, 7):
+            cases.append(run_covariance(random_matchgate_circuit(rng, n, 25), 0))
+            cases.append(
+                run_covariance(certain_qubit_circuit(rng, n), int(rng.integers(0, 2**n)))
+            )
+        for trial, cov in enumerate(cases):
+            exact = exact_outcome_distribution(cov)
+            hist = sample_covariance(cov, shots, seed=500 + trial)
+            assert sum(hist.values()) == shots
+            assert set(hist) <= set(exact), "sampled an outcome of probability ~0"
+            keys = sorted(exact)
+            observed = np.array([hist.get(k, 0) for k in keys], dtype=float)
+            expected = shots * np.array([exact[k] for k in keys])
+            big = expected >= 5
+            obs = np.append(observed[big], observed[~big].sum())
+            exp = np.append(expected[big], expected[~big].sum())
+            keep = exp > 0
+            stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
+            dof = max(int(keep.sum()) - 1, 1)
+            assert chi2.sf(stat, dof) > 1e-6, (trial, stat, dof)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_basis_states_are_certain(self, n):
+        for label in range(2**n):
+            assert sample_covariance(init_covariance(n, label), 50, 1) == {label: 50}
+
+    @pytest.mark.parametrize(
+        "bits", ["1" + "0" * 68 + "1", "0" * 5 + "1" + "0" * 64, "1" * 70, "0" * 70]
+    )
+    def test_basis_states_beyond_64_qubits(self, bits):
+        hist = sample_covariance(init_covariance(70, bits), 3, 0)
+        assert hist == {int(bits, 2): 3}
+        assert all(type(k) is int for k in hist)
+
+    def test_histogram_sums_to_shots_and_is_seeded(self):
+        rng = np.random.default_rng(65)
+        cov = run_covariance(random_matchgate_circuit(rng, 12, 80), 0)
+        for shots in (1, 7, 1000):
+            hist = sample_covariance(cov, shots, seed=3)
+            assert sum(hist.values()) == shots
+            assert all(c > 0 for c in hist.values())
+            assert hist == sample_covariance(cov, shots, seed=3)
+        assert sample_covariance(cov, 1000, seed=3) != sample_covariance(cov, 1000, seed=4)
+
+    @pytest.mark.parametrize("shots", [0, -3, 2.5, "10", 2**63])
+    def test_bad_shot_count(self, shots):
+        with pytest.raises(BadSampleCount):
+            sample_covariance(init_covariance(2, 0), shots, 0)
+
+    def test_memory_does_not_scale_with_shots(self):
+        # A copy of the 80x80 covariance per shot would need 2000 x 51 kB.
+        rng = np.random.default_rng(66)
+        n = 40
+        circ = Circuit(n)
+        for layer in range(6):
+            for site in range(layer % 2, n - 1, 2):
+                circ.append(random_matchgate(rng), (site, site + 1))
+        cov = run_covariance(circ, 0)
+        tracemalloc.start()
+        try:
+            hist = sample_covariance(cov, 2000, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.values()) == 2000
+        assert len(hist) > 1000  # a wide prefix tree, not a near-certain state
+        assert peak < 48e6
 
 
 def two_sample_chi2(h1: dict[int, int], h2: dict[int, int], size: int):

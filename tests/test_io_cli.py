@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from matchgates.circuits import Circuit, RepeatedSegment
 from matchgates.cli import main
 from matchgates.compiler import compile_circuit
-from matchgates.errors import ParseError
+from matchgates.errors import MatchgatesError, ParseError
 from matchgates.gates import H, I2, X, build_pp, gate_library
 from matchgates.io import (
     dumps_document,
@@ -405,3 +407,188 @@ class TestVerifyCommand:
             main, ["verify", "--logical", logical, "--physical", logical]
         )
         assert result.exit_code == 2
+
+
+def write_doc(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def one_gate_doc(**entry):
+    return {
+        "format_version": 1,
+        "qubits": 2,
+        "gates": [{"name": "rz", "targets": [0], "params": [0.3], **entry}],
+    }
+
+
+class TestMalformedInputExitCodes:
+    @pytest.mark.parametrize(
+        "doc,match",
+        [
+            (one_gate_doc(targets=["a"]), "targets"),
+            (one_gate_doc(targets=[0.5]), "targets"),
+            (one_gate_doc(targets=[0, 1, 2]), "1 or 2 qubits"),
+            (one_gate_doc(targets=[5]), r"gates\[0\].*out of range"),
+            (one_gate_doc(params="pi"), "params"),
+            (one_gate_doc(params=[]), r"gates\[0\].*parameter"),
+            (one_gate_doc(params=["pi/0"]), "angle"),
+            (one_gate_doc(params=[float("nan")]), "angle"),
+            (one_gate_doc(tag=[1]), "tag"),
+            ({**one_gate_doc(), "metadata": [1]}, "metadata"),
+            ({**one_gate_doc(), "gates": 5}, "list"),
+            ({**one_gate_doc(), "qubits": True}, "qubits"),
+        ],
+    )
+    def test_parse_error(self, runner, tmp_path, doc, match):
+        with pytest.raises(ParseError, match=match):
+            parse_circuit_document(doc)
+        result = runner.invoke(main, ["simulate", "--input", write_doc(tmp_path, doc)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:")
+
+    @pytest.mark.parametrize("shots", ["-3", str(2**70)])
+    @pytest.mark.parametrize("backend", ["sv", "ff"])
+    def test_bad_shot_count_is_a_usage_error(self, runner, tmp_path, backend, shots):
+        path = write_doc(tmp_path, one_gate_doc())
+        result = runner.invoke(
+            main, ["simulate", "--input", path, "--backend", backend, "--shots", shots]
+        )
+        assert result.exit_code == 2
+        assert "shots must be an integer in [1, 2**63)" in result.output
+
+    @pytest.mark.parametrize("backend", ["sv", "ff"])
+    def test_non_unitary_op_is_a_usage_error_naming_the_op(self, runner, tmp_path, backend):
+        doc = one_gate_doc()
+        doubled = [[[2.0 * (i == j), 0.0] for j in range(4)] for i in range(4)]
+        doc["gates"].append({"name": "matrix", "targets": [0, 1], "matrix": doubled})
+        result = runner.invoke(
+            main, ["simulate", "--input", write_doc(tmp_path, doc), "--backend", backend]
+        )
+        assert result.exit_code == 2
+        assert "op 1 (matrix on (0, 1)) is not unitary" in result.output
+
+    def test_bad_initial_label(self, runner, tmp_path):
+        path = write_doc(tmp_path, one_gate_doc())
+        for label in ("012", "0"):
+            result = runner.invoke(main, ["simulate", "--input", path, "--initial", label])
+            assert result.exit_code == 2
+
+    def test_negative_seed(self, runner, tmp_path):
+        path = write_doc(tmp_path, one_gate_doc())
+        result = runner.invoke(main, ["simulate", "--input", path, "--shots", "3", "--seed", "-1"])
+        assert result.exit_code == 2
+
+    def test_spec_with_wrong_arity(self, runner):
+        with pytest.raises(ParseError):
+            parse_gate_spec("RZ")
+        result = runner.invoke(main, ["analyze", "--gate", "NL(1)"])
+        assert result.exit_code == 2
+
+
+def valid_document() -> dict:
+    """A small document that exercises every gate-entry form."""
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    return {
+        "format_version": 1,
+        "qubits": 3,
+        "gates": [
+            {"name": "rz", "targets": [0], "params": ["pi/4"]},
+            {"name": "fswap", "targets": [0, 1]},
+            {"name": "g", "targets": [1, 2], "blocks": {"a": eye, "b": eye}, "tag": "t"},
+            {"name": "matrix", "targets": [2], "matrix": eye},
+            {"repeat": 2, "gates": [{"name": "iswap", "targets": [1, 2]}]},
+        ],
+        "metadata": {},
+    }
+
+
+# JSON values; integers stay small so that a mutated document that happens
+# to be valid stays cheap to simulate (qubits 21 still reaches the sv cap).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 21)
+    | st.floats()
+    | st.sampled_from(["pi", "pi/0", "-pi/2", "x", "", "1e999", "rz", "h", "swap", "g", "matrix"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "b", "name", "targets", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+DOC_FIELDS = ("format_version", "qubits", "gates", "metadata")
+GATE_FIELDS = ("name", "targets", "params", "blocks", "matrix", "repeat", "gates", "tag")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three fields replaced or deleted, at the
+    top level, in a gate entry or in a repeat body."""
+    doc = valid_document()
+    for _ in range(draw(st.integers(1, 3))):
+        container, fields = doc, DOC_FIELDS
+        where = draw(st.sampled_from(["doc", "gate", "body"]))
+        if where != "doc":
+            gates = doc.get("gates")
+            if not isinstance(gates, list) or not gates:
+                continue
+            container = draw(st.sampled_from(gates))
+            if where == "body" and isinstance(container, dict):
+                body = container.get("gates")
+                if not isinstance(body, list) or not body:
+                    continue
+                container = draw(st.sampled_from(body))
+            if not isinstance(container, dict):
+                continue
+            fields = GATE_FIELDS
+        key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            container.pop(key, None)
+        else:
+            container[key] = draw(JSON_VALUES)
+    return doc
+
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@FUZZ
+@given(doc=mutated_documents() | JSON_VALUES)
+def test_parse_circuit_document_only_raises_parse_errors(doc):
+    try:
+        circuit = parse_circuit_document(doc)
+    except ParseError:
+        return
+    assert circuit.n >= 1
+
+
+@FUZZ
+@given(
+    doc=mutated_documents(),
+    backend=st.sampled_from(["sv", "ff"]),
+    shots=st.integers(-2, 20),
+)
+def test_simulate_maps_malformed_input_to_documented_exit_codes(
+    tmp_path_factory, doc, backend, shots
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    args = ["simulate", "--input", str(path), "--backend", backend]
+    args += ["--shots", str(shots), "--seed", "1", "--json"]
+    result = CliRunner().invoke(main, args)
+    # 2 parse/usage, 5 too large for sv, 6 ff refusal; never 1 or a traceback.
+    assert result.exit_code in (0, 2, 5, 6), (result.exit_code, result.output)
+    if result.exception is not None:
+        assert isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code:
+        assert result.output.startswith("error:"), result.output
+    else:
+        payload = json.loads(result.output)
+        if shots > 0:
+            assert sum(payload["counts"].values()) == shots

@@ -1,8 +1,10 @@
 """Shared test helpers: random gate generators and independent oracles."""
 
 import numpy as np
+from scipy.linalg import schur
 
 from matchgates.circuits import Circuit
+from matchgates.fermion import MajoranaRotation
 from matchgates.gates import I2, X, Y, Z, build_pp, det2, kron
 
 
@@ -73,3 +75,40 @@ def embed_two_qubit(gate: np.ndarray, site: int, n: int) -> np.ndarray:
             m = np.kron(m, I2)
             j += 1
     return m
+
+
+def rotation_matrix(rot: MajoranaRotation) -> np.ndarray:
+    """Dense SO(2n) matrix of a Majorana rotation: the identity with the 4x4
+    block at Majorana indices 2*site .. 2*site+3."""
+    r = np.eye(2 * rot.n)
+    s = 2 * rot.site
+    r[s : s + 4, s : s + 4] = rot.block
+    return r
+
+
+def principal_log_pauli_coefficients(g: np.ndarray) -> dict[str, float]:
+    """Projection of the principal log of a P.P. gate onto its Pauli support
+    {II, XX, YY, XY, YX, ZI, IZ, ZZ}.
+
+    Cross-check for the matchgate test: the gate is a matchgate iff the ZZ
+    coefficient is 0 mod pi/2 (the principal branch can land on +-pi/2 for
+    legitimate matchgates, which is why the library's rotation extraction
+    works blockwise instead).
+    """
+    g = np.asarray(g, dtype=complex)
+    t, z = schur(g, output="complex")
+    h = z @ np.diag(np.angle(np.diag(t))) @ z.conj().T
+    labels = {
+        "II": kron(I2, I2),
+        "XX": kron(X, X),
+        "YY": kron(Y, Y),
+        "XY": kron(X, Y),
+        "YX": kron(Y, X),
+        "ZI": kron(Z, I2),
+        "IZ": kron(I2, Z),
+        "ZZ": kron(Z, Z),
+    }
+    coeffs = {k: float((np.trace(p @ h) / 4.0).real) for k, p in labels.items()}
+    recon = sum(c * labels[k] for k, c in coeffs.items())
+    coeffs["residual"] = float(np.max(np.abs(h - recon)))
+    return coeffs
