@@ -39,6 +39,7 @@ from .gates import (
     Mat4,
     PAULIS,
     ToleranceConfig,
+    build_pp,
     det2,
     extract_blocks,
     is_unitary,
@@ -229,9 +230,7 @@ def reconstruct_pp(p: PPParams, with_phase: bool = True) -> Mat4:
             [1j * sp * np.exp(-1j * p.nu), cp * np.exp(-1j * p.gamma)],
         ]
     )
-    g = np.zeros((4, 4), dtype=complex)
-    g[0, 0], g[0, 3], g[3, 0], g[3, 3] = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    g[1, 1], g[1, 2], g[2, 1], g[2, 2] = b[0, 0], b[0, 1], b[1, 0], b[1, 1]
+    g = build_pp(a, b)
     if with_phase:
         g = g * np.exp(1j * p.global_phase)
     return g
@@ -408,38 +407,31 @@ def entangling_power_mc(
     u: Mat4,
     samples: int,
     seed: int,
-    shards: int = 1,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Monte-Carlo entangling power over Haar-random product states.
 
     Averages the linear entropy 1 - tr(rho_A^2) of U|psi1>|psi2> and rescales
-    by 9/2.  Deterministic for fixed (seed, shards): shard substreams are
-    spawned from ``numpy.random.SeedSequence(seed)``.
+    by 9/2.  Deterministic for a fixed seed: the stream is the first child
+    of ``numpy.random.SeedSequence(seed)``.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise BadSampleCount(f"samples must be a positive integer, got {samples!r}")
-    if shards < 1 or samples % shards:
-        raise BadSampleCount("shards must divide samples")
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, tol.tol_unitary):
         raise NonUnitaryInput("entangling_power_mc expects a unitary")
 
-    per_shard = samples // shards
-    total = 0.0
-    for seq in np.random.SeedSequence(seed).spawn(shards):
-        rng = np.random.default_rng(seq)
-        z1 = rng.normal(size=(per_shard, 2)) + 1j * rng.normal(size=(per_shard, 2))
-        z2 = rng.normal(size=(per_shard, 2)) + 1j * rng.normal(size=(per_shard, 2))
-        z1 /= np.linalg.norm(z1, axis=1, keepdims=True)
-        z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
-        prod = np.einsum("si,sj->sij", z1, z2).reshape(per_shard, 4)
-        out = prod @ u.T
-        psi = out.reshape(per_shard, 2, 2)
-        rho = np.einsum("sij,skj->sik", psi, psi.conj())
-        purity = np.einsum("sik,ski->s", rho, rho).real
-        total += float(np.sum(1.0 - purity))
-    return MC_RESCALE * total / samples
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    z1 = rng.normal(size=(samples, 2)) + 1j * rng.normal(size=(samples, 2))
+    z2 = rng.normal(size=(samples, 2)) + 1j * rng.normal(size=(samples, 2))
+    z1 /= np.linalg.norm(z1, axis=1, keepdims=True)
+    z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
+    prod = np.einsum("si,sj->sij", z1, z2).reshape(samples, 4)
+    out = prod @ u.T
+    psi = out.reshape(samples, 2, 2)
+    rho = np.einsum("sij,skj->sik", psi, psi.conj())
+    purity = np.einsum("sik,ski->s", rho, rho).real
+    return MC_RESCALE * float(np.sum(1.0 - purity)) / samples
 
 
 def makhlin_invariants(

@@ -2,11 +2,11 @@
 
 A circuit is an ordered list of gate applications on an n-qubit line.  Ops
 are either a single :class:`CircuitOp` or a :class:`RepeatedSegment`, a
-grouped repetition of a short op body.  Repetition groups exist so compiled
-circuits with thousands of identical entangler blocks stay compact and so
-the unitary builder can use matrix powers; semantically a segment is exactly
-its body repeated ``count`` times, and :meth:`Circuit.flat` yields that
-flattening.
+short op body repeated ``count`` times, which keeps compiled circuits with
+thousands of identical entangler blocks compact.  Consumers read a circuit
+through :meth:`Circuit.walk`, one ``(ops, count)`` per top-level entry, and
+fold each group once in their own representation.  :meth:`Circuit.flat`
+expands groups; only the compiler's logical rewrite needs that.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ class CircuitOp:
     params: tuple[float, ...] = ()
     tag: str | None = None
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.targets)
-
-    @property
-    def nearest_neighbor(self) -> bool:
-        """True for single-qubit ops and adjacent two-qubit ops."""
-        if len(self.targets) == 1:
-            return True
-        return abs(self.targets[0] - self.targets[1]) == 1
-
 
 @dataclass(frozen=True)
 class RepeatedSegment:
@@ -54,6 +43,14 @@ class RepeatedSegment:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("repetition count must be >= 1")
+
+
+def describe_op(ops: tuple[CircuitOp, ...], count: int, entry: int, position: int) -> str:
+    """Name op ``position`` of walk entry ``entry`` in a refusal: ``op i`` for
+    a single op, ``op i.j`` for op j of the repetition group at entry i."""
+    op = ops[position]
+    where = entry if len(ops) == 1 and count == 1 else f"{entry}.{position}"
+    return f"op {where} ({op.name or 'gate'} on {op.targets})"
 
 
 @dataclass
@@ -97,6 +94,15 @@ class Circuit:
         self.ops.append(seg)
         return seg
 
+    def walk(self) -> Iterator[tuple[tuple[CircuitOp, ...], int]]:
+        """Yield each top-level entry as ``(ops, count)``: a single op as
+        ``((op,), 1)`` and a repetition group as ``(body, count)``."""
+        for entry in self.ops:
+            if isinstance(entry, RepeatedSegment):
+                yield entry.body, entry.count
+            else:
+                yield (entry,), 1
+
     def flat(self) -> Iterator[CircuitOp]:
         """Yield every op with repetition groups expanded."""
         for entry in self.ops:
@@ -107,13 +113,4 @@ class Circuit:
                 yield entry
 
     def flat_count(self) -> int:
-        total = 0
-        for entry in self.ops:
-            if isinstance(entry, RepeatedSegment):
-                total += entry.count * len(entry.body)
-            else:
-                total += 1
-        return total
-
-    def two_qubit_ops_nearest_neighbor(self) -> bool:
-        return all(op.nearest_neighbor for op in self.flat())
+        return sum(count * len(ops) for ops, count in self.walk())

@@ -8,9 +8,10 @@ Exit codes are a stable contract:
        user matrix)
     3  target gate is a matchgate
     4  target gate is not parity-preserving
-    5  problem too large for the requested mode
+    5  problem too large for the requested mode (e.g. verifying > 12 logical qubits)
     6  backend refusal (e.g. non-matchgate op on the ff backend)
     7  repetition synthesis failed within --r-max
+    8  verification failed (``mgc verify`` fidelity below 1 - epsilon)
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ EXIT_TARGET_NOT_PP = 4
 EXIT_TOO_LARGE = 5
 EXIT_BACKEND_REFUSAL = 6
 EXIT_SYNTHESIS = 7
+EXIT_VERIFY_FAILED = 8
 
 _EXIT_BY_ERROR = [
     (ParseError, EXIT_PARSE),
@@ -343,12 +345,12 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
 @click.option("--logical", "logical_path", required=True, type=click.Path(exists=True))
 @click.option("--physical", "physical_path", required=True, type=click.Path(exists=True))
 @click.option("--epsilon", default=1e-6, show_default=True)
-@click.option("--sampled", is_flag=True, help="Use statevector sampling instead of exact unitaries.")
-@click.option("--samples", default=8, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True, help="Random states checked past 8 logical qubits.")
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def verify(logical_path, physical_path, epsilon, sampled, samples, seed, as_json):
-    """Check a physical circuit against a logical one under the pair encoding."""
+def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
+    """Check a physical circuit against a logical one under the pair encoding:
+    exactly up to 8 logical qubits, on random states up to 12."""
     try:
         logical = load_circuit(logical_path)
         physical = load_circuit(physical_path)
@@ -364,9 +366,7 @@ def verify(logical_path, physical_path, epsilon, sampled, samples, seed, as_json
             target=None,
             epsilon=epsilon,
         )
-        report = verify_compiled(
-            compiled, logical, epsilon, samples=samples, seed=seed, sampled=sampled
-        )
+        report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed)
         payload = {
             "mode": report.mode,
             "fidelity": report.fidelity,
@@ -388,7 +388,7 @@ def verify(logical_path, physical_path, epsilon, sampled, samples, seed, as_json
     _emit(payload, as_json, render)
 
     if report.passed is False:
-        raise click.exceptions.Exit(EXIT_ERROR)
+        raise click.exceptions.Exit(EXIT_VERIFY_FAILED)
 
 
 if __name__ == "__main__":

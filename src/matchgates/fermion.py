@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .analysis import classify
-from .circuits import Circuit
+from .circuits import Circuit, describe_op
 from .errors import (
     BackendRefusal,
     BadSampleCount,
@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     NonUnitaryInput,
     NotMatchgate,
+    TooLarge,
 )
 from .gates import DEFAULT_TOL, I2, PAULIS, Mat2, Mat4, ToleranceConfig, det2, kron
 
@@ -44,6 +45,10 @@ PROB_FLOOR = 1e-12
 # Bytes of conditioned covariances the sampler keeps alive at once, shared
 # equally among the n levels of its prefix tree.
 SAMPLER_BUDGET_BYTES = 32 * 2**20
+
+# Largest register the covariance backend accepts.  Past n of about 115 the
+# sampler's pending branches hold 10-21 n^3 bytes, 0.17-0.35 GB at this cap.
+QUBIT_CAP = 256
 
 
 @dataclass
@@ -68,8 +73,8 @@ class CovarianceState:
 
 @dataclass(frozen=True)
 class MajoranaRotation:
-    """SO(2n) action on Majorana modes; ``block`` is the 4x4 piece at
-    Majorana indices 2*site .. 2*site+3."""
+    """SO(2n) action on Majorana modes; ``block`` is the square piece
+    starting at Majorana index 2*site (4x4 for one two-qubit gate)."""
 
     n: int
     site: int
@@ -147,6 +152,8 @@ def matchgate_to_rotation(
 
 def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
     """Covariance matrix of a computational basis state."""
+    if n < 1 or n > QUBIT_CAP:
+        raise TooLarge(f"n={n} outside supported range 1..{QUBIT_CAP}")
     if isinstance(bits, str):
         if len(bits) != n or set(bits) - {"0", "1"}:
             raise BadTargets(f"bad basis label {bits!r} for n={n}")
@@ -162,14 +169,14 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
 
 
 def _rotate(m: np.ndarray, rot: MajoranaRotation) -> None:
-    """In place M -> R M R^T; only the four rows and columns of the block change."""
-    sl = slice(2 * rot.site, 2 * rot.site + 4)
+    """In place M -> R M R^T; only the rows and columns of the block change."""
+    sl = slice(2 * rot.site, 2 * rot.site + len(rot.block))
     m[sl, :] = rot.block @ m[sl, :]
     m[:, sl] = m[:, sl] @ rot.block.T
 
 
 def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
-    """M -> R M R^T; local O(n) update using the 4x4 block."""
+    """M -> R M R^T; local O(n) update using the block."""
     if rot.n != state.n:
         raise DimensionMismatch(f"rotation is for n={rot.n}, state has n={state.n}")
     m = state.m.copy()
@@ -250,9 +257,9 @@ def measurement_probability(state: CovarianceState, k: int, outcome: int) -> flo
     return float((1.0 + (1.0 - 2.0 * outcome) * mz) / 2.0)
 
 
-def _op_rotation(op, n: int, tol: ToleranceConfig, index: int) -> MajoranaRotation:
+def _op_rotation(op, n: int, tol: ToleranceConfig) -> MajoranaRotation:
     """Rotation for a circuit op, embedding single-qubit gates into a
-    nearest-neighbor pair; refusals name the op index."""
+    nearest-neighbor pair; the caller prefixes refusals with the op's name."""
     gate, targets = op.gate, op.targets
     if len(targets) == 1:
         (q,) = targets
@@ -268,28 +275,24 @@ def _op_rotation(op, n: int, tol: ToleranceConfig, index: int) -> MajoranaRotati
             )
             gate, targets = swap @ gate @ swap, (targets[1], targets[0])
         else:
-            raise BackendRefusal(
-                f"op {index} ({op.name or 'gate'} on {op.targets}) is not nearest-neighbor"
-            )
+            raise BackendRefusal("is not nearest-neighbor")
     try:
         return matchgate_to_rotation(gate, targets[0], n, tol)
     except NonUnitaryInput as exc:
-        raise NonUnitaryInput(
-            f"op {index} ({op.name or 'gate'} on {op.targets}) is not unitary: {exc}"
-        ) from exc
+        raise NonUnitaryInput(f"is not unitary: {exc}") from exc
     except NotMatchgate as exc:
-        raise BackendRefusal(
-            f"op {index} ({op.name or 'gate'} on {op.targets}) is not a matchgate: {exc}"
-        ) from exc
+        raise BackendRefusal(f"is not a matchgate: {exc}") from exc
 
 
-def circuit_rotations(
-    circuit: Circuit, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[MajoranaRotation]:
-    """Validate a matchgate circuit and return its per-op Majorana rotations."""
-    return [
-        _op_rotation(op, circuit.n, tol, idx) for idx, op in enumerate(circuit.flat())
-    ]
+def _fold(rots: list[MajoranaRotation], count: int) -> MajoranaRotation:
+    """One rotation equal to applying ``rots`` in order, ``count`` times."""
+    site = min(rot.site for rot in rots)
+    width = 2 * max(rot.site - site for rot in rots) + 4
+    block = np.eye(width)
+    for rot in rots:
+        sl = slice(2 * (rot.site - site), 2 * (rot.site - site) + 4)
+        block[sl, :] = rot.block @ block[sl, :]
+    return MajoranaRotation(rots[0].n, site, np.linalg.matrix_power(block, count))
 
 
 def run_covariance(
@@ -297,9 +300,18 @@ def run_covariance(
     initial: int | str = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CovarianceState:
+    """Covariance after the circuit acts on a basis state.  Every op is
+    checked once; a repetition group is applied as one folded rotation."""
     state = init_covariance(circuit.n, initial)
-    for idx, op in enumerate(circuit.flat()):
-        _rotate(state.m, _op_rotation(op, circuit.n, tol, idx))
+    for i, (ops, count) in enumerate(circuit.walk()):
+        rots = []
+        for j, op in enumerate(ops):
+            try:
+                rots.append(_op_rotation(op, circuit.n, tol))
+            except (NonUnitaryInput, BackendRefusal) as exc:
+                raise type(exc)(f"{describe_op(ops, count, i, j)} {exc}") from exc
+        for rot in [_fold(rots, count)] if count > 1 and rots else rots:
+            _rotate(state.m, rot)
     return state
 
 

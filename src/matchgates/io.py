@@ -31,7 +31,7 @@ import numpy as np
 from .analysis import PPParams, reconstruct_pp
 from .circuits import Circuit, CircuitOp, RepeatedSegment
 from .errors import BadArity, BadTargets, MatchgatesError, ParseError, UnknownGate
-from .gates import build_pp, gate_library, off_block_weight
+from .gates import build_pp, extract_blocks, gate_library, off_block_weight
 
 FORMAT_VERSION = 1
 
@@ -217,9 +217,8 @@ def _emit_op(op: CircuitOp) -> dict:
             return entry
     if op.gate.shape == (4, 4) and off_block_weight(op.gate) < 1e-12:
         entry["name"] = "g"
-        a = [[op.gate[0, 0], op.gate[0, 3]], [op.gate[3, 0], op.gate[3, 3]]]
-        b = [[op.gate[1, 1], op.gate[1, 2]], [op.gate[2, 1], op.gate[2, 2]]]
-        entry["blocks"] = {"a": matrix_out(np.array(a)), "b": matrix_out(np.array(b))}
+        a, b = extract_blocks(op.gate)
+        entry["blocks"] = {"a": matrix_out(a), "b": matrix_out(b)}
         return entry
     entry["name"] = "matrix"
     entry["matrix"] = matrix_out(op.gate)

@@ -1,8 +1,9 @@
 """Dense n-qubit statevector simulator.
 
 Serves as the exact oracle for the fermionic simulator and the compiler
-verifier.  Amplitude layout: basis index bit k is qubit k with qubit 0 the
-most-significant bit, matching the two-qubit gate convention.
+verifier, all three through :func:`propagate`.  Amplitude layout: basis
+index bit k is qubit k with qubit 0 the most-significant bit, matching the
+two-qubit gate convention.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitOp, RepeatedSegment
+from .circuits import Circuit, describe_op
 from .errors import BadSampleCount, BadTargets, NonUnitaryInput, TooLarge
 from .gates import DEFAULT_TOL, ToleranceConfig, is_unitary
 
@@ -84,6 +85,40 @@ def apply(
     return StateVector(state.n, amps)
 
 
+def propagate(
+    circuit: Circuit,
+    columns: np.ndarray,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    check: bool = False,
+) -> np.ndarray:
+    """Left-multiply a (2^n, m) array by the circuit's unitary.
+
+    Each entry's ops are checked once.  A repetition group whose body acts
+    on at most two qubits becomes one matrix on those qubits, the body's
+    product raised to the group's count; wider groups are expanded.
+    """
+    n = circuit.n
+    for i, (ops, count) in enumerate(circuit.walk()):
+        if check:
+            for j, op in enumerate(ops):
+                if not is_unitary(op.gate, tol.tol_unitary):
+                    raise NonUnitaryInput(f"{describe_op(ops, count, i, j)} is not unitary")
+        if count > 1:
+            support = sorted({t for op in ops for t in op.targets})
+            if len(support) <= 2:
+                k = len(support)
+                local = {q: a for a, q in enumerate(support)}
+                body = np.eye(2**k, dtype=complex)
+                for op in ops:
+                    body = _left_apply(body, op.gate, tuple(local[t] for t in op.targets), k)
+                columns = _left_apply(columns, np.linalg.matrix_power(body, count), tuple(support), n)
+                continue
+        for _ in range(count):
+            for op in ops:
+                columns = _left_apply(columns, op.gate, op.targets, n)
+    return columns
+
+
 def run(
     circuit: Circuit,
     initial: int | str = 0,
@@ -93,36 +128,14 @@ def run(
 ) -> StateVector:
     """Left-to-right application of the circuit to a basis state."""
     state = StateVector.basis(circuit.n, initial, cap=cap)
-    amps = state.amps[:, None]
-    for idx, op in enumerate(circuit.flat()):
-        if check and not is_unitary(op.gate, tol.tol_unitary):
-            raise NonUnitaryInput(
-                f"op {idx} ({op.name or 'gate'} on {op.targets}) is not unitary"
-            )
-        amps = _left_apply(amps, op.gate, op.targets, circuit.n)
-    return StateVector(circuit.n, amps[:, 0])
-
-
-def _ops_unitary(ops, n: int) -> np.ndarray:
-    u = np.eye(2**n, dtype=complex)
-    for entry in ops:
-        if isinstance(entry, RepeatedSegment):
-            seg = _ops_unitary(entry.body, n)
-            u = np.linalg.matrix_power(seg, entry.count) @ u
-        else:
-            u = _left_apply(u, entry.gate, entry.targets, n)
-    return u
+    return StateVector(circuit.n, propagate(circuit, state.amps[:, None], tol, check)[:, 0])
 
 
 def circuit_unitary(circuit: Circuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of the whole circuit.
-
-    Repetition segments are folded with matrix powers, so compiled circuits
-    with large repetition counts stay cheap.
-    """
+    """Dense 2^n x 2^n unitary of the whole circuit."""
     if circuit.n > cap:
         raise TooLarge(f"circuit_unitary capped at {cap} qubits, got {circuit.n}")
-    return _ops_unitary(circuit.ops, circuit.n)
+    return propagate(circuit, np.eye(2**circuit.n, dtype=complex))
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:

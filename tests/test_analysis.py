@@ -256,8 +256,6 @@ class TestEntanglingPowerMC:
         g = gate_library("FSWAP")
         a = entangling_power_mc(g, 8000, 3)
         assert entangling_power_mc(g, 8000, 3) == a
-        b = entangling_power_mc(g, 8000, 3, shards=4)
-        assert entangling_power_mc(g, 8000, 3, shards=4) == b
 
     def test_bad_sample_count(self):
         with pytest.raises(BadSampleCount):

@@ -269,7 +269,7 @@ class TestCompile:
                     assert np.array_equal(op.gate, target)
                 else:
                     assert classify(op.gate).is_matchgate
-                assert op.nearest_neighbor
+                assert abs(op.targets[0] - op.targets[-1]) <= 1
         assert seen_target > 0
 
     def test_matrix_named_logical_gates(self):
@@ -338,19 +338,44 @@ class TestVerify:
         assert good - bad > 1e-3
 
     def test_sampled_mode_agrees_with_exact(self):
+        # Past 8 logical qubits the exact block no longer fits; the SWAP
+        # target compiles every CZ exactly, so each sampled state has
+        # fidelity 1 and no leakage.
         rng = np.random.default_rng(78)
-        logical = random_logical_circuit(rng, 2, 4)
+        logical = random_logical_circuit(rng, 9, 4)
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        exact = verify(comp, logical)
-        sampled = verify(comp, logical, sampled=True, samples=4, seed=11)
+        sampled = verify(comp, logical, samples=4, seed=11)
         assert sampled.mode == "sampled"
-        assert sampled.fidelity >= exact.fidelity - 1e-6
+        assert sampled.details["samples"] == 4
+        assert sampled.fidelity >= 1 - 1e-9
         assert sampled.leakage <= 1e-9
 
     def test_sampled_mode_used_beyond_cap(self):
-        logical = Circuit(4)  # 8 physical qubits > default excerpt cap of 12? no; force
+        logical = Circuit(9)
         logical.append(CZ, (0, 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        rep = verify(comp, logical, exact_cap=6, samples=3, seed=5)
+        rep = verify(comp, logical, samples=3, seed=5)
         assert rep.mode == "sampled"
         assert rep.fidelity >= 1 - 1e-9
+        assert rep.leakage <= 1e-9
+        comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (0, 1))
+        bad = verify(comp, logical, samples=3, seed=5)
+        assert bad.mode == "sampled"
+        assert rep.fidelity - bad.fidelity > 1e-3
+
+    def test_exact_mode_at_six_logical_qubits_with_generic_target(self):
+        # Three CZs of 2333 folded repetitions each on 12 physical
+        # qubits: exact, and cheap because each group folds on its pair.
+        rng = np.random.default_rng(79)
+        logical = Circuit(6)
+        for q in range(6):
+            logical.append(haar_unitary(rng, 2), (q,))
+        for q in (0, 2, 4):
+            logical.append(CZ, (q, q + 1), name="cz")
+        logical.append(haar_unitary(rng, 2), (3,))
+        comp = compile_circuit(logical, random_nonmatchgate_pp(rng), 1e-6)
+        rep = verify(comp, logical)
+        assert rep.mode == "exact"
+        assert rep.target_uses == 3 * comp.plan.repetitions
+        assert rep.fidelity >= 1 - 1e-6
+        assert rep.leakage <= 1e-9

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.stats import chi2
 
-from matchgates.circuits import Circuit
+from matchgates.circuits import Circuit, CircuitOp
 from matchgates.errors import (
     BackendRefusal,
     BadSampleCount,
@@ -18,8 +18,10 @@ from matchgates.errors import (
     DimensionMismatch,
     NonUnitaryInput,
     NotMatchgate,
+    TooLarge,
 )
 from matchgates.fermion import (
+    QUBIT_CAP,
     CovarianceState,
     init_covariance,
     evolve,
@@ -190,6 +192,12 @@ class TestCovariance:
         with pytest.raises(DimensionMismatch):
             evolve(s, rot)
 
+    def test_qubit_cap(self):
+        assert init_covariance(QUBIT_CAP, 1).expectation_z(QUBIT_CAP - 1) == -1.0
+        for n in (0, QUBIT_CAP + 1, 2000):
+            with pytest.raises(TooLarge, match=f"1..{QUBIT_CAP}"):
+                init_covariance(n)
+
     def test_invariants_preserved(self):
         rng = np.random.default_rng(57)
         circ = random_matchgate_circuit(rng, 8, 60)
@@ -232,6 +240,40 @@ class TestCovariance:
         circ.append(random_matchgate(np.random.default_rng(3)), (0, 1))
         circ.append(2.0 * np.eye(4), (1, 2))
         with pytest.raises(NonUnitaryInput, match=r"op 1 \(gate on \(1, 2\)\)"):
+            run_covariance(circ, 0)
+
+
+class TestRepeatGroups:
+    def test_huge_count_matches_one_application(self):
+        # Order-2 gates: 10**9 + 1 applications equal one.
+        prefix = random_matchgate_circuit(np.random.default_rng(59), 4, 8)
+        for gate in (gate_library("FSWAP"), build_pp(H, H)):
+            once = Circuit(4, ops=list(prefix.ops))
+            once.append(gate, (1, 2))
+            folded = Circuit(4, ops=list(prefix.ops))
+            folded.append_segment(once.ops[-1:], 10**9 + 1)
+            diff = run_covariance(folded, 5).m - run_covariance(once, 5).m
+            assert np.max(np.abs(diff)) < 1e-6
+
+    def test_body_spanning_three_qubits_matches_expansion(self):
+        rng = np.random.default_rng(60)
+        body = [
+            CircuitOp(random_matchgate(rng), (1, 2)),
+            CircuitOp(gate_library("RZ", (0.4,)), (2,)),
+            CircuitOp(random_matchgate(rng), (3, 2)),
+        ]
+        seg = Circuit(5)
+        seg.append_segment(body, 7)
+        flat = Circuit(5, ops=body * 7)
+        assert_allclose(run_covariance(seg, 11).m, run_covariance(flat, 11).m, atol=1e-10)
+
+    def test_refusal_in_group_names_entry_and_position(self):
+        circ = Circuit(3)
+        circ.append(random_matchgate(np.random.default_rng(4)), (0, 1))
+        circ.append_segment(
+            [CircuitOp(I2, (0,)), CircuitOp(gate_library("SWAP"), (1, 2), name="swap")], 5
+        )
+        with pytest.raises(BackendRefusal, match=r"op 1\.1 \(swap on \(1, 2\)\) is not a matchgate"):
             run_covariance(circ, 0)
 
 

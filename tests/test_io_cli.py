@@ -273,6 +273,18 @@ class TestCompileCommand:
         report = json.loads(verify_result.output)
         assert report["passed"] is True
 
+    def test_verify_past_twelve_logical_qubits_is_too_large(self, runner, tmp_path):
+        doc = {"format_version": 1, "qubits": 13, "gates": [{"name": "cz", "targets": [5, 6]}]}
+        path = write_doc(tmp_path, doc)
+        result = runner.invoke(main, ["compile", "--input", path, "--target", "SWAP"])
+        assert result.exit_code == 5
+        assert "--skip-verify" in result.output
+        result = runner.invoke(
+            main, ["compile", "--input", path, "--target", "SWAP", "--skip-verify", "--json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert "verification" not in json.loads(result.output)
+
     def test_byte_identical_outputs(self, runner, tmp_path):
         logical = write_logical_cz(tmp_path)
         outputs = []
@@ -288,6 +300,32 @@ class TestCompileCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("backend,key", [("sv", "state"), ("ff", "z_expectations")])
+    def test_huge_repeat_matches_one_application(self, runner, tmp_path, backend, key):
+        h = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
+        ghh = {"name": "g", "targets": [0, 1], "blocks": {"a": h, "b": h}}
+        payloads = []
+        for gates in (
+            [ghh],
+            [{"repeat": 10**9, "gates": []}, {"repeat": 10**9 + 1, "gates": [ghh]}],
+        ):
+            doc = {"format_version": 1, "qubits": 2, "gates": gates}
+            path = write_doc(tmp_path, doc, name=f"{len(gates)}.json")
+            result = runner.invoke(
+                main, ["simulate", "--input", path, "--backend", backend, "--json"]
+            )
+            assert result.exit_code == 0, result.output
+            payloads.append(np.array(json.loads(result.output)[key]))
+        assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-6
+
+    def test_ff_qubit_cap(self, runner, tmp_path):
+        doc = {"format_version": 1, "qubits": 2000, "gates": []}
+        result = runner.invoke(
+            main, ["simulate", "--input", write_doc(tmp_path, doc), "--backend", "ff"]
+        )
+        assert result.exit_code == 5
+        assert "outside supported range" in result.output
+
     def test_sv_bell_histogram(self, runner, tmp_path):
         bell = write_bell(tmp_path)
         result = runner.invoke(
@@ -399,7 +437,18 @@ class TestVerifyCommand:
         f_good = json.loads(ok.output)["fidelity"]
         f_bad = json.loads(corrupted.output)["fidelity"]
         assert f_good - f_bad > 1e-3
-        assert corrupted.exit_code == 1  # failed verification
+        assert corrupted.exit_code == 8  # failed verification
+
+    def test_zero_samples_is_a_usage_error(self, runner, tmp_path):
+        logical = write_logical_cz(tmp_path)
+        out = str(tmp_path / "compiled.json")
+        compiled = runner.invoke(main, ["compile", "--input", logical, "--target", "SWAP", "--out", out])
+        assert compiled.exit_code == 0, compiled.output
+        args = ["verify", "--logical", logical, "--physical", out]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, args + ["--samples", "0"])
+        assert result.exit_code == 2
+        assert "--samples" in result.output
 
     def test_size_mismatch(self, runner, tmp_path):
         logical = write_logical_cz(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from matchgates.circuits import Circuit
+from matchgates.circuits import Circuit, CircuitOp
 from matchgates.errors import BadTargets, NonUnitaryInput, TooLarge
 from matchgates.gates import H, I2, X, build_pp, gate_library, kron
 from matchgates.statevector import (
@@ -153,6 +153,40 @@ class TestCircuitUnitary:
     def test_cap(self):
         with pytest.raises(TooLarge):
             circuit_unitary(Circuit(13))
+
+
+class TestRepeatGroups:
+    @pytest.mark.parametrize(
+        "gate,targets", [(gate_library("FSWAP"), (1, 2)), (build_pp(H, H), (2, 1))]
+    )
+    def test_huge_count_matches_one_application(self, gate, targets):
+        # Order-2 gates: 10**9 + 1 applications equal one.  Repeated
+        # squaring drifts by about 2e-7 at this count.
+        prefix = random_matchgate_circuit(np.random.default_rng(46), 3, 6)
+        once = Circuit(3, ops=list(prefix.ops))
+        once.append(gate, targets)
+        folded = Circuit(3, ops=list(prefix.ops))
+        folded.append_segment(once.ops[-1:], 10**9 + 1)
+        assert np.max(np.abs(run(folded, 3).amps - run(once, 3).amps)) < 1e-6
+
+    def test_two_qubit_body_folds_like_its_expansion(self):
+        rng = np.random.default_rng(47)
+        body_circ = Circuit(4)
+        body_circ.append(haar_unitary(rng, 4), (3, 1))
+        body_circ.append(haar_unitary(rng, 2), (1,))
+        body_circ.append(haar_unitary(rng, 4), (1, 3))
+        seg = Circuit(4)
+        seg.append_segment(body_circ.ops, 7)
+        flat = Circuit(4, ops=body_circ.ops * 7)
+        assert_allclose(circuit_unitary(seg), circuit_unitary(flat), atol=1e-12)
+        assert_allclose(run(seg, 6).amps, run(flat, 6).amps, atol=1e-12)
+
+    def test_non_unitary_op_in_group_names_entry_and_position(self):
+        circ = Circuit(2)
+        circ.append(I2, (0,))
+        circ.append_segment([CircuitOp(I2, (1,)), CircuitOp(2.0 * np.eye(4), (0, 1))], 3)
+        with pytest.raises(NonUnitaryInput, match=r"op 1\.1 \(gate on \(0, 1\)\)"):
+            run(circ, 0)
 
 
 class TestSample:
