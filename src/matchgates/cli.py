@@ -16,8 +16,8 @@ Exit codes are a stable contract:
 
 from __future__ import annotations
 
+import functools
 import json
-import sys
 
 import click
 import numpy as np
@@ -33,6 +33,7 @@ from .analysis import (
     pp_params,
 )
 from .compiler import (
+    DEFAULT_R_MAX,
     CompiledCircuit,
     Encoding,
     compile_circuit,
@@ -82,15 +83,20 @@ _EXIT_BY_ERROR = [
 ]
 
 
-def _fail(exc: Exception) -> "click.exceptions.Exit":
-    for klass, code in _EXIT_BY_ERROR:
-        if isinstance(exc, klass):
+def _exit_codes(command):
+    """Report a package error raised by ``command`` on stderr and exit with
+    its documented code (1 if it has none); other exceptions propagate."""
+
+    @functools.wraps(command)
+    def mapped(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except MatchgatesError as exc:
             click.echo(f"error: {exc}", err=True)
-            return click.exceptions.Exit(code)
-    if isinstance(exc, MatchgatesError):
-        click.echo(f"error: {exc}", err=True)
-        return click.exceptions.Exit(EXIT_ERROR)
-    raise exc
+            code = next((c for klass, c in _EXIT_BY_ERROR if isinstance(exc, klass)), EXIT_ERROR)
+            raise click.exceptions.Exit(code) from exc
+
+    return mapped
 
 
 def _tols(tol_unitary: float, tol_classify: float) -> ToleranceConfig:
@@ -130,48 +136,46 @@ def main():
 @click.option("--tol-unitary", default=DEFAULT_TOL.tol_unitary, show_default=True)
 @click.option("--tol-classify", default=DEFAULT_TOL.tol_classify, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
+@_exit_codes
 def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
     """Classify a two-qubit gate and report its nonlocal parameters."""
-    try:
-        tol = _tols(tol_unitary, tol_classify)
-        u = parse_gate_spec(gate)
-        if u.shape != (4, 4):
-            raise ParseError("analyze expects a two-qubit gate")
-        cls = classify(u, tol)
-        dec = kak(u, tol)
-        core = dec.core
-        g1, g2 = makhlin_invariants(u, tol)
-        report = {
-            "gate": gate,
-            "is_unitary": cls.is_unitary,
-            "is_pp": cls.is_pp,
-            "is_matchgate": cls.is_matchgate,
-            "nonlocal_triple": {"a": core.a, "b": core.b, "c": core.c},
-            "entangling_power": entangling_power_closed(core),
-            "makhlin_invariants": {"g1": [g1.real, g1.imag], "g2": g2},
+    tol = _tols(tol_unitary, tol_classify)
+    u = parse_gate_spec(gate)
+    if u.shape != (4, 4):
+        raise ParseError("analyze expects a two-qubit gate")
+    cls = classify(u, tol)
+    dec = kak(u, tol)
+    core = dec.core
+    g1, g2 = makhlin_invariants(u, tol)
+    report = {
+        "gate": gate,
+        "is_unitary": cls.is_unitary,
+        "is_pp": cls.is_pp,
+        "is_matchgate": cls.is_matchgate,
+        "nonlocal_triple": {"a": core.a, "b": core.b, "c": core.c},
+        "entangling_power": entangling_power_closed(core),
+        "makhlin_invariants": {"g1": [g1.real, g1.imag], "g2": g2},
+    }
+    if cls.is_pp:
+        report["det_ratio"] = [cls.det_ratio.real, cls.det_ratio.imag]
+        p = pp_params(u, tol)
+        report["pp_params"] = {
+            "theta": p.theta,
+            "alpha": p.alpha,
+            "gamma": p.gamma,
+            "phi": p.phi,
+            "mu": p.mu,
+            "nu": p.nu,
+            "beta": p.beta,
         }
-        if cls.is_pp:
-            report["det_ratio"] = [cls.det_ratio.real, cls.det_ratio.imag]
-            p = pp_params(u, tol)
-            report["pp_params"] = {
-                "theta": p.theta,
-                "alpha": p.alpha,
-                "gamma": p.gamma,
-                "phi": p.phi,
-                "mu": p.mu,
-                "nu": p.nu,
-                "beta": p.beta,
-            }
-            t = nonlocal_from_pp(p)
-            report["pp_nonlocal_triple"] = {"a": t.a, "b": t.b, "c": t.c}
-        if mc_samples:
-            report["entangling_power_mc"] = entangling_power_mc(
-                u, mc_samples, seed, tol=tol
-            )
-            report["mc_samples"] = mc_samples
-            report["seed"] = seed
-    except Exception as exc:  # noqa: BLE001 - mapped to exit codes
-        raise _fail(exc)
+        t = nonlocal_from_pp(p)
+        report["pp_nonlocal_triple"] = {"a": t.a, "b": t.b, "c": t.c}
+    if mc_samples:
+        report["entangling_power_mc"] = entangling_power_mc(
+            u, mc_samples, seed, tol=tol
+        )
+        report["mc_samples"] = mc_samples
+        report["seed"] = seed
 
     def render(r):
         click.echo(f"gate: {r['gate']}")
@@ -206,57 +210,55 @@ def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True), help="Logical circuit JSON.")
 @click.option("--target", required=True, help="Target gate spec.")
 @click.option("--epsilon", default=1e-6, show_default=True, help="Encoded-subspace infidelity budget.")
-@click.option("--r-max", default=100_000, show_default=True, help="Repetition search cap.")
+@click.option("--r-max", default=DEFAULT_R_MAX, show_default=True, help="Repetition search cap.")
 @click.option("--out", type=click.Path(), help="Write the compiled circuit JSON here.")
 @click.option("--skip-verify", is_flag=True, help="Skip the verification summary.")
 @click.option("--tol-unitary", default=DEFAULT_TOL.tol_unitary, show_default=True)
 @click.option("--tol-classify", default=DEFAULT_TOL.tol_classify, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitary, tol_classify, as_json):
     """Compile a logical circuit into matchgates + the target gate."""
-    try:
-        tol = _tols(tol_unitary, tol_classify)
-        logical = load_circuit(input_path)
-        target_gate = parse_gate_spec(target)
-        if target_gate.shape != (4, 4):
-            raise ParseError("target must be a two-qubit gate")
-        compiled = compile_circuit(logical, target_gate, epsilon, r_max=r_max, tol=tol)
-        meta = {
-            "target": {"matrix": matrix_out(target_gate), "spec": target},
-            "provenance": compiled.provenance,
+    tol = _tols(tol_unitary, tol_classify)
+    logical = load_circuit(input_path)
+    target_gate = parse_gate_spec(target)
+    if target_gate.shape != (4, 4):
+        raise ParseError("target must be a two-qubit gate")
+    compiled = compile_circuit(logical, target_gate, epsilon, r_max=r_max, tol=tol)
+    meta = {
+        "target": {"matrix": matrix_out(target_gate), "spec": target},
+        "provenance": compiled.provenance,
+    }
+    if compiled.plan:
+        meta["plan"] = {
+            "c_eff": compiled.plan.c_eff,
+            "repetitions": compiled.plan.repetitions,
+            "residual_error": compiled.plan.residual_error,
+            "local_corrections": list(compiled.plan.local_corrections),
+            "global_phase": compiled.plan.global_phase,
         }
-        if compiled.plan:
-            meta["plan"] = {
-                "c_eff": compiled.plan.c_eff,
-                "repetitions": compiled.plan.repetitions,
-                "residual_error": compiled.plan.residual_error,
-                "local_corrections": list(compiled.plan.local_corrections),
-                "global_phase": compiled.plan.global_phase,
-            }
-        doc = emit_circuit_document(compiled.physical, meta)
-        text = dumps_document(doc)
-        if out:
-            _write_out(text, out)
-        summary = {
-            "logical_qubits": logical.n,
-            "physical_qubits": compiled.physical.n,
-            "flat_op_count": compiled.physical.flat_count(),
-            "target_uses": compiled.target_uses,
-            "repetitions": compiled.plan.repetitions if compiled.plan else 0,
-            "out": out,
+    doc = emit_circuit_document(compiled.physical, meta)
+    text = dumps_document(doc)
+    if out:
+        _write_out(text, out)
+    summary = {
+        "logical_qubits": logical.n,
+        "physical_qubits": compiled.physical.n,
+        "flat_op_count": compiled.physical.flat_count(),
+        "target_uses": compiled.target_uses,
+        "repetitions": compiled.plan.repetitions if compiled.plan else 0,
+        "out": out,
+    }
+    if not skip_verify:
+        report = verify_compiled(compiled, logical, epsilon)
+        summary["verification"] = {
+            "mode": report.mode,
+            "fidelity": report.fidelity,
+            "leakage": report.leakage,
+            "passed": report.passed,
         }
-        if not skip_verify:
-            report = verify_compiled(compiled, logical, epsilon)
-            summary["verification"] = {
-                "mode": report.mode,
-                "fidelity": report.fidelity,
-                "leakage": report.leakage,
-                "passed": report.passed,
-            }
-        if not out:
-            summary["circuit"] = doc
-    except Exception as exc:  # noqa: BLE001
-        raise _fail(exc)
+    if not out:
+        summary["circuit"] = doc
 
     def render(s):
         click.echo(
@@ -284,43 +286,41 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitar
 @click.option("--strict", is_flag=True, help="Require an explicit --seed for sampling.")
 @click.option("--out", type=click.Path())
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
     """Run a circuit on the statevector (sv) or free-fermion (ff) backend."""
-    try:
-        circuit = load_circuit(input_path)
-        if initial is not None and (
-            len(initial) != circuit.n or set(initial) - {"0", "1"}
-        ):
-            raise ParseError(
-                f"--initial must be a {circuit.n}-character bitstring, got {initial!r}"
-            )
-        initial_label = initial if initial is not None else 0
-        if shots and seed is None:
-            if strict:
-                raise ParseError("--strict requires --seed when sampling")
-            seed = 0
-        payload: dict = {
-            "backend": backend,
-            "qubits": circuit.n,
-            "shots": shots,
-        }
+    circuit = load_circuit(input_path)
+    if initial is not None and (
+        len(initial) != circuit.n or set(initial) - {"0", "1"}
+    ):
+        raise ParseError(
+            f"--initial must be a {circuit.n}-character bitstring, got {initial!r}"
+        )
+    initial_label = initial if initial is not None else 0
+    if shots and seed is None:
+        if strict:
+            raise ParseError("--strict requires --seed when sampling")
+        seed = 0
+    payload: dict = {
+        "backend": backend,
+        "qubits": circuit.n,
+        "shots": shots,
+    }
+    if shots:
+        payload["seed"] = seed
+    if backend == "sv":
+        state = sv_run(circuit, initial_label)
         if shots:
-            payload["seed"] = seed
-        if backend == "sv":
-            state = sv_run(circuit, initial_label)
-            if shots:
-                payload["counts"] = histogram_out(sv_sample(state, shots, seed), circuit.n)
-            else:
-                payload["state"] = matrix_out(state.amps[None, :])[0]
+            payload["counts"] = histogram_out(sv_sample(state, shots, seed), circuit.n)
         else:
-            cov = run_covariance(circuit, initial_label)
-            payload["z_expectations"] = [cov.expectation_z(k) for k in range(circuit.n)]
-            if shots:
-                payload["counts"] = histogram_out(
-                    sample_covariance(cov, shots, seed), circuit.n
-                )
-    except Exception as exc:  # noqa: BLE001
-        raise _fail(exc)
+            payload["state"] = matrix_out(state.amps[None, :])[0]
+    else:
+        cov = run_covariance(circuit, initial_label)
+        payload["z_expectations"] = [cov.expectation_z(k) for k in range(circuit.n)]
+        if shots:
+            payload["counts"] = histogram_out(
+                sample_covariance(cov, shots, seed), circuit.n
+            )
 
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -348,36 +348,34 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
 @click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True, help="Random states checked past 8 logical qubits.")
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes
 def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
     """Check a physical circuit against a logical one under the pair encoding:
     exactly up to 8 logical qubits, on random states up to 12."""
-    try:
-        logical = load_circuit(logical_path)
-        physical = load_circuit(physical_path)
-        if physical.n != 2 * logical.n:
-            raise ParseError(
-                f"physical circuit has {physical.n} qubits; expected {2 * logical.n} "
-                f"for {logical.n} logical qubits"
-            )
-        compiled = CompiledCircuit(
-            physical=physical,
-            encoding=Encoding(logical.n),
-            plan=None,
-            target=None,
-            epsilon=epsilon,
+    logical = load_circuit(logical_path)
+    physical = load_circuit(physical_path)
+    if physical.n != 2 * logical.n:
+        raise ParseError(
+            f"physical circuit has {physical.n} qubits; expected {2 * logical.n} "
+            f"for {logical.n} logical qubits"
         )
-        report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed)
-        payload = {
-            "mode": report.mode,
-            "fidelity": report.fidelity,
-            "leakage": report.leakage,
-            "epsilon": epsilon,
-            "passed": report.passed,
-            "target_uses": report.target_uses,
-            "flat_op_count": report.flat_op_count,
-        }
-    except Exception as exc:  # noqa: BLE001
-        raise _fail(exc)
+    compiled = CompiledCircuit(
+        physical=physical,
+        encoding=Encoding(logical.n),
+        plan=None,
+        target=None,
+        epsilon=epsilon,
+    )
+    report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed)
+    payload = {
+        "mode": report.mode,
+        "fidelity": report.fidelity,
+        "leakage": report.leakage,
+        "epsilon": epsilon,
+        "passed": report.passed,
+        "target_uses": report.target_uses,
+        "flat_op_count": report.flat_op_count,
+    }
 
     def render(r):
         click.echo(

@@ -57,7 +57,9 @@ from .gates import (
 )
 from .statevector import UNITARY_QUBIT_CAP, propagate
 
-DEFAULT_R_MAX = 100_000
+# Largest repetition count searched per logical CZ; near-rational ZZ
+# strengths can need millions.
+DEFAULT_R_MAX = 10_000_000
 LOGICAL_QUBIT_CAP = 16
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
@@ -214,8 +216,9 @@ def plan_entangler(
         )
     r = None
     best_dist, best_r = np.inf, 0
-    chunk = 1_000_000
-    for lo in range(1, r_max + 1, chunk):
+    # Chunks double from 2**10 to 2**20 values: cost follows r, not r_max.
+    lo, chunk = 1, 2**10
+    while lo <= r_max:
         hi = min(lo + chunk - 1, r_max)
         r_values = np.arange(lo, hi + 1, dtype=np.float64)
         dist = np.abs(np.mod(r_values * c_eff, _HALF_PI) - _QUARTER_PI)
@@ -226,6 +229,7 @@ def plan_entangler(
         arg = int(np.argmin(dist))
         if dist[arg] < best_dist:
             best_dist, best_r = float(dist[arg]), lo + arg
+        lo, chunk = hi + 1, min(2 * chunk, 2**20)
     if r is None:
         raise SynthesisError(
             f"no repetition count <= {r_max} reaches angle tolerance {epsilon:.3e}; "
@@ -368,6 +372,8 @@ def compile_circuit(
 
     ``target`` must be a nonmatchgate parity-preserving unitary; every other
     emitted op is a matchgate and every two-qubit op is nearest-neighbor.
+    Raises SynthesisError when no repetition count <= ``r_max`` meets the
+    angle budget.
     """
     if logical.n > LOGICAL_QUBIT_CAP:
         raise TooLarge(f"logical qubit count capped at {LOGICAL_QUBIT_CAP}")
@@ -389,18 +395,7 @@ def compile_circuit(
     block_cache: dict[int, list[CircuitOp]] = {}
     if n_cz:
         eps_angle = max(min(math.sqrt(epsilon) / (2.0 * n_cz), _QUARTER_PI / 2), 1e-13)
-        # Near-rational ZZ strengths can keep the rotation orbit away from
-        # pi/4 for a long time; widen the search cap up to 100x before giving
-        # up (exactly rational strengths never converge and still refuse).
-        budget = r_max
-        while True:
-            try:
-                plan = plan_entangler(strip.core, eps_angle, r_max=budget, tol=tol)
-                break
-            except SynthesisError:
-                if budget >= 100 * r_max:
-                    raise
-                budget *= 10
+        plan = plan_entangler(strip.core, eps_angle, r_max=r_max, tol=tol)
 
     enc = Encoding(logical.n)
     phys = Circuit(enc.physical_count)

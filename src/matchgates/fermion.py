@@ -11,10 +11,12 @@ the literature varies in signs):
   with R in SO(4) embedded at Majorana indices 2s..2s+3, and the state
   updates as  M -> R M R^T.
 
-R is obtained from the quadratic generator expansion of G: with
-G = e^{i delta} exp(i H),  H = sum_{u<v} alpha_{uv} (-i c_u c_v),  one has
-R = exp(2 alpha).  Nonmatchgate parity-preserving gates have a Z x Z term in
-their log (an interaction quartic in fermion operators), so they are refused.
+R is read off by conjugation.  The Jordan-Wigner string in front of the
+pair commutes with G, so only the pair's local Majoranas XI, YI, ZX, ZY
+enter: R_{uv} = Re tr(G^dag c_u G c_v) / 4.  A one-qubit Z rotation gives
+the 2x2 block of its own qubit's (X, Y) the same way.  Nonmatchgate
+parity-preserving gates have a Z x Z term in their log (quartic in fermion
+operators) and map Majoranas out of their span, so they are refused.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .analysis import classify
+from .analysis import Classification, classify
 from .circuits import Circuit, describe_op
 from .errors import (
     BackendRefusal,
@@ -37,7 +38,7 @@ from .errors import (
     NotMatchgate,
     TooLarge,
 )
-from .gates import DEFAULT_TOL, I2, PAULIS, Mat2, Mat4, ToleranceConfig, det2, kron
+from .gates import DEFAULT_TOL, I2, PAULIS, Mat2, Mat4, ToleranceConfig, X, Y, Z, det2, kron
 
 # Probability below which a measurement outcome is treated as impossible.
 PROB_FLOOR = 1e-12
@@ -74,7 +75,8 @@ class CovarianceState:
 @dataclass(frozen=True)
 class MajoranaRotation:
     """SO(2n) action on Majorana modes; ``block`` is the square piece
-    starting at Majorana index 2*site (4x4 for one two-qubit gate)."""
+    starting at Majorana index 2*site (4x4 for a two-qubit gate on qubits
+    (site, site+1), 2x2 for a one-qubit gate on qubit site)."""
 
     n: int
     site: int
@@ -103,9 +105,8 @@ def _pauli_coeffs(h: Mat2) -> tuple[float, float, float]:
     )
 
 
-def matchgate_generator_coefficients(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
-    """Coefficients of a matchgate's Hamiltonian on the six quadratic
-    generators {XX, YY, XY, YX, ZI, IZ}, via per-block su(2) logarithms."""
+def _require_matchgate(g: Mat4, tol: ToleranceConfig) -> Classification:
+    """``classify(g)``, raising NotMatchgate unless g is a matchgate."""
     cls = classify(g, tol)
     if not cls.is_pp:
         raise NotMatchgate("gate is not parity-preserving, hence not a matchgate")
@@ -114,9 +115,17 @@ def matchgate_generator_coefficients(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL
             f"det(A)/det(B) = {cls.det_ratio:.6f} != 1: the gate's generator has a "
             "Z x Z component (a fermionic interaction), no quadratic expansion exists"
         )
-    a, b = cls.blocks
+    return cls
+
+
+def matchgate_generator_coefficients(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
+    """Coefficients of a matchgate's Hamiltonian on the six quadratic
+    generators {XX, YY, XY, YX, ZI, IZ}, via per-block su(2) logarithms."""
+    a, b = _require_matchgate(g, tol).blocks
+    # One global phase for both blocks: halving each determinant's phase
+    # alone can pick opposite branches at det = -1, an error of Z x Z.
     pa = cmath.phase(det2(a)) / 2.0
-    pb = cmath.phase(det2(b)) / 2.0
+    pb = pa + cmath.phase(det2(b) / det2(a)) / 2.0
     h_a = _su2_log(a * np.exp(-1j * pa))
     h_b = _su2_log(b * np.exp(-1j * pb))
     ax, ay, az = _pauli_coeffs(h_a)
@@ -131,23 +140,26 @@ def matchgate_generator_coefficients(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL
     }
 
 
+# Majoranas local to a qubit pair (XI, YI, ZX, ZY) and to one qubit (X, Y).
+_PAIR_MAJORANAS = np.array([kron(X, I2), kron(Y, I2), kron(Z, X), kron(Z, Y)])
+_QUBIT_MAJORANAS = np.array([X, Y])
+
+
+def _conjugation_block(g: np.ndarray, majoranas: np.ndarray) -> np.ndarray:
+    """R with g^dag c_u g = sum_v R_uv c_v over the local ``majoranas``:
+    R_uv = Re tr(g^dag c_u g c_v) / dim, all u at once."""
+    heis = np.conj(g).T @ majoranas @ g
+    return np.einsum("uij,vji->uv", heis, majoranas).real / len(g)
+
+
 def matchgate_to_rotation(
     g: Mat4, site: int, n: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> MajoranaRotation:
     """SO(4) Majorana rotation of a matchgate acting on qubits (site, site+1)."""
     if not 0 <= site < n - 1:
         raise BadTargets(f"site {site} has no right neighbor in n={n}")
-    coeff = matchgate_generator_coefficients(g, tol)
-    alpha = np.zeros((4, 4))
-    alpha[0, 1] = coeff["ZI"]
-    alpha[2, 3] = coeff["IZ"]
-    alpha[1, 2] = coeff["XX"]
-    alpha[0, 3] = -coeff["YY"]
-    alpha[1, 3] = coeff["XY"]
-    alpha[0, 2] = -coeff["YX"]
-    alpha -= alpha.T
-    block = expm(2.0 * alpha)
-    return MajoranaRotation(n=n, site=site, block=block)
+    _require_matchgate(g, tol)
+    return MajoranaRotation(n=n, site=site, block=_conjugation_block(g, _PAIR_MAJORANAS))
 
 
 def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
@@ -258,25 +270,19 @@ def measurement_probability(state: CovarianceState, k: int, outcome: int) -> flo
 
 
 def _op_rotation(op, n: int, tol: ToleranceConfig) -> MajoranaRotation:
-    """Rotation for a circuit op, embedding single-qubit gates into a
-    nearest-neighbor pair; the caller prefixes refusals with the op's name."""
+    """Rotation for a circuit op; the caller prefixes refusals with the op's
+    name.  A single-qubit gate is checked as kron(g, I) and rotates the two
+    Majoranas of its own qubit."""
     gate, targets = op.gate, op.targets
-    if len(targets) == 1:
-        (q,) = targets
-        if q < n - 1:
-            gate, targets = kron(gate, I2), (q, q + 1)
-        else:
-            gate, targets = kron(I2, gate), (q - 1, q)
-    if targets[1] != targets[0] + 1:
-        if targets[0] == targets[1] + 1:
-            # Reversed pair: conjugate by the index swap to normal order.
-            swap = np.array(
-                [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-            )
-            gate, targets = swap @ gate @ swap, (targets[1], targets[0])
-        else:
-            raise BackendRefusal("is not nearest-neighbor")
     try:
+        if len(targets) == 1:
+            _require_matchgate(kron(gate, I2), tol)
+            return MajoranaRotation(n, targets[0], _conjugation_block(gate, _QUBIT_MAJORANAS))
+        if targets[1] != targets[0] + 1:
+            if targets[0] != targets[1] + 1:
+                raise BackendRefusal("is not nearest-neighbor")
+            # Reversed pair: conjugate by the index swap to normal order.
+            gate, targets = gate[[0, 2, 1, 3]][:, [0, 2, 1, 3]], targets[::-1]
         return matchgate_to_rotation(gate, targets[0], n, tol)
     except NonUnitaryInput as exc:
         raise NonUnitaryInput(f"is not unitary: {exc}") from exc
@@ -287,10 +293,10 @@ def _op_rotation(op, n: int, tol: ToleranceConfig) -> MajoranaRotation:
 def _fold(rots: list[MajoranaRotation], count: int) -> MajoranaRotation:
     """One rotation equal to applying ``rots`` in order, ``count`` times."""
     site = min(rot.site for rot in rots)
-    width = 2 * max(rot.site - site for rot in rots) + 4
+    width = max(2 * (rot.site - site) + len(rot.block) for rot in rots)
     block = np.eye(width)
     for rot in rots:
-        sl = slice(2 * (rot.site - site), 2 * (rot.site - site) + 4)
+        sl = slice(2 * (rot.site - site), 2 * (rot.site - site) + len(rot.block))
         block[sl, :] = rot.block @ block[sl, :]
     return MajoranaRotation(rots[0].n, site, np.linalg.matrix_power(block, count))
 

@@ -222,6 +222,16 @@ class TestCompile:
         assert abs(abs(phase) - 1.0) < 1e-9
         assert np.max(np.abs(out * phase / abs(phase) - expected)) < 1e-9
 
+    def test_r_max_is_a_cap(self):
+        # One CZ with target nl(0.3, 0.1, 0.1) at epsilon 1e-6 needs r = 699.
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        target = nl(0.3, 0.1, 0.1)
+        for r_max in (50, 698):
+            with pytest.raises(SynthesisError, match=f"<= {r_max} "):
+                compile_circuit(logical, target, 1e-6, r_max=r_max)
+        assert compile_circuit(logical, target, 1e-6, r_max=699).plan.repetitions == 699
+
     def test_iswap_target_refused(self):
         logical = Circuit(2)
         logical.append(CZ, (0, 1), name="cz")

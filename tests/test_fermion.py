@@ -36,6 +36,7 @@ from matchgates.gates import H, I2, X, Y, Z, build_pp, gate_library, kron, nl, p
 from matchgates.statevector import StateVector, apply as sv_apply, expectation_z, run as sv_run, sample as sv_sample
 from util import (
     embed_two_qubit,
+    generator_rotation_block,
     haar_unitary,
     majorana_operators,
     principal_log_pauli_coefficients,
@@ -46,6 +47,27 @@ from util import (
 )
 
 PI = np.pi
+
+# Gates on the edges of the generator picture: identity, FSWAP, G(X, X),
+# G(iX, iX), G(Z, Z), -I and exp(i (pi/2) Z x Z), whose determinants sit on
+# the branch cut of the phase.
+EDGE_MATCHGATES = [
+    np.eye(4, dtype=complex),
+    build_pp(Z, X),
+    build_pp(X, X),
+    build_pp(1j * X, 1j * X),
+    build_pp(Z, Z),
+    -np.eye(4, dtype=complex),
+    nl(0, 0, PI / 2),
+]
+
+
+def dense_conjugation(g, n):
+    """R_uv = Re tr(G^dag c_u G c_v) / 2^n on dense n-qubit Majoranas."""
+    cs = majorana_operators(n)
+    return np.array(
+        [[(np.trace(g.conj().T @ cu @ g @ cv) / 2**n).real for cv in cs] for cu in cs]
+    )
 
 
 class TestRotationExtraction:
@@ -68,6 +90,21 @@ class TestRotationExtraction:
                     lhs = full.conj().T @ cs[mu] @ full
                     rhs = sum(r[mu, nu] * cs[nu] for nu in range(2 * n))
                     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    def test_matches_generator_exponential(self):
+        # The block of the quadratic generator, exp(2 alpha), on random and
+        # edge-case matchgates.
+        rng = np.random.default_rng(49)
+        gates = [random_matchgate(rng) for _ in range(2000)] + EDGE_MATCHGATES
+        for g in gates:
+            blk = matchgate_to_rotation(g, 0, 2).block
+            assert np.max(np.abs(blk - generator_rotation_block(g))) < 1e-12
+
+    @pytest.mark.parametrize("index", range(len(EDGE_MATCHGATES)))
+    def test_edge_cases_match_dense_conjugation(self, index):
+        g = EDGE_MATCHGATES[index]
+        blk = matchgate_to_rotation(g, 0, 2).block
+        assert np.max(np.abs(blk - dense_conjugation(g, 2))) < 1e-12
 
     def test_rotation_is_special_orthogonal(self):
         rng = np.random.default_rng(51)
@@ -129,6 +166,18 @@ class TestRotationExtraction:
             folded = czz % (PI / 2)
             assert min(folded, PI / 2 - folded) > 1e-8
 
+    def test_branch_cut_gate_in_a_circuit_matches_statevector(self):
+        # exp(i (pi/2) Z x Z) rotates by -I: the sign shows once the pair is
+        # correlated with the rest of the register.
+        rng = np.random.default_rng(48)
+        circ = Circuit(3)
+        circ.append(random_matchgate(rng), (1, 2))
+        circ.append(nl(0, 0, PI / 2), (0, 1))
+        circ.append(random_matchgate(rng), (1, 2))
+        sv, cov = sv_run(circ, 0), run_covariance(circ, 0)
+        for k in range(3):
+            assert abs(expectation_z(sv, k) - cov.expectation_z(k)) < 1e-9
+
     def test_generator_coefficients_reconstruct(self):
         rng = np.random.default_rng(54)
         paulis = {
@@ -139,8 +188,7 @@ class TestRotationExtraction:
             "ZI": kron(Z, I2),
             "IZ": kron(I2, Z),
         }
-        for _ in range(20):
-            g = random_matchgate(rng)
+        for g in [random_matchgate(rng) for _ in range(20)] + EDGE_MATCHGATES:
             coeffs = matchgate_generator_coefficients(g)
             ham = sum(c * paulis[k] for k, c in coeffs.items())
             recon = expm(1j * ham)
@@ -222,6 +270,32 @@ class TestCovariance:
         cov = run_covariance(circ, 0)
         assert cov.expectation_z(1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name,params", [("Z", ()), ("S", ()), ("RZ", (0.7,))])
+    @pytest.mark.parametrize("initial", ["0", "1"])
+    def test_one_qubit_register(self, name, params, initial):
+        circ = Circuit(1)
+        circ.append(gate_library(name, params), (0,))
+        cov = run_covariance(circ, initial)
+        assert cov.expectation_z(0) == pytest.approx(expectation_z(sv_run(circ, initial), 0))
+
+    def test_one_qubit_register_refuses_x(self):
+        circ = Circuit(1)
+        circ.append(X, (0,))
+        with pytest.raises(BackendRefusal, match="not parity-preserving"):
+            run_covariance(circ, 0)
+
+    def test_single_qubit_gate_rotates_its_own_majorana_pair(self):
+        # Conjugating (X, Y) by a Z rotation rotates the pair's plane.
+        rng = np.random.default_rng(47)
+        n, theta = 3, 0.7
+        circ = Circuit(n)
+        circ.append(random_matchgate(rng), (1, 2))
+        circ.append(gate_library("RZ", (theta,)), (2,))
+        before = run_covariance(Circuit(n, ops=circ.ops[:1]), 0).m
+        after = run_covariance(circ, 0).m
+        r = dense_conjugation(embed_two_qubit(kron(I2, gate_library("RZ", (theta,))), 1, n), n)
+        assert_allclose(after, r @ before @ r.T, atol=1e-12)
+
     def test_refusal_names_offending_op(self):
         circ = Circuit(3)
         circ.append(random_matchgate(np.random.default_rng(1)), (0, 1))
@@ -266,6 +340,16 @@ class TestRepeatGroups:
         seg.append_segment(body, 7)
         flat = Circuit(5, ops=body * 7)
         assert_allclose(run_covariance(seg, 11).m, run_covariance(flat, 11).m, atol=1e-10)
+
+    def test_single_qubit_gate_on_last_qubit_matches_expansion(self):
+        rng = np.random.default_rng(61)
+        body = [CircuitOp(random_matchgate(rng), (1, 2)), CircuitOp(gate_library("RZ", (0.3,)), (2,))]
+        for ops in (body, body[1:]):
+            seg = Circuit(3)
+            seg.append(random_matchgate(rng), (1, 2))
+            flat = Circuit(3, ops=list(seg.ops) + list(ops) * 5)
+            seg.append_segment(ops, 5)
+            assert_allclose(run_covariance(seg, 6).m, run_covariance(flat, 6).m, atol=1e-12)
 
     def test_refusal_in_group_names_entry_and_position(self):
         circ = Circuit(3)

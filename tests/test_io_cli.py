@@ -1,7 +1,11 @@
 """Circuit document round trips, gate-spec parsing, and CLI behavior."""
 
 import json
+import os
+import subprocess
+import sys
 
+import matchgates
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -12,12 +16,13 @@ from numpy.testing import assert_allclose
 from matchgates.circuits import Circuit, RepeatedSegment
 from matchgates.cli import main
 from matchgates.compiler import compile_circuit
-from matchgates.errors import MatchgatesError, ParseError
+from matchgates.errors import MatchgatesError, NonUnitaryInput, ParseError
 from matchgates.gates import H, I2, X, build_pp, gate_library
 from matchgates.io import (
     dumps_document,
     emit_circuit_document,
     gate_from_document,
+    matrix_out,
     parse_angle,
     parse_circuit_document,
     parse_gate_spec,
@@ -246,6 +251,17 @@ class TestCompileCommand:
         circ = parse_circuit_document(doc)
         assert circ.n == 4
 
+    def test_r_max_is_a_cap(self, runner, tmp_path):
+        # One CZ with this target needs 699 repetitions at epsilon 1e-6.
+        logical = write_logical_cz(tmp_path)
+        args = ["compile", "--input", logical, "--target", "NL(0.3,0.1,0.1)", "--json"]
+        result = runner.invoke(main, args + ["--r-max", "50"])
+        assert result.exit_code == 7
+        assert "no repetition count <= 50" in result.output
+        result = runner.invoke(main, args + ["--skip-verify"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["repetitions"] == 699
+
     def test_matchgate_target_exit_code(self, runner, tmp_path):
         bell = write_bell(tmp_path)
         result = runner.invoke(main, ["compile", "--input", bell, "--target", "ISWAP"])
@@ -317,6 +333,30 @@ class TestSimulateCommand:
             assert result.exit_code == 0, result.output
             payloads.append(np.array(json.loads(result.output)[key]))
         assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-6
+
+    @pytest.mark.parametrize("gate", [{"name": "z"}, {"name": "s"}, {"name": "rz", "params": [0.7]}])
+    @pytest.mark.parametrize("initial", ["0", "1"])
+    def test_one_qubit_register_ff_matches_sv(self, runner, tmp_path, gate, initial):
+        doc = {"format_version": 1, "qubits": 1, "gates": [{**gate, "targets": [0]}]}
+        path = write_doc(tmp_path, doc)
+        out = {}
+        for backend in ("sv", "ff"):
+            result = runner.invoke(
+                main,
+                ["simulate", "--input", path, "--backend", backend, "--initial", initial, "--json"],
+            )
+            assert result.exit_code == 0, result.output
+            out[backend] = json.loads(result.output)
+        amp0, amp1 = (complex(*entry) for entry in out["sv"]["state"])
+        assert out["ff"]["z_expectations"] == pytest.approx([abs(amp0) ** 2 - abs(amp1) ** 2])
+
+    def test_one_qubit_register_ff_refuses_x(self, runner, tmp_path):
+        doc = {"format_version": 1, "qubits": 1, "gates": [{"name": "x", "targets": [0]}]}
+        result = runner.invoke(
+            main, ["simulate", "--input", write_doc(tmp_path, doc), "--backend", "ff"]
+        )
+        assert result.exit_code == 6
+        assert "op 0 (x on (0,)) is not a matchgate" in result.output
 
     def test_ff_qubit_cap(self, runner, tmp_path):
         doc = {"format_version": 1, "qubits": 2000, "gates": []}
@@ -641,3 +681,86 @@ def test_simulate_maps_malformed_input_to_documented_exit_codes(
         payload = json.loads(result.output)
         if shots > 0:
             assert sum(payload["counts"].values()) == shots
+
+
+def valid_gate_documents() -> list[dict]:
+    """One gate document of each form ``gate_from_document`` reads."""
+    h = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
+    angles = {"theta": 0.1, "alpha": "pi/4", "gamma": 0, "phi": 0.3, "mu": 0, "nu": 0, "beta": "pi/8"}
+    return [
+        {"matrix": matrix_out(gate_library("ISWAP"))},
+        {"matrix": h},
+        {"blocks": {"a": h, "b": h}},
+        {"pp_params": angles},
+        {"name": "NL", "params": [0.1, "pi/8", 0.3]},
+    ]
+
+
+GATE_DOC_FIELDS = ("matrix", "blocks", "pp_params", "name", "params", "a", "b", "theta", "beta")
+
+
+@st.composite
+def mutated_gate_documents(draw):
+    """A valid gate document with one to three fields, nested fields, list
+    entries or matrix rows replaced or deleted."""
+    doc = valid_gate_documents()[draw(st.integers(0, len(valid_gate_documents()) - 1))]
+    for _ in range(draw(st.integers(1, 3))):
+        containers = [doc] + [v for v in doc.values() if isinstance(v, (dict, list))]
+        container = draw(st.sampled_from(containers))
+        if isinstance(container, list):
+            if not container:
+                continue
+            index = draw(st.integers(0, len(container) - 1))
+            row = container[index]
+            if isinstance(row, list) and row and draw(st.booleans()):
+                container, index = row, draw(st.integers(0, len(row) - 1))
+            if draw(st.booleans()):
+                container.pop(index)
+            else:
+                container[index] = draw(JSON_VALUES)
+            continue
+        key = draw(st.sampled_from(GATE_DOC_FIELDS))
+        if draw(st.booleans()):
+            container.pop(key, None)
+        else:
+            container[key] = draw(JSON_VALUES)
+    return doc
+
+
+@FUZZ
+@given(doc=mutated_gate_documents() | JSON_VALUES)
+def test_gate_documents_only_raise_parse_or_unitarity_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz_gate.json"
+    path.write_text(json.dumps(doc))
+    for read in (lambda: gate_from_document(doc), lambda: parse_gate_spec(str(path))):
+        try:
+            gate = read()
+        except (ParseError, NonUnitaryInput):
+            continue
+        assert gate.shape in ((2, 2), (4, 4))
+
+
+@FUZZ
+@given(doc=mutated_gate_documents())
+def test_analyze_maps_malformed_gate_files_to_exit_2(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz_gate.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["analyze", "--gate", str(path), "--json"])
+    assert result.exit_code in (0, 2), (result.exit_code, result.output)
+    if result.exception is not None:
+        assert isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code:
+        assert result.output.startswith("error:"), result.output
+    else:
+        assert json.loads(result.output)["gate"] == str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # The package's runtime dependencies are numpy and click only.
+    src = os.path.dirname(os.path.dirname(matchgates.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, matchgates.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

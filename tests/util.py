@@ -1,10 +1,10 @@
 """Shared test helpers: random gate generators and independent oracles."""
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import expm, schur
 
 from matchgates.circuits import Circuit
-from matchgates.fermion import MajoranaRotation
+from matchgates.fermion import MajoranaRotation, matchgate_generator_coefficients
 from matchgates.gates import I2, X, Y, Z, build_pp, det2, kron
 
 
@@ -78,12 +78,27 @@ def embed_two_qubit(gate: np.ndarray, site: int, n: int) -> np.ndarray:
 
 
 def rotation_matrix(rot: MajoranaRotation) -> np.ndarray:
-    """Dense SO(2n) matrix of a Majorana rotation: the identity with the 4x4
-    block at Majorana indices 2*site .. 2*site+3."""
+    """Dense SO(2n) matrix of a Majorana rotation: the identity with the
+    block at Majorana indices 2*site onwards."""
     r = np.eye(2 * rot.n)
     s = 2 * rot.site
-    r[s : s + 4, s : s + 4] = rot.block
+    r[s : s + len(rot.block), s : s + len(rot.block)] = rot.block
     return r
+
+
+def generator_rotation_block(g: np.ndarray) -> np.ndarray:
+    """SO(4) block of a matchgate from its quadratic generator: with
+    G = e^{i delta} exp(i H),  H = sum_{u<v} alpha_uv (-i c_u c_v),  the block
+    is exp(2 alpha).  Independent of the conjugation kernel."""
+    coeff = matchgate_generator_coefficients(g)
+    alpha = np.zeros((4, 4))
+    alpha[0, 1] = coeff["ZI"]
+    alpha[2, 3] = coeff["IZ"]
+    alpha[1, 2] = coeff["XX"]
+    alpha[0, 3] = -coeff["YY"]
+    alpha[1, 3] = coeff["XY"]
+    alpha[0, 2] = -coeff["YX"]
+    return expm(2.0 * (alpha - alpha.T))
 
 
 def principal_log_pauli_coefficients(g: np.ndarray) -> dict[str, float]:
