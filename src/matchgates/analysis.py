@@ -46,6 +46,7 @@ from .gates import (
     kron,
     nl,
     off_block_weight,
+    unitarity_defect,
 )
 
 # Columns are the magic-basis (Bell-like) states; local unitaries become real
@@ -142,15 +143,31 @@ def classify(u: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> Classification:
     under a global phase (both determinants scale by e^{2i phi}).
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or not is_unitary(u, tol.tol_unitary):
+    if u.shape != (4, 4):
         raise NonUnitaryInput("classify expects a 4x4 unitary")
-    if off_block_weight(u) > tol.tol_classify:
+    unitary, pp, matchgate = (flags[0] for flags in classify_stack(u[None], tol))
+    if not unitary:
+        raise NonUnitaryInput("classify expects a 4x4 unitary")
+    if not pp:
         return Classification(True, False, False)
     a, b = extract_blocks(u)
-    det_a = det2(a)
-    det_b = det2(b)
-    is_mg = abs(det_a - det_b) <= tol.tol_classify
-    return Classification(True, True, is_mg, (a, b), det_a / det_b)
+    return Classification(True, True, bool(matchgate), (a, b), det2(a) / det2(b))
+
+
+def classify_stack(
+    u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tests of :func:`classify` over an (N, 4, 4) stack of gates.
+
+    Returns boolean arrays (unitary, parity-preserving, matchgate) of shape
+    (N,); each flag implies the one before it.  ``classify`` is the N = 1
+    case, so a gate gets the same verdict alone or in a stack.
+    """
+    unitary = unitarity_defect(u) <= tol.tol_unitary
+    pp = unitary & (off_block_weight(u) <= tol.tol_classify)
+    det_a = u[:, 0, 0] * u[:, 3, 3] - u[:, 0, 3] * u[:, 3, 0]
+    det_b = u[:, 1, 1] * u[:, 2, 2] - u[:, 1, 2] * u[:, 2, 1]
+    return unitary, pp, pp & (np.abs(det_a - det_b) <= tol.tol_classify)
 
 
 def _su2_angles(m0: Mat2, eps: float) -> tuple[float, float, float, list[str], list[str]]:

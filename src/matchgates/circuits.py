@@ -82,17 +82,21 @@ class Circuit:
     ) -> CircuitOp:
         gate = np.asarray(gate, dtype=complex)
         targets = tuple(int(t) for t in targets)
-        self._check_targets(gate, targets)
         op = CircuitOp(gate, targets, name, tuple(params), tag)
-        self.ops.append(op)
+        self.add(op)
         return op
 
     def append_segment(self, body: Iterable[CircuitOp], count: int) -> RepeatedSegment:
         seg = RepeatedSegment(tuple(body), int(count))
-        for op in seg.body:
-            self._check_targets(op.gate, op.targets)
-        self.ops.append(seg)
+        self.add(seg)
         return seg
+
+    def add(self, entry: CircuitOp | RepeatedSegment) -> None:
+        """Append a built op or repetition group after checking its targets;
+        the op's gate must already be a complex ndarray."""
+        for op in entry.body if isinstance(entry, RepeatedSegment) else (entry,):
+            self._check_targets(op.gate, op.targets)
+        self.ops.append(entry)
 
     def walk(self) -> Iterator[tuple[tuple[CircuitOp, ...], int]]:
         """Yield each top-level entry as ``(ops, count)``: a single op as

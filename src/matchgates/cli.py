@@ -4,14 +4,16 @@ Exit codes are a stable contract:
 
     0  success
     1  internal error (decomposition/synthesis bug)
-    2  parse or usage error (including a bad shot count or a non-unitary
-       user matrix)
+    2  parse or usage error (including a bad shot count, a non-unitary
+       user matrix, or a logical two-qubit gate other than CZ, CNOT, SWAP)
     3  target gate is a matchgate
     4  target gate is not parity-preserving
     5  problem too large for the requested mode (e.g. verifying > 12 logical qubits)
     6  backend refusal (e.g. non-matchgate op on the ff backend)
     7  repetition synthesis failed within --r-max
-    8  verification failed (``mgc verify`` fidelity below 1 - epsilon)
+    8  verification failed (fidelity below 1 - epsilon in ``mgc verify``, or
+       in ``mgc compile`` without --skip-verify; the summary and --out are
+       still written)
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .errors import (
     TargetIsMatchgate,
     TargetNotPP,
     TooLarge,
+    UnsupportedLogicalGate,
 )
 from .fermion import run_covariance, sample_covariance
 from .gates import DEFAULT_TOL, ToleranceConfig
@@ -75,6 +78,7 @@ _EXIT_BY_ERROR = [
     (ParseError, EXIT_PARSE),
     (BadSampleCount, EXIT_PARSE),
     (NonUnitaryInput, EXIT_PARSE),
+    (UnsupportedLogicalGate, EXIT_PARSE),
     (TargetIsMatchgate, EXIT_TARGET_IS_MATCHGATE),
     (TargetNotPP, EXIT_TARGET_NOT_PP),
     (TooLarge, EXIT_TOO_LARGE),
@@ -275,6 +279,9 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitar
             click.echo(f"wrote {s['out']}")
 
     _emit(summary, as_json, render)
+
+    if summary.get("verification", {}).get("passed") is False:
+        raise click.exceptions.Exit(EXIT_VERIFY_FAILED)
 
 
 @main.command()

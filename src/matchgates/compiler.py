@@ -235,7 +235,9 @@ def plan_entangler(
             f"no repetition count <= {r_max} reaches angle tolerance {epsilon:.3e}; "
             f"best residual {best_dist:.3e} at r={best_r}"
         )
-    q = r * phases
+    # Reduced first: at r near 10**7 the raw products carry about 1e-9 of
+    # rounding into every sum below, past the consistency check.
+    q = np.mod(r * phases, 2 * math.pi)
     w_q = (q[0] - q[1] - q[2] + q[3]) / 4.0
     delta = _wrap(w_q - _QUARTER_PI, _HALF_PI)
     t_vec = np.array([delta, -delta, -delta, math.pi + delta])

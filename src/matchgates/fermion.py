@@ -17,17 +17,25 @@ enter: R_{uv} = Re tr(G^dag c_u G c_v) / 4.  A one-qubit Z rotation gives
 the 2x2 block of its own qubit's (X, Y) the same way.  Nonmatchgate
 parity-preserving gates have a Z x Z term in their log (quartic in fermion
 operators) and map Majoranas out of their span, so they are refused.
+
+``run_covariance`` works on stacks: it takes the circuit OP_CHUNK ops at a
+time in walk order, checks the chunk's gates with one ``classify_stack``
+call (a one-qubit gate as kron(g, I), a reversed pair conjugated by the
+index swap), reads every block off one batched conjugation, and then folds
+and applies them in order.  The per-gate work left is the O(n) update of
+the block's rows and columns of M.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Classification, classify
+from .analysis import Classification, classify, classify_stack
 from .circuits import Circuit, describe_op
 from .errors import (
     BackendRefusal,
@@ -46,6 +54,11 @@ PROB_FLOOR = 1e-12
 # Bytes of conditioned covariances the sampler keeps alive at once, shared
 # equally among the n levels of its prefix tree.
 SAMPLER_BUDGET_BYTES = 32 * 2**20
+
+# Ops that run_covariance checks and converts in one stacked call.  The
+# stacked temporaries take about 3 KiB per op, so memory stays near 0.5 MiB
+# above the circuit's own whatever its length.
+OP_CHUNK = 128
 
 # Largest register the covariance backend accepts.  Past n of about 115 the
 # sampler's pending branches hold 10-21 n^3 bytes, 0.17-0.35 GB at this cap.
@@ -144,12 +157,17 @@ def matchgate_generator_coefficients(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL
 _PAIR_MAJORANAS = np.array([kron(X, I2), kron(Y, I2), kron(Z, X), kron(Z, Y)])
 _QUBIT_MAJORANAS = np.array([X, Y])
 
+# Basis order that conjugates a gate on the reversed pair (s+1, s) by the
+# index swap, putting it on (s, s+1).
+_SWAP_ORDER = [0, 2, 1, 3]
+
 
 def _conjugation_block(g: np.ndarray, majoranas: np.ndarray) -> np.ndarray:
-    """R with g^dag c_u g = sum_v R_uv c_v over the local ``majoranas``:
-    R_uv = Re tr(g^dag c_u g c_v) / dim, all u at once."""
-    heis = np.conj(g).T @ majoranas @ g
-    return np.einsum("uij,vji->uv", heis, majoranas).real / len(g)
+    """R with g^dag c_u g = sum_v R_uv c_v over the local ``majoranas``, for
+    each g of an (N, d, d) stack: R_uv = Re tr(g^dag c_u g c_v) / d, shape
+    (N, len(majoranas), len(majoranas))."""
+    heis = np.conj(np.swapaxes(g, -1, -2))[:, None] @ majoranas @ g[:, None]
+    return np.einsum("kuij,vji->kuv", heis, majoranas).real / g.shape[-1]
 
 
 def matchgate_to_rotation(
@@ -159,7 +177,8 @@ def matchgate_to_rotation(
     if not 0 <= site < n - 1:
         raise BadTargets(f"site {site} has no right neighbor in n={n}")
     _require_matchgate(g, tol)
-    return MajoranaRotation(n=n, site=site, block=_conjugation_block(g, _PAIR_MAJORANAS))
+    block = _conjugation_block(np.asarray(g, dtype=complex)[None], _PAIR_MAJORANAS)[0]
+    return MajoranaRotation(n=n, site=site, block=block)
 
 
 def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
@@ -180,11 +199,12 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
     return CovarianceState(n, m)
 
 
-def _rotate(m: np.ndarray, rot: MajoranaRotation) -> None:
-    """In place M -> R M R^T; only the rows and columns of the block change."""
-    sl = slice(2 * rot.site, 2 * rot.site + len(rot.block))
-    m[sl, :] = rot.block @ m[sl, :]
-    m[:, sl] = m[:, sl] @ rot.block.T
+def _rotate(m: np.ndarray, site: int, block: np.ndarray) -> None:
+    """In place M -> R M R^T for R = ``block`` at Majorana index 2*site; only
+    the rows and columns of the block change."""
+    sl = slice(2 * site, 2 * site + len(block))
+    m[sl, :] = block @ m[sl, :]
+    m[:, sl] = m[:, sl] @ block.T
 
 
 def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
@@ -192,7 +212,7 @@ def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
     if rot.n != state.n:
         raise DimensionMismatch(f"rotation is for n={rot.n}, state has n={state.n}")
     m = state.m.copy()
-    _rotate(m, rot)
+    _rotate(m, rot.site, rot.block)
     return CovarianceState(state.n, m)
 
 
@@ -269,36 +289,43 @@ def measurement_probability(state: CovarianceState, k: int, outcome: int) -> flo
     return float((1.0 + (1.0 - 2.0 * outcome) * mz) / 2.0)
 
 
-def _op_rotation(op, n: int, tol: ToleranceConfig) -> MajoranaRotation:
-    """Rotation for a circuit op; the caller prefixes refusals with the op's
-    name.  A single-qubit gate is checked as kron(g, I) and rotates the two
-    Majoranas of its own qubit."""
-    gate, targets = op.gate, op.targets
-    try:
-        if len(targets) == 1:
-            _require_matchgate(kron(gate, I2), tol)
-            return MajoranaRotation(n, targets[0], _conjugation_block(gate, _QUBIT_MAJORANAS))
-        if targets[1] != targets[0] + 1:
-            if targets[0] != targets[1] + 1:
-                raise BackendRefusal("is not nearest-neighbor")
-            # Reversed pair: conjugate by the index swap to normal order.
-            gate, targets = gate[[0, 2, 1, 3]][:, [0, 2, 1, 3]], targets[::-1]
-        return matchgate_to_rotation(gate, targets[0], n, tol)
-    except NonUnitaryInput as exc:
-        raise NonUnitaryInput(f"is not unitary: {exc}") from exc
-    except NotMatchgate as exc:
-        raise BackendRefusal(f"is not a matchgate: {exc}") from exc
-
-
-def _fold(rots: list[MajoranaRotation], count: int) -> MajoranaRotation:
-    """One rotation equal to applying ``rots`` in order, ``count`` times."""
-    site = min(rot.site for rot in rots)
-    width = max(2 * (rot.site - site) + len(rot.block) for rot in rots)
-    block = np.eye(width)
-    for rot in rots:
-        sl = slice(2 * (rot.site - site), 2 * (rot.site - site) + len(rot.block))
-        block[sl, :] = rot.block @ block[sl, :]
-    return MajoranaRotation(rots[0].n, site, np.linalg.matrix_power(block, count))
+def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> list[tuple[int, np.ndarray]]:
+    """(site, block) of each op in ``chunk``, items (entry, position, ops,
+    count) in walk order.  All ops are checked in one stacked call; the first
+    that fails is refused, named by its entry and position."""
+    ops = [body[position] for _, position, body, _ in chunk]
+    single = np.array([len(op.targets) == 1 for op in ops], dtype=bool)
+    first = np.array([op.targets[0] for op in ops])
+    last = np.array([op.targets[-1] for op in ops])
+    reverse = ~single & (first == last + 1)
+    nearest = single | (last == first + 1) | reverse
+    singles = np.array([op.gate for op in ops if len(op.targets) == 1], dtype=complex)
+    pairs = np.array([op.gate for op in ops if len(op.targets) == 2], dtype=complex)
+    singles, pairs = singles.reshape(-1, 2, 2), pairs.reshape(-1, 4, 4)
+    flip = reverse[~single]
+    pairs[flip] = pairs[flip][:, _SWAP_ORDER][:, :, _SWAP_ORDER]
+    # A one-qubit op is checked as kron(g, I); an op that is not
+    # nearest-neighbour is refused before its gate is looked at.
+    checks = np.empty((len(ops), 4, 4), dtype=complex)
+    checks[single] = np.einsum("kab,ij->kaibj", singles, I2).reshape(-1, 4, 4)
+    checks[~single] = pairs
+    checks[~nearest] = np.eye(4)
+    for k in np.flatnonzero(~(nearest & classify_stack(checks, tol)[2])):
+        # The per-op check on the first failure, for its words.
+        entry, position, body, count = chunk[k]
+        name = describe_op(body, count, entry, position)
+        if not nearest[k]:
+            raise BackendRefusal(f"{name} is not nearest-neighbor")
+        try:
+            _require_matchgate(checks[k], tol)
+        except NonUnitaryInput as exc:
+            raise NonUnitaryInput(f"{name} is not unitary: {exc}") from exc
+        except NotMatchgate as exc:
+            raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
+    single_blocks = iter(_conjugation_block(singles, _QUBIT_MAJORANAS))
+    pair_blocks = iter(_conjugation_block(pairs, _PAIR_MAJORANAS))
+    blocks = [next(single_blocks if one else pair_blocks) for one in single.tolist()]
+    return list(zip(np.minimum(first, last).tolist(), blocks))
 
 
 def run_covariance(
@@ -306,18 +333,32 @@ def run_covariance(
     initial: int | str = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CovarianceState:
-    """Covariance after the circuit acts on a basis state.  Every op is
-    checked once; a repetition group is applied as one folded rotation."""
+    """Covariance after the circuit acts on a basis state.
+
+    Ops are checked and converted to Majorana blocks OP_CHUNK at a time, in
+    walk order, so the first op that fails is the one refused and memory
+    stays bounded whatever the circuit's length.  Every op is checked once;
+    a repetition group is applied as one folded rotation on the Majorana
+    span of its body.
+    """
     state = init_covariance(circuit.n, initial)
-    for i, (ops, count) in enumerate(circuit.walk()):
-        rots = []
-        for j, op in enumerate(ops):
-            try:
-                rots.append(_op_rotation(op, circuit.n, tol))
-            except (NonUnitaryInput, BackendRefusal) as exc:
-                raise type(exc)(f"{describe_op(ops, count, i, j)} {exc}") from exc
-        for rot in [_fold(rots, count)] if count > 1 and rots else rots:
-            _rotate(state.m, rot)
+    items = (
+        (i, j, ops, count)
+        for i, (ops, count) in enumerate(circuit.walk())
+        for j in range(len(ops))
+    )
+    while chunk := list(itertools.islice(items, OP_CHUNK)):
+        for (_, j, ops, count), (site, block) in zip(chunk, _chunk_blocks(chunk, tol)):
+            if count == 1:
+                _rotate(state.m, site, block)
+                continue
+            if j == 0:
+                lo = min(min(op.targets) for op in ops)
+                group = np.eye(2 * (max(max(op.targets) for op in ops) - lo + 1))
+            sl = slice(2 * (site - lo), 2 * (site - lo) + len(block))
+            group[sl, :] = block @ group[sl, :]
+            if j == len(ops) - 1:
+                _rotate(state.m, lo, np.linalg.matrix_power(group, count))
     return state
 
 

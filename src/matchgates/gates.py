@@ -63,11 +63,19 @@ def det2(m: Mat2) -> complex:
     return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
+def unitarity_defect(m: np.ndarray) -> np.ndarray:
+    """max |m^dag m - I| of each matrix in a (..., d, d) stack.  It is NaN
+    where the product overflows, so test it as ``defect <= tol``."""
+    d = m.shape[-1]
+    prod = np.conj(np.swapaxes(m, -1, -2)) @ m
+    return np.abs(prod - np.eye(d)).reshape(m.shape[:-2] + (d * d,)).max(axis=-1)
+
+
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL.tol_unitary) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
+    return bool(unitarity_defect(m) <= tol)
 
 
 def _require_unitary(m: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -101,10 +109,20 @@ def build_pp(a: Mat2, b: Mat2, tol: ToleranceConfig = DEFAULT_TOL) -> Mat4:
     """Assemble the parity-preserving gate G(A, B) from its unitary blocks."""
     a = _require_unitary(a, tol.tol_unitary, "even block A")
     b = _require_unitary(b, tol.tol_unitary, "odd block B")
-    g = np.zeros((4, 4), dtype=complex)
-    g[0, 0], g[0, 3], g[3, 0], g[3, 3] = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    g[1, 1], g[1, 2], g[2, 1], g[2, 2] = b[0, 0], b[0, 1], b[1, 0], b[1, 1]
-    return g
+    return assemble_pp(a, b)
+
+
+# Row-major positions of G(A, B)'s even-block and odd-block entries.
+_EVEN_BLOCK = np.array([0, 3, 12, 15])
+_ODD_BLOCK = np.array([5, 6, 9, 10])
+
+
+def assemble_pp(a: Mat2, b: Mat2) -> Mat4:
+    """G(A, B) from 2x2 blocks as given; :func:`build_pp` checks them first."""
+    g = np.zeros(16, dtype=complex)
+    g[_EVEN_BLOCK] = np.ravel(a)
+    g[_ODD_BLOCK] = np.ravel(b)
+    return g.reshape(4, 4)
 
 
 def extract_blocks(g: Mat4) -> tuple[Mat2, Mat2]:
@@ -115,19 +133,23 @@ def extract_blocks(g: Mat4) -> tuple[Mat2, Mat2]:
     return a, b
 
 
-def off_block_weight(g: Mat4) -> float:
-    """Largest modulus among the eight entries that vanish for a P.P. gate."""
+# The eight entries of a two-qubit gate that vanish when it is parity-preserving.
+_OFF_BLOCK = np.array(
+    [
+        [0, 1, 1, 0],
+        [1, 0, 0, 1],
+        [1, 0, 0, 1],
+        [0, 1, 1, 0],
+    ],
+    dtype=bool,
+)
+
+
+def off_block_weight(g: Mat4) -> float | np.ndarray:
+    """Largest modulus among the eight entries that vanish for a P.P. gate;
+    one value per gate of a (..., 4, 4) stack."""
     g = np.asarray(g, dtype=complex)
-    mask = np.array(
-        [
-            [0, 1, 1, 0],
-            [1, 0, 0, 1],
-            [1, 0, 0, 1],
-            [0, 1, 1, 0],
-        ],
-        dtype=bool,
-    )
-    return float(np.max(np.abs(g[mask])))
+    return np.max(np.abs(g[..., _OFF_BLOCK]), axis=-1)
 
 
 def pp_product(g1: Mat4, g2: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> Mat4:

@@ -31,9 +31,21 @@ import numpy as np
 from .analysis import PPParams, reconstruct_pp
 from .circuits import Circuit, CircuitOp, RepeatedSegment
 from .errors import BadArity, BadTargets, MatchgatesError, ParseError, UnknownGate
-from .gates import build_pp, extract_blocks, gate_library, off_block_weight
+from .gates import (
+    DEFAULT_TOL,
+    assemble_pp,
+    build_pp,
+    extract_blocks,
+    gate_library,
+    off_block_weight,
+    unitarity_defect,
+)
 
 FORMAT_VERSION = 1
+
+# 'g' entries whose blocks are checked for unitarity in one stacked call; it
+# bounds the queued blocks and the check's temporaries.
+G_CHECK_CHUNK = 64
 
 _PI_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -86,33 +98,32 @@ def _library_gate(name: str, params: tuple[float, ...], where: str) -> np.ndarra
         raise ParseError(f"{where}{exc}") from exc
 
 
-def _complex_in(entry) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or any(_finite_number(x) is None for x in entry)
-    ):
-        raise ParseError(f"complex entries must be [re, im] pairs, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
-
-
 def matrix_in(rows, dim: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
+    parts: list = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}: row {i} must have {dim} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex_in(entry)
-    return out
+        for entry in row:
+            if (
+                not isinstance(entry, (list, tuple))
+                or len(entry) != 2
+                or _finite_number(entry[0]) is None
+                or _finite_number(entry[1]) is None
+            ):
+                raise ParseError(f"complex entries must be [re, im] pairs, got {entry!r}")
+            parts += entry
+    return np.array(parts, dtype=float).view(complex).reshape(dim, dim)
 
 
 def matrix_out(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _parse_gate_entry(entry: dict, where: str) -> CircuitOp:
+def _parse_gate_entry(entry: dict, where: str, g_blocks: list) -> CircuitOp:
+    """The op of one gate entry.  A 'g' entry is assembled unchecked and its
+    (where, a, b) queued on ``g_blocks`` for :func:`_check_g_blocks`."""
     targets = entry.get("targets")
     if not isinstance(targets, list) or not targets:
         raise ParseError(f"{where}: missing or empty 'targets'")
@@ -140,11 +151,8 @@ def _parse_gate_entry(entry: dict, where: str) -> CircuitOp:
             raise ParseError(f"{where}: gate 'g' acts on two qubits")
         a = matrix_in(blocks["a"], 2, f"{where}: block a")
         b = matrix_in(blocks["b"], 2, f"{where}: block b")
-        try:
-            gate = build_pp(a, b)
-        except MatchgatesError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        return CircuitOp(gate, targets, name="g", tag=tag)
+        g_blocks.append((where, a, b))
+        return CircuitOp(assemble_pp(a, b), targets, name="g", tag=tag)
     params = _angle_list(entry.get("params", []), where)
     gate = _library_gate(key, params, f"{where}: ")
     if gate.shape != (dim, dim):
@@ -155,7 +163,23 @@ def _parse_gate_entry(entry: dict, where: str) -> CircuitOp:
     return CircuitOp(gate, targets, name=key, params=params, tag=tag)
 
 
-def _parse_ops(entries, where: str):
+def _check_g_blocks(g_blocks: list) -> None:
+    """Refuse the first queued 'g' entry with a non-unitary block, as
+    build_pp words it; all blocks are checked in one stacked call.  Empties
+    the queue."""
+    if not g_blocks:
+        return
+    defects = unitarity_defect(np.array([(a, b) for _, a, b in g_blocks]))
+    for k in np.flatnonzero(~np.all(defects <= DEFAULT_TOL.tol_unitary, axis=1)):
+        where, a, b = g_blocks[k]
+        try:
+            build_pp(a, b)
+        except MatchgatesError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+    g_blocks.clear()
+
+
+def _parse_ops(entries, where: str, g_blocks: list):
     if not isinstance(entries, list):
         raise ParseError(f"{where}: expected a list of gate entries")
     ops = []
@@ -167,12 +191,14 @@ def _parse_ops(entries, where: str):
             count = entry["repeat"]
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ParseError(f"{spot}: 'repeat' must be a positive integer")
-            body = _parse_ops(entry.get("gates", []), f"{spot}.gates")
+            body = _parse_ops(entry.get("gates", []), f"{spot}.gates", g_blocks)
             if any(isinstance(op, RepeatedSegment) for op in body):
                 raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
             ops.append(RepeatedSegment(tuple(body), count))
         else:
-            ops.append(_parse_gate_entry(entry, spot))
+            ops.append(_parse_gate_entry(entry, spot, g_blocks))
+            if len(g_blocks) == G_CHECK_CHUNK:
+                _check_g_blocks(g_blocks)
     return ops
 
 
@@ -189,12 +215,17 @@ def parse_circuit_document(doc: dict) -> Circuit:
     if not isinstance(metadata, dict):
         raise ParseError("'metadata' must be an object")
     circuit = Circuit(n, metadata=dict(metadata))
-    for i, op in enumerate(_parse_ops(doc.get("gates", []), "gates")):
+    g_blocks: list = []
+    try:
+        entries = _parse_ops(doc.get("gates", []), "gates", g_blocks)
+    except ParseError:
+        # A non-unitary 'g' block before the fault is still the first refusal.
+        _check_g_blocks(g_blocks)
+        raise
+    _check_g_blocks(g_blocks)
+    for i, entry in enumerate(entries):
         try:
-            if isinstance(op, RepeatedSegment):
-                circuit.append_segment(op.body, op.count)
-            else:
-                circuit.append(op.gate, op.targets, op.name, op.params, op.tag)
+            circuit.add(entry)
         except BadTargets as exc:
             raise ParseError(f"gates[{i}]: {exc}") from exc
     return circuit

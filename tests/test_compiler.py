@@ -190,6 +190,13 @@ class TestPlanEntangler:
         with pytest.raises(SynthesisError):
             plan_entangler(NonlocalTriple(0, 0, 0.1), 1e-9, r_max=50)
 
+    def test_large_repetition_count_is_consistent(self):
+        # r * phases reaches 10**6; unreduced, its rounding (about 1e-9)
+        # failed the corrections' consistency check.
+        plan = plan_entangler(NonlocalTriple(0, 0, 0.1), 1e-7)
+        assert plan.repetitions == 7138963
+        assert plan.residual_error <= 1e-7
+
     def test_corrections_give_exact_cz_for_dyadic_angle(self):
         core = NonlocalTriple(0, 0, PI / 8)
         plan = plan_entangler(core, 1e-9)

@@ -21,6 +21,7 @@ from matchgates.errors import (
     TooLarge,
 )
 from matchgates.fermion import (
+    OP_CHUNK,
     QUBIT_CAP,
     CovarianceState,
     init_covariance,
@@ -359,6 +360,127 @@ class TestRepeatGroups:
         )
         with pytest.raises(BackendRefusal, match=r"op 1\.1 \(swap on \(1, 2\)\) is not a matchgate"):
             run_covariance(circ, 0)
+
+
+def oracle_covariance(circuit: Circuit, initial) -> np.ndarray:
+    """Op by op over the expanded circuit: each op becomes a dense SO(2n)
+    matrix from matchgate_to_rotation on a neighbour pair, a one-qubit gate
+    as kron(g, I) (kron(I, g) on the last qubit) and a reversed pair
+    conjugated by SWAP."""
+    n = circuit.n
+    swap = gate_library("SWAP")
+    m = init_covariance(n, initial).m
+    for op in circuit.flat():
+        gate, targets = op.gate, op.targets
+        if len(targets) == 1:
+            q = targets[0]
+            gate, site = (kron(gate, I2), q) if q < n - 1 else (kron(I2, gate), q - 1)
+        elif targets[0] > targets[1]:
+            gate, site = swap @ gate @ swap, targets[1]
+        else:
+            site = targets[0]
+        r = rotation_matrix(matchgate_to_rotation(gate, site, n))
+        m = r @ m @ r.T
+    return m
+
+
+ONE_QUBIT_MATCHGATES = [("z", ()), ("s", ()), ("t", ()), ("rz", (0.37,))]
+
+
+def random_bulk_circuit(rng: np.random.Generator, n: int, entries: int) -> Circuit:
+    """Matchgates on forward and reversed neighbour pairs, one-qubit Z
+    rotations and small repetition groups mixing all three."""
+
+    def op():
+        kind = rng.integers(3)
+        if kind == 0:
+            name, params = ONE_QUBIT_MATCHGATES[rng.integers(len(ONE_QUBIT_MATCHGATES))]
+            return CircuitOp(gate_library(name, params), (int(rng.integers(n)),), name=name)
+        site = int(rng.integers(n - 1))
+        pair = (site, site + 1) if kind == 1 else (site + 1, site)
+        return CircuitOp(random_matchgate(rng), pair)
+
+    circuit = Circuit(n)
+    for _ in range(entries):
+        if rng.random() < 0.1:
+            circuit.append_segment([op() for _ in range(rng.integers(1, 6))], int(rng.integers(1, 4)))
+        else:
+            circuit.ops.append(op())
+    return circuit
+
+
+class TestBulkPath:
+    @pytest.mark.parametrize("n,entries,seed", [(2, 40, 90), (5, 120, 91), (7, 700, 92)])
+    def test_matches_op_by_op_oracle(self, n, entries, seed):
+        rng = np.random.default_rng(seed)
+        circuit = random_bulk_circuit(rng, n, entries)
+        initial = int(rng.integers(2**n))
+        assert_allclose(run_covariance(circuit, initial).m, oracle_covariance(circuit, initial), atol=1e-10)
+
+    def test_group_across_a_chunk_boundary_matches_oracle(self):
+        rng = np.random.default_rng(93)
+        circuit = random_bulk_circuit(rng, 4, 0)
+        for _ in range(OP_CHUNK - 2):
+            circuit.append(random_matchgate(rng), (1, 2))
+        body = [CircuitOp(random_matchgate(rng), (2, 1)), CircuitOp(gate_library("S"), (3,))]
+        body += [CircuitOp(random_matchgate(rng), (0, 1)), CircuitOp(random_matchgate(rng), (2, 3))]
+        circuit.append_segment(body, 3)
+        circuit.append(random_matchgate(rng), (0, 1))
+        assert_allclose(run_covariance(circuit, 6).m, oracle_covariance(circuit, 6), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "faults,error,message",
+        [
+            # Non-unitary before non-nearest-neighbour.
+            ([(2.0 * np.eye(4), (1, 2)), (random_matchgate(np.random.default_rng(94)), (0, 2))],
+             NonUnitaryInput, r"^op 3 \(gate on \(1, 2\)\) is not unitary: classify expects a 4x4 unitary$"),
+            # A defect that overflows to NaN still fails.
+            ([(np.full((4, 4), 1e200 + 1e200j), (0, 1)), (gate_library("SWAP"), (0, 1))],
+             NonUnitaryInput, r"^op 3 \(gate on \(0, 1\)\) is not unitary"),
+            # Non-nearest-neighbour before non-matchgate.
+            ([(random_matchgate(np.random.default_rng(95)), (2, 0)), (gate_library("SWAP"), (0, 1))],
+             BackendRefusal, r"^op 3 \(gate on \(2, 0\)\) is not nearest-neighbor$"),
+            # Non-matchgate before non-unitary; a one-qubit X is checked as kron(X, I).
+            ([(X, (2,)), (2.0 * np.eye(4), (1, 2))],
+             BackendRefusal, r"^op 3 \(gate on \(2,\)\) is not a matchgate: gate is not parity-preserving"),
+            ([(gate_library("CZ"), (1, 2)), (X, (0,))],
+             BackendRefusal, r"^op 3 \(gate on \(1, 2\)\) is not a matchgate: det\(A\)/det\(B\) = -1\.000000"),
+        ],
+    )
+    # One case overflows on purpose.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_first_fault_in_walk_order_is_named(self, faults, error, message):
+        rng = np.random.default_rng(96)
+        circuit = random_matchgate_circuit(rng, 3, 3)
+        for gate, targets in faults:
+            circuit.append(gate, targets)
+        with pytest.raises(error, match=message):
+            run_covariance(circuit, 0)
+
+    def test_fault_in_a_later_chunk_is_named(self):
+        rng = np.random.default_rng(97)
+        circuit = random_matchgate_circuit(rng, 4, OP_CHUNK + 5)
+        circuit.append_segment([CircuitOp(random_matchgate(rng), (0, 1)), CircuitOp(gate_library("SWAP"), (2, 3), name="swap")], 4)
+        circuit.append(2.0 * np.eye(4), (0, 1))
+        with pytest.raises(BackendRefusal, match=rf"^op {OP_CHUNK + 5}\.1 \(swap on \(2, 3\)\) is not a matchgate"):
+            run_covariance(circuit, 0)
+
+    def test_memory_stays_bounded_on_a_long_circuit(self):
+        # Keeping every block (about 0.3 kB each) or stacking the whole
+        # circuit's temporaries (about 3 kB per op) would need 6-60 MB.
+        rng = np.random.default_rng(98)
+        n, palette = 60, [random_matchgate(rng) for _ in range(64)]
+        circuit = Circuit(n)
+        for site, pick in zip(rng.integers(0, n - 1, 20000), rng.integers(0, 64, 20000)):
+            circuit.ops.append(CircuitOp(palette[pick], (int(site), int(site) + 1)))
+        tracemalloc.start()
+        try:
+            state = run_covariance(circuit, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.antisymmetry_defect() < 1e-9
+        assert peak < 3e6
 
 
 def exact_outcome_distribution(state: CovarianceState) -> dict[int, float]:

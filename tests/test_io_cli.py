@@ -9,7 +9,7 @@ import matchgates
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -54,6 +54,15 @@ class TestParseAngle:
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_angle("two pies")
+
+
+def g_entry(targets, a=((1, 0), (0, 1)), b=((1, 0), (0, 1))) -> dict:
+    """A 'g' gate entry with the given 2x2 blocks."""
+
+    def rows(m):
+        return [[[complex(x).real, complex(x).imag] for x in row] for row in m]
+
+    return {"name": "g", "targets": list(targets), "blocks": {"a": rows(a), "b": rows(b)}}
 
 
 class TestCircuitDocuments:
@@ -129,6 +138,53 @@ class TestCircuitDocuments:
         }
         with pytest.raises(ParseError, match="nested"):
             parse_circuit_document(doc)
+
+    @pytest.mark.parametrize(
+        "gates,message",
+        [
+            ([g_entry((0, 1)), g_entry((1, 0), a=((2, 0), (0, 1)))],
+             "gates[1]: even block A is not unitary within 1e-09"),
+            ([g_entry((0, 1)), {"repeat": 3, "gates": [g_entry((0, 1), b=((0, 1), (1, 1)))]}],
+             "gates[1].gates[0]: odd block B is not unitary within 1e-09"),
+            # Overflow makes the defect NaN, which still fails the check.
+            ([g_entry((0, 1), a=((1e200 + 1e200j, 0), (0, 1)))],
+             "gates[0]: even block A is not unitary within 1e-09"),
+            # Past one stacked check's worth of entries.
+            ([g_entry((0, 1))] * 150 + [g_entry((0, 1), a=((1, 0), (0, 0)))],
+             "gates[150]: even block A is not unitary within 1e-09"),
+            # A non-unitary block is named before a later fault of any kind.
+            ([g_entry((0, 1), b=((2, 0), (0, 1))), {"name": "frobnicate", "targets": [0]}],
+             "gates[0]: odd block B is not unitary within 1e-09"),
+            ([g_entry((0, 1), b=((2, 0), (0, 1))), g_entry((0, 7))],
+             "gates[0]: odd block B is not unitary within 1e-09"),
+            # ... and after an earlier one.
+            ([{"name": "frobnicate", "targets": [0]}, g_entry((0, 1), a=((2, 0), (0, 1)))],
+             "gates[0]: unknown gate 'frobnicate'"),
+        ],
+    )
+    # One case overflows on purpose.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_unitary_g_block_names_entry_and_block(self, gates, message):
+        doc = {"format_version": 1, "qubits": 2, "gates": gates}
+        with pytest.raises(ParseError) as info:
+            parse_circuit_document(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "entry", [[True, 0], [0, False], ["1", 0], [float("nan"), 0], [0, float("inf")], [10**400, 0], [1], [1, 0, 0], None]
+    )
+    def test_bad_matrix_entry_refused(self, entry):
+        rows = [[entry, [0, 0]], [[0, 0], [1, 0]]]
+        doc = {"format_version": 1, "qubits": 1, "gates": [{"name": "matrix", "targets": [0], "matrix": rows}]}
+        with pytest.raises(ParseError, match=r"\[re, im\] pairs, got"):
+            parse_circuit_document(doc)
+
+    def test_matrix_entries_convert_exactly(self):
+        values = [[[1, 0], [0.1, -2**64 - 1]], [[10**30, 3], [-0.0, 1e-300]]]
+        doc = {"format_version": 1, "qubits": 1, "gates": [{"name": "matrix", "targets": [0], "matrix": values}]}
+        gate = parse_circuit_document(doc).ops[0].gate
+        expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in values])
+        assert gate.dtype == complex and np.array_equal(gate, expected)
 
     def test_blocks_gate(self):
         g = random_matchgate(np.random.default_rng(81))
@@ -261,6 +317,22 @@ class TestCompileCommand:
         result = runner.invoke(main, args + ["--skip-verify"])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["repetitions"] == 699
+
+    def test_failed_verification_exits_8_after_writing_its_output(self, runner, tmp_path):
+        # r = 7138963 repetitions: the ZZ residual meets the angle budget, but
+        # the folded product drifts by about 2.5e-9 in fidelity, past epsilon.
+        logical = write_logical_cz(tmp_path)
+        out = str(tmp_path / "compiled.json")
+        args = ["compile", "--input", logical, "--target", "NL(0,0,0.1)", "--epsilon", "4e-14", "--json"]
+        result = runner.invoke(main, args + ["--skip-verify"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["repetitions"] == 7138963
+        result = runner.invoke(main, args + ["--out", out])
+        assert result.exit_code == 8, result.output
+        summary = json.loads(result.output)
+        assert summary["verification"]["passed"] is False
+        assert summary["out"] == out
+        assert parse_circuit_document(json.loads(open(out).read())).n == 4
 
     def test_matchgate_target_exit_code(self, runner, tmp_path):
         bell = write_bell(tmp_path)
@@ -610,10 +682,10 @@ GATE_FIELDS = ("name", "targets", "params", "blocks", "matrix", "repeat", "gates
 
 
 @st.composite
-def mutated_documents(draw):
-    """A valid document with one to three fields replaced or deleted, at the
-    top level, in a gate entry or in a repeat body."""
-    doc = valid_document()
+def mutated_documents(draw, base=valid_document, values=JSON_VALUES):
+    """``base()`` with one to three fields replaced by ``values`` or deleted,
+    at the top level, in a gate entry or in a repeat body."""
+    doc = base()
     for _ in range(draw(st.integers(1, 3))):
         container, fields = doc, DOC_FIELDS
         where = draw(st.sampled_from(["doc", "gate", "body"]))
@@ -634,7 +706,7 @@ def mutated_documents(draw):
         if draw(st.booleans()):
             container.pop(key, None)
         else:
-            container[key] = draw(JSON_VALUES)
+            container[key] = draw(values)
     return doc
 
 
@@ -681,6 +753,90 @@ def test_simulate_maps_malformed_input_to_documented_exit_codes(
         payload = json.loads(result.output)
         if shots > 0:
             assert sum(payload["counts"].values()) == shots
+
+
+def valid_logical_document() -> dict:
+    """Three logical qubits: one-qubit gates, CZ, CNOT in a repeat group and
+    a routed non-adjacent SWAP."""
+    return {
+        "format_version": 1,
+        "qubits": 3,
+        "gates": [
+            {"name": "h", "targets": [0]},
+            {"name": "cz", "targets": [0, 1]},
+            {"name": "rz", "targets": [2], "params": ["pi/8"]},
+            {"repeat": 2, "gates": [{"name": "cnot", "targets": [2, 1]}]},
+            {"name": "swap", "targets": [0, 2]},
+        ],
+        "metadata": {},
+    }
+
+
+# As JSON_VALUES, but a logical qubit count stays at most 6 (exact verify in
+# milliseconds) or reaches the refusals past 12 and past 16; 7 to 12 logical
+# qubits cost seconds to gigabytes to verify.
+LOGICAL_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.sampled_from([13, 17])
+    | st.floats()
+    | st.sampled_from(["pi", "pi/0", "x", "", "h", "cz", "cnot", "swap", "iswap", "g", "matrix"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "b", "name", "targets", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+# Exit codes a well-formed failure of compile or verify maps to; 1 is an
+# internal error and never the answer to a bad document.
+COMPILE_EXIT_CODES = (0, 2, 3, 4, 5, 7, 8)
+CLI_FUZZ = settings(FUZZ, max_examples=30)
+
+
+def compiled_logical_document() -> dict:
+    """``valid_logical_document`` compiled with the SWAP target."""
+    logical = parse_circuit_document(valid_logical_document())
+    return emit_circuit_document(compile_circuit(logical, gate_library("SWAP"), 1e-6).physical)
+
+
+def assert_documented_exit(result, codes):
+    assert result.exit_code in codes, (result.exit_code, result.output)
+    if result.exception is not None:
+        assert isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code not in (0, 8):
+        assert result.output.startswith("error:"), result.output
+
+
+@CLI_FUZZ
+@example(
+    doc={**valid_logical_document(), "gates": [{"name": "iswap", "targets": [0, 1]}]}, target="SWAP"
+)
+@given(
+    doc=mutated_documents(valid_logical_document, LOGICAL_VALUES),
+    target=st.sampled_from(["SWAP", "NL(0.2,0.1,0.35)", "NL(0.3,0.1,0.1)", "ISWAP", "CNOT"]),
+)
+def test_compile_maps_malformed_logical_documents_to_documented_exit_codes(
+    tmp_path_factory, doc, target
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz_logical.json"
+    path.write_text(json.dumps(doc))
+    args = ["compile", "--input", str(path), "--target", target, "--r-max", "64", "--json"]
+    assert_documented_exit(CliRunner().invoke(main, args), COMPILE_EXIT_CODES)
+
+
+@CLI_FUZZ
+@given(
+    side_doc=st.tuples(st.just("logical"), mutated_documents(valid_logical_document, LOGICAL_VALUES))
+    | st.tuples(st.just("physical"), mutated_documents(compiled_logical_document, LOGICAL_VALUES)),
+)
+def test_verify_maps_malformed_documents_to_documented_exit_codes(tmp_path_factory, side_doc):
+    side, doc = side_doc
+    docs = {"logical": valid_logical_document(), "physical": compiled_logical_document(), side: doc}
+    args = ["verify", "--json"]
+    for name, content in docs.items():
+        path = tmp_path_factory.getbasetemp() / f"fuzz_{name}.json"
+        path.write_text(json.dumps(content))
+        args += [f"--{name}", str(path)]
+    assert_documented_exit(CliRunner().invoke(main, args), COMPILE_EXIT_CODES)
 
 
 def valid_gate_documents() -> list[dict]:
