@@ -38,6 +38,7 @@ from .compiler import (
     DEFAULT_R_MAX,
     CompiledCircuit,
     Encoding,
+    check_epsilon,
     compile_circuit,
     verify as verify_compiled,
 )
@@ -359,6 +360,7 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
 def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
     """Check a physical circuit against a logical one under the pair encoding:
     exactly up to 8 logical qubits, on random states up to 12."""
+    check_epsilon(epsilon)
     logical = load_circuit(logical_path)
     physical = load_circuit(physical_path)
     if physical.n != 2 * logical.n:

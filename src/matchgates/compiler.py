@@ -36,6 +36,7 @@ from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
     NotParityPreserving,
+    ParseError,
     SynthesisError,
     TargetIsMatchgate,
     TargetNotPP,
@@ -363,6 +364,12 @@ class CompiledCircuit:
         )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an infidelity budget that is not a finite number > 0."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ParseError(f"--epsilon must be finite and > 0, got {epsilon!r}")
+
+
 def compile_circuit(
     logical: Circuit,
     target: Mat4,
@@ -374,9 +381,11 @@ def compile_circuit(
 
     ``target`` must be a nonmatchgate parity-preserving unitary; every other
     emitted op is a matchgate and every two-qubit op is nearest-neighbor.
-    Raises SynthesisError when no repetition count <= ``r_max`` meets the
-    angle budget.
+    Raises ParseError when ``epsilon`` is not finite and > 0, and
+    SynthesisError when no repetition count <= ``r_max`` meets the angle
+    budget.
     """
+    check_epsilon(epsilon)
     if logical.n > LOGICAL_QUBIT_CAP:
         raise TooLarge(f"logical qubit count capped at {LOGICAL_QUBIT_CAP}")
     target = np.asarray(target, dtype=complex)
@@ -510,11 +519,15 @@ def verify(
         )
     code_rows = [enc.encode_index(x) for x in range(2**logical.n)]
 
-    def check(psi: np.ndarray) -> tuple[float, float]:
-        """Fidelity and leakage of the logical columns ``psi``."""
+    def encode(psi: np.ndarray) -> np.ndarray:
         cols = np.zeros((dim, psi.shape[1]), dtype=complex)
         cols[code_rows] = psi
-        out = propagate(compiled.physical, cols)
+        return cols
+
+    def check(psi: np.ndarray) -> tuple[float, float]:
+        """Fidelity and leakage of the logical columns ``psi``."""
+        # No local keeps the encoded block, so propagate can free it.
+        out = propagate(compiled.physical, encode(psi))
         in_code = out[code_rows]
         out[code_rows] = 0.0
         overlap = np.vdot(propagate(logical, psi), in_code) / np.vdot(psi, psi)

@@ -4,6 +4,11 @@ Serves as the exact oracle for the fermionic simulator and the compiler
 verifier, all three through :func:`propagate`.  Amplitude layout: basis
 index bit k is qubit k with qubit 0 the most-significant bit, matching the
 two-qubit gate convention.
+
+Every gate goes through one kernel, :class:`_Block`: the block of columns
+is a tensor with one axis per qubit, the gate's targets are gathered to the
+front only when they are not there already, and the product stays in that
+axis order until :func:`propagate` restores qubit order once at the end.
 """
 
 from __future__ import annotations
@@ -50,16 +55,39 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
-def _left_apply(mat: np.ndarray, gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply ``gate`` to the row index of a (2^n, m) array on the target axes."""
-    k = len(targets)
-    cols = mat.shape[1]
-    t = mat.reshape((2,) * n + (cols,))
-    t = np.moveaxis(t, targets, range(k))
-    rest = t.shape[k:]
-    t = gate @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape((2,) * k + rest), range(k), targets)
-    return t.reshape(2**n, cols)
+class _Block:
+    """A (2^n, m) array held as an (n+1)-axis tensor whose first n axes are
+    the qubits in ``order``; the column axis stays last.
+
+    Each gate moves only its targets to the front, with one gather copy that
+    is skipped when they are already there, and leaves the product in that
+    axis order.  The old tensor is released before the multiply, so at most
+    two block-sized arrays are live inside :meth:`apply`.
+    """
+
+    def __init__(self, columns: np.ndarray, n: int):
+        self.n = n
+        self.tensor = columns.reshape((2,) * n + (columns.shape[1],))
+        self.order = tuple(range(n))
+
+    def apply(self, gate: np.ndarray, targets: tuple[int, ...]) -> None:
+        targets = tuple(targets)
+        k = len(targets)
+        shape = self.tensor.shape
+        if self.order[:k] == targets:
+            rows = self.tensor.reshape(2**k, -1)
+        else:
+            axes = [self.order.index(q) for q in targets]
+            rest = [a for a in range(self.n) if a not in axes]
+            rows = self.tensor.transpose(axes + rest + [self.n]).reshape(2**k, -1)
+            self.order = targets + tuple(self.order[a] for a in rest)
+        self.tensor = None
+        self.tensor = (gate @ rows).reshape(shape)
+
+    def columns(self) -> np.ndarray:
+        """The block in canonical qubit order, as a (2^n, m) array."""
+        axes = list(np.argsort(self.order)) + [self.n]
+        return self.tensor.transpose(axes).reshape(2**self.n, -1)
 
 
 def apply(
@@ -81,8 +109,9 @@ def apply(
         raise BadTargets(f"gate shape {gate.shape} does not match {k} target(s)")
     if check and not is_unitary(gate, tol.tol_unitary):
         raise NonUnitaryInput("apply expects a unitary gate")
-    amps = _left_apply(state.amps[:, None], gate, targets, state.n)[:, 0]
-    return StateVector(state.n, amps)
+    block = _Block(state.amps[:, None], state.n)
+    block.apply(gate, targets)
+    return StateVector(state.n, block.columns()[:, 0])
 
 
 def propagate(
@@ -97,7 +126,8 @@ def propagate(
     on at most two qubits becomes one matrix on those qubits, the body's
     product raised to the group's count; wider groups are expanded.
     """
-    n = circuit.n
+    block = _Block(columns, circuit.n)
+    del columns
     for i, (ops, count) in enumerate(circuit.walk()):
         if check:
             for j, op in enumerate(ops):
@@ -106,17 +136,16 @@ def propagate(
         if count > 1:
             support = sorted({t for op in ops for t in op.targets})
             if len(support) <= 2:
-                k = len(support)
                 local = {q: a for a, q in enumerate(support)}
-                body = np.eye(2**k, dtype=complex)
+                body = _Block(np.eye(2 ** len(support), dtype=complex), len(support))
                 for op in ops:
-                    body = _left_apply(body, op.gate, tuple(local[t] for t in op.targets), k)
-                columns = _left_apply(columns, np.linalg.matrix_power(body, count), tuple(support), n)
+                    body.apply(op.gate, tuple(local[t] for t in op.targets))
+                block.apply(np.linalg.matrix_power(body.columns(), count), tuple(support))
                 continue
         for _ in range(count):
             for op in ops:
-                columns = _left_apply(columns, op.gate, op.targets, n)
-    return columns
+                block.apply(op.gate, op.targets)
+    return block.columns()
 
 
 def run(
@@ -127,8 +156,9 @@ def run(
     check: bool = True,
 ) -> StateVector:
     """Left-to-right application of the circuit to a basis state."""
-    state = StateVector.basis(circuit.n, initial, cap=cap)
-    return StateVector(circuit.n, propagate(circuit, state.amps[:, None], tol, check)[:, 0])
+    # No local keeps the basis state, so the kernel frees it after one gate.
+    amps = propagate(circuit, StateVector.basis(circuit.n, initial, cap=cap).amps[:, None], tol, check)
+    return StateVector(circuit.n, amps[:, 0])
 
 
 def circuit_unitary(circuit: Circuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarray:
@@ -146,7 +176,8 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
-    return {int(i): int(c) for i, c in enumerate(counts) if c}
+    nonzero = np.flatnonzero(counts)
+    return dict(zip(nonzero.tolist(), counts[nonzero].tolist()))
 
 
 def expectation_z(state: StateVector, k: int) -> float:

@@ -36,7 +36,7 @@ from matchgates.fermion import (
 from matchgates.gates import H, I2, X, Y, Z, build_pp, gate_library, kron, nl, phase_rz
 from matchgates.statevector import StateVector, apply as sv_apply, expectation_z, run as sv_run, sample as sv_sample
 from util import (
-    embed_two_qubit,
+    embed,
     generator_rotation_block,
     haar_unitary,
     majorana_operators,
@@ -86,7 +86,7 @@ class TestRotationExtraction:
             for _ in range(15):
                 g = random_matchgate(rng)
                 r = rotation_matrix(matchgate_to_rotation(g, site, n))
-                full = embed_two_qubit(g, site, n)
+                full = embed(g, (site, site + 1), n)
                 for mu in range(2 * n):
                     lhs = full.conj().T @ cs[mu] @ full
                     rhs = sum(r[mu, nu] * cs[nu] for nu in range(2 * n))
@@ -294,7 +294,7 @@ class TestCovariance:
         circ.append(gate_library("RZ", (theta,)), (2,))
         before = run_covariance(Circuit(n, ops=circ.ops[:1]), 0).m
         after = run_covariance(circ, 0).m
-        r = dense_conjugation(embed_two_qubit(kron(I2, gate_library("RZ", (theta,))), 1, n), n)
+        r = dense_conjugation(embed(kron(I2, gate_library("RZ", (theta,))), (1, 2), n), n)
         assert_allclose(after, r @ before @ r.T, atol=1e-12)
 
     def test_refusal_names_offending_op(self):

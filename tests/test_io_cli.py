@@ -496,6 +496,24 @@ class TestSimulateCommand:
         assert r1.output == r2.output
 
 
+@pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+def test_compile_and_verify_refuse_an_epsilon_that_is_not_finite_and_positive(runner, tmp_path, epsilon):
+    logical = write_logical_cz(tmp_path)
+    out = str(tmp_path / "compiled.json")
+    result = runner.invoke(main, ["compile", "--input", logical, "--target", "SWAP", "--out", out])
+    assert result.exit_code == 0, result.output
+    for args in (
+        ["compile", "--input", logical, "--target", "SWAP"],
+        ["verify", "--logical", logical, "--physical", out],
+    ):
+        result = runner.invoke(main, args + ["--epsilon", epsilon, "--json"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:") and "--epsilon" in result.output
+    cz = parse_circuit_document(json.loads(open(logical).read()))
+    with pytest.raises(ParseError, match="--epsilon"):
+        compile_circuit(cz, gate_library("SWAP"), float(epsilon))
+
+
 class TestVerifyCommand:
     def test_fig_1b_circuit(self, runner, tmp_path):
         # Hand-written physical document for the exact CZ construction.

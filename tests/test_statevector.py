@@ -1,5 +1,7 @@
 """Statevector simulator tests against explicit basis-state oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,10 +14,11 @@ from matchgates.statevector import (
     apply,
     circuit_unitary,
     expectation_z,
+    propagate,
     run,
     sample,
 )
-from util import haar_unitary, random_matchgate_circuit
+from util import embed, haar_unitary, random_matchgate_circuit
 
 
 def slow_embedding(gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -189,6 +192,86 @@ class TestRepeatGroups:
             run(circ, 0)
 
 
+def random_op(rng: np.random.Generator, support: list[int]) -> CircuitOp:
+    """A Haar 1-qubit gate, or a Haar 2-qubit gate on an ordered pair drawn
+    from ``support`` (so either target order, adjacent or not)."""
+    if len(support) == 1 or rng.random() < 0.4:
+        return CircuitOp(haar_unitary(rng, 2), (int(rng.choice(support)),))
+    q = rng.choice(support, size=2, replace=False)
+    return CircuitOp(haar_unitary(rng, 4), (int(q[0]), int(q[1])))
+
+
+def random_circuit(rng: np.random.Generator, n: int, entries: int) -> tuple[Circuit, np.ndarray]:
+    """Single ops and repetition groups on 1, 2 or 3 qubits, with the dense
+    unitary the Kronecker oracle gives for them.  Widths cycle with period
+    min(n, 3) and groups alternate with single entries, so six entries hold
+    a group of every width."""
+    circ, expected = Circuit(n), np.eye(2**n, dtype=complex)
+    for entry in range(entries):
+        width = 1 + entry % min(n, 3)
+        support = [int(q) for q in rng.choice(n, size=width, replace=False)]
+        ops = [random_op(rng, support) for _ in range(int(rng.integers(1, 4)))]
+        covered = {t for op in ops for t in op.targets}
+        ops += [CircuitOp(haar_unitary(rng, 2), (q,)) for q in support if q not in covered]
+        count = int(rng.integers(2, 5)) if entry % 2 else 1
+        if count > 1:
+            circ.append_segment(ops, count)
+        else:
+            circ.ops.extend(ops)
+        for _ in range(count):
+            for op in ops:
+                expected = embed(op.gate, op.targets, n) @ expected
+    return circ, expected
+
+
+class TestKernelAgainstKroneckerOracle:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_propagate_and_circuit_unitary(self, n):
+        rng = np.random.default_rng(100 + n)
+        circ, expected = random_circuit(rng, n, 16)
+        assert np.max(np.abs(circuit_unitary(circ) - expected)) < 1e-12
+        for m in (1, 3):
+            columns = rng.normal(size=(2**n, m)) + 1j * rng.normal(size=(2**n, m))
+            before = columns.copy()
+            out = propagate(circ, columns)
+            assert np.max(np.abs(out - expected @ columns)) < 1e-12
+            assert np.array_equal(columns, before)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_apply(self, n):
+        rng = np.random.default_rng(200 + n)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        for _ in range(6):
+            op = random_op(rng, list(range(n)))
+            out = apply(state, op.gate, op.targets)
+            assert np.max(np.abs(out.amps - embed(op.gate, op.targets, n) @ state.amps)) < 1e-12
+            state = out
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    # One gate holds the gathered copy and the product; the block it
+    # replaces is freed first.  Three live copies would read 3x and more.
+    def test_run_peak(self):
+        rng = np.random.default_rng(49)
+        circ = Circuit(16, ops=[random_op(rng, list(range(16))) for _ in range(200)])
+        assert traced_peak(run, circ, 0) <= 2.5 * 16 * 2**16
+
+    def test_circuit_unitary_peak(self):
+        rng = np.random.default_rng(50)
+        circ = Circuit(10, ops=[random_op(rng, list(range(10))) for _ in range(30)])
+        assert traced_peak(circuit_unitary, circ) <= 2.5 * 16 * 4**10
+
+
 class TestSample:
     def test_basis_state_deterministic(self):
         hist = sample(StateVector.basis(3, 0), 1000, seed=1)
@@ -200,6 +283,17 @@ class TestSample:
         assert set(hist) == {0, 3}
         # 3 sigma of Binomial(1e4, 1/2)
         assert abs(hist[0] - 5000) < 3 * np.sqrt(10_000 * 0.25)
+
+    def test_matches_enumerate_oracle_key_order_included(self):
+        rng = np.random.default_rng(51)
+        amps = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+        state = StateVector(16, amps / np.linalg.norm(amps))
+        hist = sample(state, 20_000, seed=5)
+        probs = state.probabilities()
+        counts = np.random.default_rng(5).multinomial(20_000, probs / probs.sum())
+        oracle = {int(i): int(c) for i, c in enumerate(counts) if c}
+        assert list(hist.items()) == list(oracle.items())
+        assert all(type(k) is int and type(c) is int for k, c in hist.items())
 
     def test_seed_determinism(self):
         out = apply(StateVector.basis(2, 0), build_pp(H, H), (0, 1))

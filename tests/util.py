@@ -63,18 +63,20 @@ def majorana_operators(n: int) -> list[np.ndarray]:
     return ops
 
 
-def embed_two_qubit(gate: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Dense embedding of a two-qubit gate on (site, site+1) via kron."""
-    m = np.eye(1, dtype=complex)
-    j = 0
-    while j < n:
-        if j == site:
-            m = np.kron(m, gate)
-            j += 2
-        else:
-            m = np.kron(m, I2)
-            j += 1
-    return m
+def embed(gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Dense 2^n matrix of ``gate`` on the ordered ``targets``: gate (x) I on
+    the qubit order targets + the rest, with its basis permuted back to
+    qubit 0 as the most-significant bit."""
+    rest = [q for q in range(n) if q not in targets]
+    full = np.kron(gate, np.eye(2 ** len(rest)))
+    index = np.arange(2**n)
+    canonical = sum(
+        ((index >> (n - 1 - a)) & 1) << (n - 1 - q)
+        for a, q in enumerate(list(targets) + rest)
+    )
+    perm = np.zeros((2**n, 2**n))
+    perm[canonical, index] = 1.0
+    return perm @ full @ perm.T
 
 
 def rotation_matrix(rot: MajoranaRotation) -> np.ndarray:
