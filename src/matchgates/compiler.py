@@ -62,6 +62,9 @@ from .statevector import UNITARY_QUBIT_CAP, propagate
 # strengths can need millions.
 DEFAULT_R_MAX = 10_000_000
 LOGICAL_QUBIT_CAP = 16
+# Logical ops, with repeat groups expanded, that one compile rewrites; the
+# rewrite walks every expanded op (about 0.1 ms each).
+LOGICAL_FLAT_OP_CAP = 100_000
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
 
@@ -364,6 +367,24 @@ class CompiledCircuit:
         )
 
 
+def _check_flat_count(logical: Circuit) -> None:
+    """Refuse a logical circuit whose expanded op count passes
+    LOGICAL_FLAT_OP_CAP, naming its largest repeat group."""
+    total = logical.flat_count()
+    if total <= LOGICAL_FLAT_OP_CAP:
+        return
+    sizes = [count * len(ops) if count > 1 else 0 for ops, count in logical.walk()]
+    what = f"the logical circuit expands to {total} ops"
+    if any(sizes):
+        i = int(np.argmax(sizes))
+        group = logical.ops[i]
+        what += f" (entry {i} repeats {len(group.body)} op(s) {group.count} times)"
+    raise TooLarge(
+        f"{what}, past the cap of {LOGICAL_FLAT_OP_CAP}: the compiler expands repeat "
+        "groups op by op, and folding them waits for ROADMAP item 1"
+    )
+
+
 def check_epsilon(epsilon: float) -> None:
     """Refuse an infidelity budget that is not a finite number > 0."""
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -381,13 +402,15 @@ def compile_circuit(
 
     ``target`` must be a nonmatchgate parity-preserving unitary; every other
     emitted op is a matchgate and every two-qubit op is nearest-neighbor.
-    Raises ParseError when ``epsilon`` is not finite and > 0, and
-    SynthesisError when no repetition count <= ``r_max`` meets the angle
-    budget.
+    Raises ParseError when ``epsilon`` is not finite and > 0, TooLarge past
+    LOGICAL_QUBIT_CAP qubits or LOGICAL_FLAT_OP_CAP expanded logical ops,
+    and SynthesisError when no repetition count <= ``r_max`` meets the
+    angle budget.
     """
     check_epsilon(epsilon)
     if logical.n > LOGICAL_QUBIT_CAP:
         raise TooLarge(f"logical qubit count capped at {LOGICAL_QUBIT_CAP}")
+    _check_flat_count(logical)
     target = np.asarray(target, dtype=complex)
     cls = classify(target, tol)
     if not cls.is_pp:
@@ -487,6 +510,23 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
 
+# Rows of a block that spectral_norm adds to the Gram matrix at a time; it
+# bounds the conjugated copy.
+GRAM_ROWS = 4096
+
+
+def spectral_norm(block: np.ndarray) -> float:
+    """Largest singular value of an (m, k) block: the square root of the
+    largest eigenvalue of its k x k Gram matrix.  The Gram matrix is summed
+    over GRAM_ROWS rows at a time, so no block-sized copy is made (an SVD
+    of the block makes one and costs more)."""
+    gram = np.zeros((block.shape[1], block.shape[1]), dtype=complex)
+    for start in range(0, block.shape[0], GRAM_ROWS):
+        rows = block[start : start + GRAM_ROWS]
+        gram += rows.conj().T @ rows
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def verify(
     compiled: CompiledCircuit,
     logical: Circuit,
@@ -531,7 +571,7 @@ def verify(
         in_code = out[code_rows]
         out[code_rows] = 0.0
         overlap = np.vdot(propagate(logical, psi), in_code) / np.vdot(psi, psi)
-        return float(abs(overlap) ** 2), float(np.linalg.norm(out, 2))
+        return float(abs(overlap) ** 2), spectral_norm(out)
 
     if dim * 2**logical.n <= cap:
         fidelity, leakage = check(np.eye(2**logical.n, dtype=complex))

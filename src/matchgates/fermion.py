@@ -284,11 +284,6 @@ def measure_z(
     return outcome, CovarianceState(state.n, new)
 
 
-def measurement_probability(state: CovarianceState, k: int, outcome: int) -> float:
-    mz = state.m[2 * k, 2 * k + 1]
-    return float((1.0 + (1.0 - 2.0 * outcome) * mz) / 2.0)
-
-
 def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> list[tuple[int, np.ndarray]]:
     """(site, block) of each op in ``chunk``, items (entry, position, ops,
     count) in walk order.  All ops are checked in one stacked call; the first

@@ -118,11 +118,14 @@ _ODD_BLOCK = np.array([5, 6, 9, 10])
 
 
 def assemble_pp(a: Mat2, b: Mat2) -> Mat4:
-    """G(A, B) from 2x2 blocks as given; :func:`build_pp` checks them first."""
-    g = np.zeros(16, dtype=complex)
-    g[_EVEN_BLOCK] = np.ravel(a)
-    g[_ODD_BLOCK] = np.ravel(b)
-    return g.reshape(4, 4)
+    """G(A, B) from 2x2 blocks as given, or a stack of gates from (..., 2, 2)
+    stacks of blocks; :func:`build_pp` checks the blocks first."""
+    a, b = np.asarray(a), np.asarray(b)
+    lead = a.shape[:-2]
+    g = np.zeros(lead + (16,), dtype=complex)
+    g[..., _EVEN_BLOCK] = a.reshape(lead + (4,))
+    g[..., _ODD_BLOCK] = b.reshape(lead + (4,))
+    return g.reshape(lead + (4, 4))
 
 
 def extract_blocks(g: Mat4) -> tuple[Mat2, Mat2]:
@@ -268,7 +271,3 @@ def gate_library(name: str, params=()) -> np.ndarray:
         arity, builder = _PARAMETRIC[key]
         return builder(_as_angle_list(params, arity, name))
     raise UnknownGate(f"unknown gate {name!r}")
-
-
-def gate_names() -> list[str]:
-    return sorted(_FIXED) + sorted(_PARAMETRIC)

@@ -17,10 +17,29 @@ Circuit document (format_version 1)::
 
 Complex entries are [re, im] pairs, row-major.  Angle parameters accept
 numbers or pi-literals ("pi/4", "3pi/8", "-pi/2") to avoid decimal drift.
+
+Parsing is stacked.  One pass over the gate entries, repeat bodies
+included, checks each entry's structure (an object; its targets, name,
+tag, blocks and repeat count) and builds library gates.  The numbers of
+'g' and 'matrix' entries are converted and checked PARSE_CHUNK entries at a
+time: one conversion per matrix size, which checks every row's shape, every
+number's type (int or float, not bool) and finiteness; one unitarity check
+of all the chunk's 'g' blocks; one G(A, B) assembly; and one check of the
+chunk's targets for range and repeats.  The chunk's ops hold read-only
+views into its gate arrays.  Only when a chunk fails are the per-entry
+helpers (:func:`matrix_in`, :func:`~matchgates.gates.build_pp`,
+``Circuit._check_targets``) run, to word the refusal.  The refusal is the
+one a per-entry parse gives:
+
+* the first structural or numeric fault in document order wins;
+* a non-unitary 'g' block before that fault is named first;
+* a target out of range or repeated is refused only after the whole
+  document has parsed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -43,9 +62,9 @@ from .gates import (
 
 FORMAT_VERSION = 1
 
-# 'g' entries whose blocks are checked for unitarity in one stacked call; it
-# bounds the queued blocks and the check's temporaries.
-G_CHECK_CHUNK = 64
+# Gate entries per stacked conversion and check; it bounds the queued rows,
+# the chunk's arrays and their temporaries.
+PARSE_CHUNK = 256
 
 _PI_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -121,85 +140,201 @@ def matrix_out(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _parse_gate_entry(entry: dict, where: str, g_blocks: list) -> CircuitOp:
-    """The op of one gate entry.  A 'g' entry is assembled unchecked and its
-    (where, a, b) queued on ``g_blocks`` for :func:`_check_g_blocks`."""
-    targets = entry.get("targets")
-    if not isinstance(targets, list) or not targets:
-        raise ParseError(f"{where}: missing or empty 'targets'")
-    if not all(isinstance(t, int) and not isinstance(t, bool) for t in targets):
-        raise ParseError(f"{where}: 'targets' must be qubit indices, got {targets!r}")
-    if len(targets) > 2:
-        raise ParseError(f"{where}: gates act on 1 or 2 qubits, got {len(targets)} targets")
-    targets = tuple(targets)
-    name = entry.get("name")
-    if not isinstance(name, str):
-        raise ParseError(f"{where}: missing gate 'name'")
-    tag = entry.get("tag")
-    if tag is not None and not isinstance(tag, str):
-        raise ParseError(f"{where}: 'tag' must be a string")
-    key = name.lower()
-    dim = 2 ** len(targets)
-    if key == "matrix":
-        gate = matrix_in(entry.get("matrix"), dim, f"{where}: matrix")
-        return CircuitOp(gate, targets, name="matrix", tag=tag)
-    if key == "g":
-        blocks = entry.get("blocks")
-        if not isinstance(blocks, dict) or set(blocks) != {"a", "b"}:
-            raise ParseError(f"{where}: gate 'g' needs blocks {{a, b}}")
-        if len(targets) != 2:
-            raise ParseError(f"{where}: gate 'g' acts on two qubits")
-        a = matrix_in(blocks["a"], 2, f"{where}: block a")
-        b = matrix_in(blocks["b"], 2, f"{where}: block b")
-        g_blocks.append((where, a, b))
-        return CircuitOp(assemble_pp(a, b), targets, name="g", tag=tag)
-    params = _angle_list(entry.get("params", []), where)
-    gate = _library_gate(key, params, f"{where}: ")
-    if gate.shape != (dim, dim):
-        raise ParseError(
-            f"{where}: gate {name!r} is a {gate.shape[0] // 2}-qubit gate but got "
-            f"{len(targets)} target(s)"
-        )
-    return CircuitOp(gate, targets, name=key, params=params, tag=tag)
+class _Group:
+    """A repeat group while its document is parsed; its body may still hold
+    placeholders for queued entries."""
+
+    __slots__ = ("count", "body")
+
+    def __init__(self, count: int, body: list):
+        self.count, self.body = count, body
 
 
-def _check_g_blocks(g_blocks: list) -> None:
-    """Refuse the first queued 'g' entry with a non-unitary block, as
-    build_pp words it; all blocks are checked in one stacked call.  Empties
-    the queue."""
-    if not g_blocks:
-        return
-    defects = unitarity_defect(np.array([(a, b) for _, a, b in g_blocks]))
+# The containers of a matrix written as rows of [re, im] pairs, outermost
+# first, as matrix_in accepts them: their types and their length.
+_MATRIX_LEVELS = ((list,), (list,), (list, tuple))
+
+
+def _complex_stack(mats: list, dim: int) -> np.ndarray | None:
+    """The ``dim`` x ``dim`` matrices ``mats``, each written as rows of
+    [re, im] pairs, as one (len(mats), dim, dim) complex array; None unless
+    every one is well formed for :func:`matrix_in`.  Each level of nesting
+    is checked for its container types and lengths at once, then the
+    numbers for their types (int or float, not bool) and finiteness."""
+    level = mats
+    for kinds, size in zip(_MATRIX_LEVELS, (dim, dim, 2)):
+        if not set(map(type, level)).issubset(kinds) or set(map(len, level)) != {size}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, level))):
+        return None
+    try:
+        values = np.fromiter(level, dtype=float, count=len(level))
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(-1, dim, dim)
+
+
+class _DocumentParser:
+    """One pass over a document's gate entries that checks their structure,
+    with their matrices converted and checked PARSE_CHUNK entries at a time.
+
+    A 'g' or 'matrix' entry leaves a placeholder in its op list and is
+    queued; :meth:`flush` converts the queue in one stacked call per kind,
+    checks every 'g' block for unitarity in one call, places the ops, and
+    checks the targets of every entry since the last flush in one call.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        # (ops, slot, where, kind, targets, tag, mats) of each queued entry:
+        # it fills ops[slot]; kind is (op name, matrix size) and mats holds
+        # the raw rows of its matrices, the a and b blocks of a 'g' entry.
+        self.queue: list = []
+        self.targets: list = []
+        self.bad_targets = False
+
+    def walk(self, entries, where: str) -> list:
+        if not isinstance(entries, list):
+            raise ParseError(f"{where}: expected a list of gate entries")
+        ops: list = []
+        for i, entry in enumerate(entries):
+            spot = f"{where}[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError(f"{spot}: gate entries must be objects")
+            if "repeat" in entry:
+                count = entry["repeat"]
+                if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                    raise ParseError(f"{spot}: 'repeat' must be a positive integer")
+                body = self.walk(entry.get("gates", []), f"{spot}.gates")
+                if any(isinstance(op, _Group) for op in body):
+                    raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
+                ops.append(_Group(count, body))
+                continue
+            ops.append(self.gate(entry, spot, ops))
+            if len(self.targets) == PARSE_CHUNK:
+                self.flush()
+        return ops
+
+    def gate(self, entry: dict, where: str, ops: list) -> CircuitOp | None:
+        """The op of a library-gate entry.  A 'g' or 'matrix' entry is queued
+        to fill ``ops[len(ops)]`` and gives None."""
+        targets = entry.get("targets")
+        if not isinstance(targets, list) or not targets:
+            raise ParseError(f"{where}: missing or empty 'targets'")
+        for t in targets:
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise ParseError(f"{where}: 'targets' must be qubit indices, got {targets!r}")
+        if len(targets) > 2:
+            raise ParseError(f"{where}: gates act on 1 or 2 qubits, got {len(targets)} targets")
+        targets = tuple(targets)
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise ParseError(f"{where}: missing gate 'name'")
+        tag = entry.get("tag")
+        if tag is not None and not isinstance(tag, str):
+            raise ParseError(f"{where}: 'tag' must be a string")
+        self.targets.append(targets)
+        key = name.lower()
+        dim = 2 ** len(targets)
+        if key == "matrix":
+            kind = ("matrix", dim)
+            self.queue.append((ops, len(ops), where, kind, targets, tag, (entry.get("matrix"),)))
+            return None
+        if key == "g":
+            blocks = entry.get("blocks")
+            if not isinstance(blocks, dict) or blocks.keys() != {"a", "b"}:
+                raise ParseError(f"{where}: gate 'g' needs blocks {{a, b}}")
+            if len(targets) != 2:
+                raise ParseError(f"{where}: gate 'g' acts on two qubits")
+            kind = ("g", 2)
+            self.queue.append((ops, len(ops), where, kind, targets, tag, (blocks["a"], blocks["b"])))
+            return None
+        params = _angle_list(entry.get("params", []), where)
+        gate = _library_gate(key, params, f"{where}: ")
+        if gate.shape != (dim, dim):
+            raise ParseError(
+                f"{where}: gate {name!r} is a {gate.shape[0] // 2}-qubit gate but got "
+                f"{len(targets)} target(s)"
+            )
+        return CircuitOp(gate, targets, name=key, params=params, tag=tag)
+
+    def flush(self) -> None:
+        """Convert, check and place the queued entries, and check the
+        targets seen since the last flush; empties both."""
+        queue, self.queue = self.queue, []
+        targets, self.targets = self.targets, []
+        if targets:
+            self.bad_targets = self.bad_targets or _any_bad_targets(targets, self.n)
+        if not queue:
+            return
+        kinds: dict = {}
+        for k, item in enumerate(queue):
+            kinds.setdefault(item[3], []).append(k)
+        stacks = {
+            kind: _complex_stack([m for k in ks for m in queue[k][6]], kind[1])
+            for kind, ks in kinds.items()
+        }
+        if any(stack is None for stack in stacks.values()):
+            stacks = _convert_each(queue, kinds)
+        for kind, ks in kinds.items():
+            mats = stacks[kind].reshape(len(ks), -1, kind[1], kind[1])
+            if kind[0] == "g":
+                _check_g_blocks([queue[k] for k in ks], mats)
+                gates = assemble_pp(mats[:, 0], mats[:, 1])
+            else:
+                gates = mats[:, 0]
+            gates.flags.writeable = False
+            for k, gate in zip(ks, gates):
+                ops, slot, _, _, targets, tag, _ = queue[k]
+                ops[slot] = CircuitOp(gate, targets, name=kind[0], tag=tag)
+
+
+def _check_g_blocks(items: list, ab: np.ndarray) -> None:
+    """Refuse the first 'g' entry of ``items`` whose (a, b) in ``ab`` is not
+    unitary, as build_pp words it; all are checked in one stacked call."""
+    defects = unitarity_defect(ab)
     for k in np.flatnonzero(~np.all(defects <= DEFAULT_TOL.tol_unitary, axis=1)):
-        where, a, b = g_blocks[k]
         try:
-            build_pp(a, b)
+            build_pp(ab[k, 0], ab[k, 1])
         except MatchgatesError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    g_blocks.clear()
+            raise ParseError(f"{items[k][2]}: {exc}") from exc
 
 
-def _parse_ops(entries, where: str, g_blocks: list):
-    if not isinstance(entries, list):
-        raise ParseError(f"{where}: expected a list of gate entries")
-    ops = []
-    for i, entry in enumerate(entries):
-        spot = f"{where}[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{spot}: gate entries must be objects")
-        if "repeat" in entry:
-            count = entry["repeat"]
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ParseError(f"{spot}: 'repeat' must be a positive integer")
-            body = _parse_ops(entry.get("gates", []), f"{spot}.gates", g_blocks)
-            if any(isinstance(op, RepeatedSegment) for op in body):
-                raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
-            ops.append(RepeatedSegment(tuple(body), count))
-        else:
-            ops.append(_parse_gate_entry(entry, spot, g_blocks))
-            if len(g_blocks) == G_CHECK_CHUNK:
-                _check_g_blocks(g_blocks)
-    return ops
+def _convert_each(queue: list, kinds: dict) -> dict:
+    """The queue's stacks by kind, converted one entry at a time by
+    :func:`matrix_in`: this words the first entry that is not well formed,
+    after refusing a non-unitary 'g' block before it."""
+    values: list = []
+    for _, _, where, (name, dim), _, _, mats in queue:
+        parts = ("matrix",) if name == "matrix" else ("block a", "block b")
+        try:
+            values.append(np.array([matrix_in(m, dim, f"{where}: {part}") for m, part in zip(mats, parts)]))
+        except ParseError:
+            done = [k for k in kinds.get(("g", 2), ()) if k < len(values)]
+            if done:
+                _check_g_blocks([queue[k] for k in done], np.array([values[k] for k in done]))
+            raise
+    return {kind: np.array([values[k] for k in ks]) for kind, ks in kinds.items()}
+
+
+def _any_bad_targets(targets: list, n: int) -> bool:
+    """Whether any of these targets is out of range for ``n`` qubits or
+    repeats a qubit, in one stacked check."""
+    sizes = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
+    try:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(targets), dtype=np.int64, count=int(sizes.sum())
+        )
+    except OverflowError:
+        return True
+    ends = np.cumsum(sizes)
+    repeated = (sizes == 2) & (flat[ends - 1] == flat[ends - 2])
+    # Past int64, n is clamped: a target it wrongly flags is then cleared by
+    # the per-op check.
+    return bool(repeated.any() or (flat < 0).any() or (flat >= min(n, 2**63 - 1)).any())
 
 
 def parse_circuit_document(doc: dict) -> Circuit:
@@ -215,15 +350,20 @@ def parse_circuit_document(doc: dict) -> Circuit:
     if not isinstance(metadata, dict):
         raise ParseError("'metadata' must be an object")
     circuit = Circuit(n, metadata=dict(metadata))
-    g_blocks: list = []
+    parser = _DocumentParser(n)
     try:
-        entries = _parse_ops(doc.get("gates", []), "gates", g_blocks)
+        entries = parser.walk(doc.get("gates", []), "gates")
     except ParseError:
-        # A non-unitary 'g' block before the fault is still the first refusal.
-        _check_g_blocks(g_blocks)
+        # A fault in a queued entry before this one is the first refusal.
+        parser.flush()
         raise
-    _check_g_blocks(g_blocks)
-    for i, entry in enumerate(entries):
+    parser.flush()
+    ops = [RepeatedSegment(tuple(e.body), e.count) if isinstance(e, _Group) else e for e in entries]
+    if not parser.bad_targets:
+        circuit.ops = ops
+        return circuit
+    # The per-op check words the first failing op.
+    for i, entry in enumerate(ops):
         try:
             circuit.add(entry)
         except BadTargets as exc:

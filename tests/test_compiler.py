@@ -13,7 +13,9 @@ from matchgates.compiler import (
     compile_circuit,
     effective_diagonal,
     logical_single_qubit,
+    GRAM_ROWS,
     plan_entangler,
+    spectral_norm,
     strip_z_rotations,
     verify,
 )
@@ -36,7 +38,7 @@ from matchgates.gates import (
     rz,
     ry,
 )
-from matchgates.statevector import circuit_unitary, run as sv_run
+from matchgates.statevector import circuit_unitary, propagate, run as sv_run
 from matchgates.analysis import NonlocalTriple
 from util import haar_unitary, random_matchgate, random_nonmatchgate_pp, random_pp
 
@@ -396,3 +398,39 @@ class TestVerify:
         assert rep.target_uses == 3 * comp.plan.repetitions
         assert rep.fidelity >= 1 - 1e-6
         assert rep.leakage <= 1e-9
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 3), (64, 64), (GRAM_ROWS + 5, 16), (3 * GRAM_ROWS, 1), (5, 9)]
+    )
+    def test_matches_the_svd_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for scale in (1.0, 1e-17, 1e12):
+            want = np.linalg.norm(scale * block, 2)
+            assert spectral_norm(scale * block) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_zero_block(self):
+        assert spectral_norm(np.zeros((10, 4), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("leak", [0.0, 0.3])
+    def test_verify_leakage_at_six_logical_qubits(self, leak):
+        # The leaking case rotates physical qubit 0 out of the code.
+        rng = np.random.default_rng(80)
+        logical = random_logical_circuit(rng, 6, 3)
+        comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
+        if leak:
+            comp.physical.append(gate_library("RX", (leak,)), (0,))
+        enc = comp.encoding
+        code_rows = [enc.encode_index(x) for x in range(2**6)]
+        cols = np.zeros((2**enc.physical_count, 2**6), dtype=complex)
+        cols[code_rows] = np.eye(2**6)
+        out = propagate(comp.physical, cols)
+        out[code_rows] = 0.0
+        want = np.linalg.norm(out, 2)
+        assert spectral_norm(out) == pytest.approx(want, rel=1e-12, abs=0)
+        rep = verify(comp, logical)
+        assert rep.mode == "exact" and rep.leakage == spectral_norm(out)
+        if leak:
+            assert rep.leakage == pytest.approx(np.sin(leak / 2), rel=1e-12)

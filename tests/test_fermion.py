@@ -29,7 +29,6 @@ from matchgates.fermion import (
     matchgate_generator_coefficients,
     matchgate_to_rotation,
     measure_z,
-    measurement_probability,
     run_covariance,
     sample_covariance,
 )
@@ -40,6 +39,7 @@ from util import (
     generator_rotation_block,
     haar_unitary,
     majorana_operators,
+    measurement_probability,
     principal_log_pauli_coefficients,
     random_matchgate,
     random_matchgate_circuit,

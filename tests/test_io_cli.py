@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import matchgates
 import numpy as np
@@ -15,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from matchgates.circuits import Circuit, RepeatedSegment
 from matchgates.cli import main
-from matchgates.compiler import compile_circuit
+from matchgates.compiler import LOGICAL_FLAT_OP_CAP, compile_circuit
 from matchgates.errors import MatchgatesError, NonUnitaryInput, ParseError
 from matchgates.gates import H, I2, X, build_pp, gate_library
 from matchgates.io import (
@@ -317,6 +318,19 @@ class TestCompileCommand:
         result = runner.invoke(main, args + ["--skip-verify"])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["repetitions"] == 699
+
+    def test_huge_logical_repeat_group_is_refused_quickly(self, runner, tmp_path):
+        doc = {"format_version": 1, "qubits": 1,
+               "gates": [{"repeat": 1_000_000, "gates": [{"name": "h", "targets": [0]}]}]}
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(doc))
+        args = ["compile", "--input", str(path), "--target", "NL(0.2,0.1,0.35)", "--skip-verify"]
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 5, result.output
+        assert "entry 0 repeats 1 op(s) 1000000 times" in result.output
+        assert f"past the cap of {LOGICAL_FLAT_OP_CAP}" in result.output
 
     def test_failed_verification_exits_8_after_writing_its_output(self, runner, tmp_path):
         # r = 7138963 repetitions: the ZZ residual meets the angle budget, but

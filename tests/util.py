@@ -3,9 +3,21 @@
 import numpy as np
 from scipy.linalg import expm, schur
 
-from matchgates.circuits import Circuit
-from matchgates.fermion import MajoranaRotation, matchgate_generator_coefficients
-from matchgates.gates import I2, X, Y, Z, build_pp, det2, kron
+from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
+from matchgates.errors import BadTargets, MatchgatesError, ParseError
+from matchgates.fermion import CovarianceState, MajoranaRotation, matchgate_generator_coefficients
+from matchgates.gates import (
+    DEFAULT_TOL,
+    I2,
+    X,
+    Y,
+    Z,
+    build_pp,
+    det2,
+    kron,
+    unitarity_defect,
+)
+from matchgates.io import FORMAT_VERSION, _angle_list, _library_gate, matrix_in
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -129,3 +141,124 @@ def principal_log_pauli_coefficients(g: np.ndarray) -> dict[str, float]:
     recon = sum(c * labels[k] for k, c in coeffs.items())
     coeffs["residual"] = float(np.max(np.abs(h - recon)))
     return coeffs
+
+
+def measurement_probability(state: CovarianceState, k: int, outcome: int) -> float:
+    """Probability of ``outcome`` for qubit k, read off the covariance."""
+    mz = state.m[2 * k, 2 * k + 1]
+    return float((1.0 + (1.0 - 2.0 * outcome) * mz) / 2.0)
+
+
+# The per-entry document parser: each gate entry converted and checked on
+# its own, 'g' blocks checked for unitarity 64 entries at a time.  It is the
+# oracle of the stacked parser in matchgates.io, which must give the same
+# ops and the same refusals.
+_G_CHECK_CHUNK = 64
+
+
+def _oracle_gate_entry(entry: dict, where: str, g_blocks: list) -> CircuitOp:
+    targets = entry.get("targets")
+    if not isinstance(targets, list) or not targets:
+        raise ParseError(f"{where}: missing or empty 'targets'")
+    if not all(isinstance(t, int) and not isinstance(t, bool) for t in targets):
+        raise ParseError(f"{where}: 'targets' must be qubit indices, got {targets!r}")
+    if len(targets) > 2:
+        raise ParseError(f"{where}: gates act on 1 or 2 qubits, got {len(targets)} targets")
+    targets = tuple(targets)
+    name = entry.get("name")
+    if not isinstance(name, str):
+        raise ParseError(f"{where}: missing gate 'name'")
+    tag = entry.get("tag")
+    if tag is not None and not isinstance(tag, str):
+        raise ParseError(f"{where}: 'tag' must be a string")
+    key = name.lower()
+    dim = 2 ** len(targets)
+    if key == "matrix":
+        gate = matrix_in(entry.get("matrix"), dim, f"{where}: matrix")
+        return CircuitOp(gate, targets, name="matrix", tag=tag)
+    if key == "g":
+        blocks = entry.get("blocks")
+        if not isinstance(blocks, dict) or set(blocks) != {"a", "b"}:
+            raise ParseError(f"{where}: gate 'g' needs blocks {{a, b}}")
+        if len(targets) != 2:
+            raise ParseError(f"{where}: gate 'g' acts on two qubits")
+        a = matrix_in(blocks["a"], 2, f"{where}: block a")
+        b = matrix_in(blocks["b"], 2, f"{where}: block b")
+        g_blocks.append((where, a, b))
+        gate = np.zeros(16, dtype=complex)
+        gate[[0, 3, 12, 15]] = np.ravel(a)
+        gate[[5, 6, 9, 10]] = np.ravel(b)
+        return CircuitOp(gate.reshape(4, 4), targets, name="g", tag=tag)
+    params = _angle_list(entry.get("params", []), where)
+    gate = _library_gate(key, params, f"{where}: ")
+    if gate.shape != (dim, dim):
+        raise ParseError(
+            f"{where}: gate {name!r} is a {gate.shape[0] // 2}-qubit gate but got "
+            f"{len(targets)} target(s)"
+        )
+    return CircuitOp(gate, targets, name=key, params=params, tag=tag)
+
+
+def _oracle_check_g_blocks(g_blocks: list) -> None:
+    if not g_blocks:
+        return
+    defects = unitarity_defect(np.array([(a, b) for _, a, b in g_blocks]))
+    for k in np.flatnonzero(~np.all(defects <= DEFAULT_TOL.tol_unitary, axis=1)):
+        where, a, b = g_blocks[k]
+        try:
+            build_pp(a, b)
+        except MatchgatesError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+    g_blocks.clear()
+
+
+def _oracle_ops(entries, where: str, g_blocks: list) -> list:
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: expected a list of gate entries")
+    ops = []
+    for i, entry in enumerate(entries):
+        spot = f"{where}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{spot}: gate entries must be objects")
+        if "repeat" in entry:
+            count = entry["repeat"]
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ParseError(f"{spot}: 'repeat' must be a positive integer")
+            body = _oracle_ops(entry.get("gates", []), f"{spot}.gates", g_blocks)
+            if any(isinstance(op, RepeatedSegment) for op in body):
+                raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
+            ops.append(RepeatedSegment(tuple(body), count))
+        else:
+            ops.append(_oracle_gate_entry(entry, spot, g_blocks))
+            if len(g_blocks) == _G_CHECK_CHUNK:
+                _oracle_check_g_blocks(g_blocks)
+    return ops
+
+
+def per_entry_parse(doc: dict) -> Circuit:
+    """The circuit of ``doc`` by the per-entry parser (see above)."""
+    if not isinstance(doc, dict):
+        raise ParseError("circuit document must be a JSON object")
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r}")
+    n = doc.get("qubits")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError("'qubits' must be a positive integer")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError("'metadata' must be an object")
+    circuit = Circuit(n, metadata=dict(metadata))
+    g_blocks: list = []
+    try:
+        entries = _oracle_ops(doc.get("gates", []), "gates", g_blocks)
+    except ParseError:
+        _oracle_check_g_blocks(g_blocks)
+        raise
+    _oracle_check_g_blocks(g_blocks)
+    for i, entry in enumerate(entries):
+        try:
+            circuit.add(entry)
+        except BadTargets as exc:
+            raise ParseError(f"gates[{i}]: {exc}") from exc
+    return circuit
