@@ -21,13 +21,14 @@ numbers or pi-literals ("pi/4", "3pi/8", "-pi/2") to avoid decimal drift.
 Parsing is stacked.  One pass over the gate entries, repeat bodies
 included, checks each entry's structure (an object; its targets, name,
 tag, blocks and repeat count) and builds library gates.  The numbers of
-'g' and 'matrix' entries are converted and checked PARSE_CHUNK entries at a
-time: one conversion per matrix size, which checks every row's shape, every
-number's type (int or float, not bool) and finiteness; one unitarity check
-of all the chunk's 'g' blocks; one G(A, B) assembly; and one check of the
-chunk's targets for range and repeats.  The chunk's ops hold read-only
-views into its gate arrays.  Only when a chunk fails are the per-entry
-helpers (:func:`matrix_in`, :func:`~matchgates.gates.build_pp`,
+'g' and 'matrix' entries are converted and checked PARSE_CHUNK such entries
+at a time: one conversion per matrix size, which checks every row's shape,
+every number's type (int or float, not bool) and finiteness; one unitarity
+check of all the chunk's 'g' blocks; and one G(A, B) assembly.  The
+chunk's ops hold read-only views into its gate arrays.  Once the document
+has parsed, the targets of all entries are checked for range and repeats
+in one go.  Only when a check fails are the per-entry helpers
+(:func:`matrix_in`, :func:`~matchgates.gates.build_pp`,
 ``Circuit._check_targets``) run, to word the refusal.  The refusal is the
 one a per-entry parse gives:
 
@@ -62,8 +63,8 @@ from .gates import (
 
 FORMAT_VERSION = 1
 
-# Gate entries per stacked conversion and check; it bounds the queued rows,
-# the chunk's arrays and their temporaries.
+# 'g' and 'matrix' entries per stacked conversion and check; it bounds the
+# queued rows, the chunk's arrays and their temporaries.
 PARSE_CHUNK = 256
 
 _PI_RE = re.compile(
@@ -140,16 +141,6 @@ def matrix_out(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-class _Group:
-    """A repeat group while its document is parsed; its body may still hold
-    placeholders for queued entries."""
-
-    __slots__ = ("count", "body")
-
-    def __init__(self, count: int, body: list):
-        self.count, self.body = count, body
-
-
 # The containers of a matrix written as rows of [re, im] pairs, outermost
 # first, as matrix_in accepts them: their types and their length.
 _MATRIX_LEVELS = ((list,), (list,), (list, tuple))
@@ -163,7 +154,7 @@ def _complex_stack(mats: list, dim: int) -> np.ndarray | None:
     numbers for their types (int or float, not bool) and finiteness."""
     level = mats
     for kinds, size in zip(_MATRIX_LEVELS, (dim, dim, 2)):
-        if not set(map(type, level)).issubset(kinds) or set(map(len, level)) != {size}:
+        if not all(issubclass(t, kinds) for t in set(map(type, level))) or set(map(len, level)) != {size}:
             return None
         level = list(itertools.chain.from_iterable(level))
     if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, level))):
@@ -179,22 +170,21 @@ def _complex_stack(mats: list, dim: int) -> np.ndarray | None:
 
 class _DocumentParser:
     """One pass over a document's gate entries that checks their structure,
-    with their matrices converted and checked PARSE_CHUNK entries at a time.
+    with the matrices of PARSE_CHUNK 'g' or 'matrix' entries at a time
+    converted and checked in stacks.
 
-    A 'g' or 'matrix' entry leaves a placeholder in its op list and is
-    queued; :meth:`flush` converts the queue in one stacked call per kind,
-    checks every 'g' block for unitarity in one call, places the ops, and
-    checks the targets of every entry since the last flush in one call.
+    Such an entry leaves a placeholder in its op list and is queued;
+    :meth:`flush` converts the queue in one stacked call per kind, checks
+    every 'g' block for unitarity in one call and places the ops.  A repeat
+    group is a (count, body) tuple until the document is parsed.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         # (ops, slot, where, kind, targets, tag, mats) of each queued entry:
         # it fills ops[slot]; kind is (op name, matrix size) and mats holds
         # the raw rows of its matrices, the a and b blocks of a 'g' entry.
         self.queue: list = []
         self.targets: list = []
-        self.bad_targets = False
 
     def walk(self, entries, where: str) -> list:
         if not isinstance(entries, list):
@@ -209,12 +199,12 @@ class _DocumentParser:
                 if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                     raise ParseError(f"{spot}: 'repeat' must be a positive integer")
                 body = self.walk(entry.get("gates", []), f"{spot}.gates")
-                if any(isinstance(op, _Group) for op in body):
+                if any(isinstance(op, tuple) for op in body):
                     raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
-                ops.append(_Group(count, body))
+                ops.append((count, body))
                 continue
             ops.append(self.gate(entry, spot, ops))
-            if len(self.targets) == PARSE_CHUNK:
+            if len(self.queue) == PARSE_CHUNK:
                 self.flush()
         return ops
 
@@ -262,14 +252,8 @@ class _DocumentParser:
         return CircuitOp(gate, targets, name=key, params=params, tag=tag)
 
     def flush(self) -> None:
-        """Convert, check and place the queued entries, and check the
-        targets seen since the last flush; empties both."""
+        """Convert, check and place the queued entries; empties the queue."""
         queue, self.queue = self.queue, []
-        targets, self.targets = self.targets, []
-        if targets:
-            self.bad_targets = self.bad_targets or _any_bad_targets(targets, self.n)
-        if not queue:
-            return
         kinds: dict = {}
         for k, item in enumerate(queue):
             kinds.setdefault(item[3], []).append(k)
@@ -278,7 +262,7 @@ class _DocumentParser:
             for kind, ks in kinds.items()
         }
         if any(stack is None for stack in stacks.values()):
-            stacks = _convert_each(queue, kinds)
+            _refuse_malformed(queue)
         for kind, ks in kinds.items():
             mats = stacks[kind].reshape(len(ks), -1, kind[1], kind[1])
             if kind[0] == "g":
@@ -303,38 +287,26 @@ def _check_g_blocks(items: list, ab: np.ndarray) -> None:
             raise ParseError(f"{items[k][2]}: {exc}") from exc
 
 
-def _convert_each(queue: list, kinds: dict) -> dict:
-    """The queue's stacks by kind, converted one entry at a time by
-    :func:`matrix_in`: this words the first entry that is not well formed,
-    after refusing a non-unitary 'g' block before it."""
-    values: list = []
-    for _, _, where, (name, dim), _, _, mats in queue:
+def _refuse_malformed(queue: list) -> None:
+    """Refuse the queue's first entry that is not well formed, as
+    :func:`matrix_in` words it, after refusing a non-unitary 'g' block
+    before it.  Called only when a stacked conversion of the queue failed,
+    so some entry is malformed."""
+    g_items: list = []
+    g_blocks: list = []
+    for item in queue:
+        _, _, where, (name, dim), _, _, mats = item
         parts = ("matrix",) if name == "matrix" else ("block a", "block b")
         try:
-            values.append(np.array([matrix_in(m, dim, f"{where}: {part}") for m, part in zip(mats, parts)]))
+            blocks = [matrix_in(m, dim, f"{where}: {part}") for m, part in zip(mats, parts)]
         except ParseError:
-            done = [k for k in kinds.get(("g", 2), ()) if k < len(values)]
-            if done:
-                _check_g_blocks([queue[k] for k in done], np.array([values[k] for k in done]))
+            if g_items:
+                _check_g_blocks(g_items, np.array(g_blocks))
             raise
-    return {kind: np.array([values[k] for k in ks]) for kind, ks in kinds.items()}
-
-
-def _any_bad_targets(targets: list, n: int) -> bool:
-    """Whether any of these targets is out of range for ``n`` qubits or
-    repeats a qubit, in one stacked check."""
-    sizes = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
-    try:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(targets), dtype=np.int64, count=int(sizes.sum())
-        )
-    except OverflowError:
-        return True
-    ends = np.cumsum(sizes)
-    repeated = (sizes == 2) & (flat[ends - 1] == flat[ends - 2])
-    # Past int64, n is clamped: a target it wrongly flags is then cleared by
-    # the per-op check.
-    return bool(repeated.any() or (flat < 0).any() or (flat >= min(n, 2**63 - 1)).any())
+        if name == "g":
+            g_items.append(item)
+            g_blocks.append(blocks)
+    raise AssertionError("a stacked conversion refused matrices that matrix_in accepts")
 
 
 def parse_circuit_document(doc: dict) -> Circuit:
@@ -350,7 +322,7 @@ def parse_circuit_document(doc: dict) -> Circuit:
     if not isinstance(metadata, dict):
         raise ParseError("'metadata' must be an object")
     circuit = Circuit(n, metadata=dict(metadata))
-    parser = _DocumentParser(n)
+    parser = _DocumentParser()
     try:
         entries = parser.walk(doc.get("gates", []), "gates")
     except ParseError:
@@ -358,8 +330,12 @@ def parse_circuit_document(doc: dict) -> Circuit:
         parser.flush()
         raise
     parser.flush()
-    ops = [RepeatedSegment(tuple(e.body), e.count) if isinstance(e, _Group) else e for e in entries]
-    if not parser.bad_targets:
+    ops = [RepeatedSegment(tuple(e[1]), e[0]) if isinstance(e, tuple) else e for e in entries]
+    # Every entry's targets in one check for range and repeats.
+    flat = list(itertools.chain.from_iterable(parser.targets))
+    if not flat or (
+        min(flat) >= 0 and max(flat) < n and not any(len(t) == 2 and t[0] == t[1] for t in parser.targets)
+    ):
         circuit.ops = ops
         return circuit
     # The per-op check words the first failing op.

@@ -298,10 +298,11 @@ def test_targets_past_int64_are_checked_as_the_oracle_checks_them(n, targets):
 
 
 class Rows(list):
-    """A list subclass: not JSON, but matrix_in accepts it as rows."""
+    """A list subclass: not JSON, but matrix_in accepts it as rows, and so
+    must the stacked conversion."""
 
 
-def test_rows_that_only_the_per_entry_check_accepts_parse_as_the_oracle():
+def test_list_subclass_rows_parse_as_the_oracle():
     doc = random_document(5, 40)
     for entry in doc["gates"]:
         if entry.get("name") == "matrix":
