@@ -12,16 +12,15 @@ expands groups; only the compiler's logical rewrite needs that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BadTargets
 
 
-@dataclass(frozen=True)
-class CircuitOp:
-    """One gate application.
+class CircuitOp(NamedTuple):
+    """One gate application; an immutable named tuple, cheap to build.
 
     ``targets`` is ordered: the gate's most-significant index bit acts on
     ``targets[0]``.  ``tag`` marks special roles (the compiler tags the

@@ -19,10 +19,10 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import functools
-import json
+from dataclasses import asdict
+from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -114,17 +114,9 @@ def _tols(tol_unitary: float, tol_classify: float) -> ToleranceConfig:
 
 def _emit(payload: dict, as_json: bool, render) -> None:
     if as_json:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(dumps_document(payload), nl=False)
     else:
         render(payload)
-
-
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
 
 
 @click.group()
@@ -235,17 +227,10 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitar
         "provenance": compiled.provenance,
     }
     if compiled.plan:
-        meta["plan"] = {
-            "c_eff": compiled.plan.c_eff,
-            "repetitions": compiled.plan.repetitions,
-            "residual_error": compiled.plan.residual_error,
-            "local_corrections": list(compiled.plan.local_corrections),
-            "global_phase": compiled.plan.global_phase,
-        }
+        meta["plan"] = asdict(compiled.plan)
     doc = emit_circuit_document(compiled.physical, meta)
-    text = dumps_document(doc)
     if out:
-        _write_out(text, out)
+        Path(out).write_text(dumps_document(doc), encoding="utf-8")
     summary = {
         "logical_qubits": logical.n,
         "physical_qubits": compiled.physical.n,
@@ -321,7 +306,7 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
         if shots:
             payload["counts"] = histogram_out(sv_sample(state, shots, seed), circuit.n)
         else:
-            payload["state"] = matrix_out(state.amps[None, :])[0]
+            payload["state"] = matrix_out(state.amps)
     else:
         cov = run_covariance(circuit, initial_label)
         payload["z_expectations"] = [cov.expectation_z(k) for k in range(circuit.n)]
@@ -330,9 +315,9 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
                 sample_covariance(cov, shots, seed), circuit.n
             )
 
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = dumps_document(payload)
     if out:
-        _write_out(text, out)
+        Path(out).write_text(text, encoding="utf-8")
         click.echo(f"wrote {out}")
     elif as_json:
         click.echo(text, nl=False)

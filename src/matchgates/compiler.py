@@ -50,6 +50,7 @@ from .gates import (
     Mat4,
     ToleranceConfig,
     X,
+    assemble_pp,
     build_pp,
     gate_library,
     is_unitary,
@@ -99,12 +100,6 @@ class Encoding:
             bit = (x >> (self.logical_count - 1 - i)) & 1
             idx |= (bit * 0b11) << (self.physical_count - 2 - 2 * i)
         return idx
-
-    def isometry(self) -> np.ndarray:
-        v = np.zeros((2**self.physical_count, 2**self.logical_count), dtype=complex)
-        for x in range(2**self.logical_count):
-            v[self.encode_index(x), x] = 1.0
-        return v
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,7 @@ def logical_single_qubit(
     if not is_unitary(np.asarray(a, dtype=complex), tol.tol_unitary):
         raise NonUnitaryInput("logical single-qubit gate must be unitary")
     pair = (2 * logical, 2 * logical + 1)
-    return [CircuitOp(build_pp(a, a), pair, name="g_aa")]
+    return [CircuitOp(assemble_pp(a, a), pair, name="g_aa")]
 
 
 def build_entangler_block(
@@ -293,7 +288,7 @@ def _two_qubit_kind(op: CircuitOp) -> str:
 class _Primitive:
     kind: str  # "1q" | "cz"
     qubits: tuple[int, ...]
-    gate: Mat2 | None
+    ops: list[CircuitOp]  # the physical G(A, A) of a "1q" primitive
     source: int  # index of the originating logical op
 
 
@@ -301,10 +296,13 @@ def _rewrite_logical(logical: Circuit, tol: ToleranceConfig) -> list[_Primitive]
     prims: list[_Primitive] = []
 
     def add_1q(gate: Mat2, q: int, src: int):
-        prims.append(_Primitive("1q", (q,), np.asarray(gate, dtype=complex), src))
+        try:
+            prims.append(_Primitive("1q", (q,), logical_single_qubit(gate, q, tol), src))
+        except NonUnitaryInput:
+            raise NonUnitaryInput(f"logical op {src} is not unitary") from None
 
     def add_cz_adjacent(lo: int, src: int):
-        prims.append(_Primitive("cz", (lo, lo + 1), None, src))
+        prims.append(_Primitive("cz", (lo, lo + 1), [], src))
 
     def add_swap_adjacent(lo: int, src: int):
         # SWAP = CNOT(a,b) CNOT(b,a) CNOT(a,b) with CNOT = (I x H) CZ (I x H).
@@ -333,8 +331,6 @@ def _rewrite_logical(logical: Circuit, tol: ToleranceConfig) -> list[_Primitive]
 
     for idx, op in enumerate(logical.flat()):
         if len(op.targets) == 1:
-            if not is_unitary(op.gate, tol.tol_unitary):
-                raise NonUnitaryInput(f"logical op {idx} is not unitary")
             add_1q(op.gate, op.targets[0], idx)
             continue
         kind = _two_qubit_kind(op)
@@ -453,7 +449,7 @@ def compile_circuit(
     for prim in prims:
         start = len(phys.ops)
         if prim.kind == "1q":
-            phys.ops.extend(logical_single_qubit(prim.gate, prim.qubits[0], tol))
+            phys.ops.extend(prim.ops)
         else:
             lo = prim.qubits[0]
             pair = (2 * lo + 1, 2 * lo + 2)

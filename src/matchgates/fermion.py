@@ -78,12 +78,6 @@ class CovarianceState:
             raise BadTargets(f"qubit {k} out of range")
         return float(self.m[2 * k, 2 * k + 1])
 
-    def antisymmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.m + self.m.T)))
-
-    def purity_defect(self) -> float:
-        return float(np.max(np.abs(self.m @ self.m.T - np.eye(2 * self.n))))
-
 
 @dataclass(frozen=True)
 class MajoranaRotation:

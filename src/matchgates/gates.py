@@ -129,11 +129,11 @@ def assemble_pp(a: Mat2, b: Mat2) -> Mat4:
 
 
 def extract_blocks(g: Mat4) -> tuple[Mat2, Mat2]:
-    """Return (A, B) of a gate laid out as G(A, B); no parity check."""
+    """Return (A, B) of a gate laid out as G(A, B), or the (..., 2, 2)
+    stacks of blocks of a (..., 4, 4) stack of gates; no parity check."""
     g = np.asarray(g, dtype=complex)
-    a = np.array([[g[0, 0], g[0, 3]], [g[3, 0], g[3, 3]]])
-    b = np.array([[g[1, 1], g[1, 2]], [g[2, 1], g[2, 2]]])
-    return a, b
+    flat, lead = g.reshape(g.shape[:-2] + (16,)), g.shape[:-2] + (2, 2)
+    return flat[..., _EVEN_BLOCK].reshape(lead), flat[..., _ODD_BLOCK].reshape(lead)
 
 
 # The eight entries of a two-qubit gate that vanish when it is parity-preserving.

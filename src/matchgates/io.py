@@ -19,23 +19,24 @@ Complex entries are [re, im] pairs, row-major.  Angle parameters accept
 numbers or pi-literals ("pi/4", "3pi/8", "-pi/2") to avoid decimal drift.
 
 Parsing is stacked.  One pass over the gate entries, repeat bodies
-included, checks each entry's structure (an object; its targets, name,
-tag, blocks and repeat count) and builds library gates.  The numbers of
-'g' and 'matrix' entries are converted and checked PARSE_CHUNK such entries
-at a time: one conversion per matrix size, which checks every row's shape,
-every number's type (int or float, not bool) and finiteness; one unitarity
-check of all the chunk's 'g' blocks; and one G(A, B) assembly.  The
-chunk's ops hold read-only views into its gate arrays.  Once the document
-has parsed, the targets of all entries are checked for range and repeats
-in one go.  Only when a check fails are the per-entry helpers
-(:func:`matrix_in`, :func:`~matchgates.gates.build_pp`,
-``Circuit._check_targets``) run, to word the refusal.  The refusal is the
-one a per-entry parse gives:
+included, checks each entry's structure and builds library gates.  The
+numbers of 'g' and 'matrix' entries are converted and checked PARSE_CHUNK
+such entries at a time: one conversion per matrix size (row shapes, number
+types, finiteness), one unitarity check of the 'g' blocks and one G(A, B)
+assembly; the ops hold read-only views into the chunk's gate arrays.  The
+targets of all entries are checked once the document has parsed.  Only a
+failed check runs the per-entry helpers (:func:`matrix_in`,
+:func:`~matchgates.gates.build_pp`, ``Circuit._check_targets``), to give
+the refusal a per-entry parse gives: the first structural or numeric fault
+in document order, after any non-unitary 'g' block before it; a target out
+of range or repeated only after the whole document has parsed.
 
-* the first structural or numeric fault in document order wins;
-* a non-unitary 'g' block before that fault is named first;
-* a target out of range or repeated is refused only after the whole
-  document has parsed.
+Output is stacked too: :func:`emit_circuit_document` converts all of a
+circuit's ops in one pass.  All four commands write their JSON through
+:func:`dumps_document`, keys sorted: each top-level key on its own line, a
+list of objects (a document's gate entries) one element per line, every
+other value compact, by the C encoder.  ``json.loads`` of the text equals
+that of ``json.dumps(doc, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -138,7 +139,9 @@ def matrix_in(rows, dim: int, where: str) -> np.ndarray:
 
 
 def matrix_out(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    """[re, im] pairs of a complex array's entries, nested as the array is."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 # The containers of a matrix written as rows of [re, im] pairs, outermost
@@ -176,7 +179,7 @@ class _DocumentParser:
     Such an entry leaves a placeholder in its op list and is queued;
     :meth:`flush` converts the queue in one stacked call per kind, checks
     every 'g' block for unitarity in one call and places the ops.  A repeat
-    group is a (count, body) tuple until the document is parsed.
+    group is a plain (count, body) tuple, unlike a CircuitOp, until parsed.
     """
 
     def __init__(self):
@@ -199,7 +202,7 @@ class _DocumentParser:
                 if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                     raise ParseError(f"{spot}: 'repeat' must be a positive integer")
                 body = self.walk(entry.get("gates", []), f"{spot}.gates")
-                if any(isinstance(op, tuple) for op in body):
+                if any(type(op) is tuple for op in body):
                     raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
                 ops.append((count, body))
                 continue
@@ -330,7 +333,7 @@ def parse_circuit_document(doc: dict) -> Circuit:
         parser.flush()
         raise
     parser.flush()
-    ops = [RepeatedSegment(tuple(e[1]), e[0]) if isinstance(e, tuple) else e for e in entries]
+    ops = [RepeatedSegment(tuple(e[1]), e[0]) if type(e) is tuple else e for e in entries]
     # Every entry's targets in one check for range and repeats.
     flat = list(itertools.chain.from_iterable(parser.targets))
     if not flat or (
@@ -347,40 +350,48 @@ def parse_circuit_document(doc: dict) -> Circuit:
     return circuit
 
 
-def _emit_op(op: CircuitOp) -> dict:
-    entry: dict[str, Any] = {"targets": list(op.targets)}
-    if op.tag:
-        entry["tag"] = op.tag
-    if op.name not in (None, "matrix", "g"):
-        # Emit by name only when the library reproduces the matrix exactly.
-        try:
-            lib = gate_library(op.name, op.params)
-        except (UnknownGate, BadArity):
-            lib = None
-        if lib is not None and lib.shape == op.gate.shape and np.array_equal(lib, op.gate):
-            entry["name"] = op.name
-            if op.params:
-                entry["params"] = [float(p) for p in op.params]
-            return entry
-    if op.gate.shape == (4, 4) and off_block_weight(op.gate) < 1e-12:
-        entry["name"] = "g"
-        a, b = extract_blocks(op.gate)
-        entry["blocks"] = {"a": matrix_out(a), "b": matrix_out(b)}
-        return entry
-    entry["name"] = "matrix"
-    entry["matrix"] = matrix_out(op.gate)
-    return entry
-
-
 def emit_circuit_document(circuit: Circuit, metadata: dict | None = None) -> dict:
-    gates = []
-    for entry in circuit.ops:
-        if isinstance(entry, RepeatedSegment):
-            gates.append(
-                {"repeat": entry.count, "gates": [_emit_op(op) for op in entry.body]}
-            )
-        else:
-            gates.append(_emit_op(entry))
+    """The document of ``circuit``, its ops emitted in one stacked pass.  An
+    op is written by name when the library reproduces its matrix exactly
+    (one lookup per distinct name and params), as 'g' blocks when it is 4x4
+    with off-block weight under 1e-12, and as a 'matrix' otherwise."""
+    ops = [op for body, _ in circuit.walk() for op in body]
+    entries = [{"targets": list(op.targets)} for op in ops]
+    named: dict = {}
+    for k, op in enumerate(ops):
+        if op.tag:
+            entries[k]["tag"] = op.tag
+        if op.name not in (None, "matrix", "g"):
+            named.setdefault((op.name, op.params), []).append(k)
+    for (name, params), ks in named.items():
+        try:
+            lib = gate_library(name, params)
+        except (UnknownGate, BadArity):
+            continue
+        ks = [k for k in ks if ops[k].gate.shape == lib.shape]
+        stack = np.reshape([ops[k].gate for k in ks], (len(ks),) + lib.shape)
+        for k in itertools.compress(ks, np.all(stack == lib, axis=(-2, -1))):
+            entries[k]["name"] = name
+            if ops[k].params:
+                entries[k]["params"] = [float(p) for p in ops[k].params]
+    by_shape: dict = {}
+    for k in (k for k, entry in enumerate(entries) if "name" not in entry):
+        by_shape.setdefault(ops[k].gate.shape, []).append(k)
+    for shape, ks in by_shape.items():
+        mats = np.array([ops[k].gate for k in ks], dtype=complex)
+        is_g = off_block_weight(mats) < 1e-12 if shape == (4, 4) else np.zeros(len(ks), dtype=bool)
+        for k, rows in zip(itertools.compress(ks, ~is_g), matrix_out(mats[~is_g])):
+            entries[k].update(name="matrix", matrix=rows)
+        blocks = matrix_out(np.stack(extract_blocks(mats[is_g]), axis=1))
+        for k, (a, b) in zip(itertools.compress(ks, is_g), blocks):
+            entries[k].update(name="g", blocks={"a": a, "b": b})
+    emitted = iter(entries)
+    gates = [
+        {"repeat": entry.count, "gates": [next(emitted) for _ in entry.body]}
+        if isinstance(entry, RepeatedSegment)
+        else next(emitted)
+        for entry in circuit.ops
+    ]
     meta = dict(circuit.metadata)
     if metadata:
         meta.update(metadata)
@@ -392,8 +403,19 @@ def emit_circuit_document(circuit: Circuit, metadata: dict | None = None) -> dic
     }
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """JSON text of a dict with string keys, laid out as the module says."""
+    lines = []
+    for key, value in sorted(doc.items()):
+        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            text = "[\n    " + ",\n    ".join(map(_ENCODE, value)) + "\n  ]"
+        else:
+            text = _ENCODE(value)
+        lines.append(f"  {_ENCODE(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def load_circuit(path: str) -> Circuit:

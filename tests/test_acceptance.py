@@ -52,6 +52,7 @@ from matchgates.statevector import (
 )
 from util import (
     haar_unitary,
+    isometry,
     random_matchgate,
     random_matchgate_circuit,
     random_nonmatchgate_pp,
@@ -179,7 +180,7 @@ def test_criterion_5_cz_construction_exact():
     from matchgates.statevector import circuit_unitary
 
     u = circuit_unitary(compiled.physical)
-    v = compiled.encoding.isometry()
+    v = isometry(compiled.encoding)
     u_sub = v.conj().T @ u @ v
     assert equal_up_to_global_phase(u_sub, CZ, 1e-12)
     report("criterion 5: G(H,H) G(X,X) SWAP G(H,H) gives logical CZ at 1e-12")

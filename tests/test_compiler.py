@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import matchgates.gates
 from matchgates.analysis import classify, entangling_power_closed, kak, pp_params
-from matchgates.circuits import Circuit, RepeatedSegment
+from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
 from matchgates.compiler import (
     Encoding,
     build_entangler_block,
@@ -32,6 +33,7 @@ from matchgates.gates import (
     build_pp,
     equal_up_to_global_phase,
     gate_library,
+    ToleranceConfig,
     nl,
     phase_rz,
     rz,
@@ -39,7 +41,7 @@ from matchgates.gates import (
 )
 from matchgates.statevector import circuit_unitary, propagate, run as sv_run
 from matchgates.analysis import NonlocalTriple
-from util import haar_unitary, random_matchgate, random_nonmatchgate_pp, random_pp
+from util import haar_unitary, isometry, random_matchgate, random_nonmatchgate_pp, random_pp
 
 PI = np.pi
 CZ = gate_library("CZ")
@@ -63,7 +65,7 @@ class TestEncoding:
 
     def test_isometry_orthonormal(self):
         enc = Encoding(3)
-        v = enc.isometry()
+        v = isometry(enc)
         assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-15)
 
 
@@ -115,12 +117,42 @@ class TestLogicalSingleQubit:
         circ.ops.extend(logical_single_qubit(a, 0))
         u = circuit_unitary(circ)
         enc = Encoding(1)
-        v = enc.isometry()
+        v = isometry(enc)
         assert np.max(np.abs(v.conj().T @ u @ v - a)) < 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryInput):
             logical_single_qubit(2 * I2, 0)
+
+
+    def test_compile_checks_each_logical_gate_once(self, monkeypatch):
+        """Once per expanded logical op, with the compile's own tolerance."""
+        rng = np.random.default_rng(12)
+        a, b, c = (haar_unitary(rng, 2) for _ in range(3))
+        logical = Circuit(2)
+        logical.append(a, (0,))
+        logical.append(gate_library("CNOT"), (0, 1), name="cnot")
+        logical.append(b, (1,))
+        logical.append_segment([CircuitOp(c, (0,))], 2)
+        checked = []
+        defect = matchgates.gates.unitarity_defect
+
+        def recording(m):
+            checked.append(np.array(m))
+            return defect(m)
+
+        monkeypatch.setattr(matchgates.gates, "unitarity_defect", recording)
+        compile_circuit(logical, gate_library("SWAP"), 1e-6)
+        assert [sum(np.array_equal(m, g) for m in checked) for g in (a, b, c)] == [1, 1, 2]
+
+    def test_compile_refuses_a_non_unitary_logical_gate_by_its_index(self):
+        logical = Circuit(2)
+        logical.append(gate_library("CZ"), (0, 1), name="cz")
+        logical.append((1 + 1e-7) * I2, (1,))
+        with pytest.raises(NonUnitaryInput, match="^logical op 1 is not unitary$"):
+            compile_circuit(logical, gate_library("SWAP"), 1e-6)
+        compiled = compile_circuit(logical, gate_library("SWAP"), 1e-6, tol=ToleranceConfig(tol_unitary=1e-6))
+        assert compiled.physical.ops[-1].name == "g_aa"
 
 
 class TestEntanglerBlock:
@@ -147,7 +179,7 @@ class TestEntanglerBlock:
         # Oracle: run the block on 4 physical qubits and restrict.
         rng = np.random.default_rng(72)
         enc = Encoding(2)
-        v = enc.isometry()
+        v = isometry(enc)
         for _ in range(20):
             core = NonlocalTriple(*rng.uniform(-PI / 2, PI / 2, size=3))
             ops, diag = build_entangler_block(core, pair=(1, 2))
@@ -215,7 +247,7 @@ class TestCompile:
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
         u = circuit_unitary(comp.physical)
         enc = comp.encoding
-        v = enc.isometry()
+        v = isometry(enc)
         assert np.max(np.abs(v.conj().T @ u @ v - CZ)) < 1e-12
 
     def test_bell_circuit_with_swap_target(self):

@@ -4,7 +4,8 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
-from matchgates.errors import BadTargets, MatchgatesError, ParseError
+from matchgates.compiler import Encoding
+from matchgates.errors import BadArity, BadTargets, MatchgatesError, ParseError, UnknownGate
 from matchgates.fermion import CovarianceState, MajoranaRotation, matchgate_generator_coefficients
 from matchgates.gates import (
     DEFAULT_TOL,
@@ -14,7 +15,9 @@ from matchgates.gates import (
     Z,
     build_pp,
     det2,
+    gate_library,
     kron,
+    off_block_weight,
     unitarity_defect,
 )
 from matchgates.io import FORMAT_VERSION, _angle_list, _library_gate, matrix_in
@@ -143,6 +146,22 @@ def principal_log_pauli_coefficients(g: np.ndarray) -> dict[str, float]:
     return coeffs
 
 
+def isometry(enc: Encoding) -> np.ndarray:
+    """The encoding's 2^(2L) x 2^L isometry from logical to physical states."""
+    v = np.zeros((2**enc.physical_count, 2**enc.logical_count), dtype=complex)
+    for x in range(2**enc.logical_count):
+        v[enc.encode_index(x), x] = 1.0
+    return v
+
+
+def antisymmetry_defect(state: CovarianceState) -> float:
+    return float(np.max(np.abs(state.m + state.m.T)))
+
+
+def purity_defect(state: CovarianceState) -> float:
+    return float(np.max(np.abs(state.m @ state.m.T - np.eye(2 * state.n))))
+
+
 def measurement_probability(state: CovarianceState, k: int, outcome: int) -> float:
     """Probability of ``outcome`` for qubit k, read off the covariance."""
     mz = state.m[2 * k, 2 * k + 1]
@@ -262,3 +281,54 @@ def per_entry_parse(doc: dict) -> Circuit:
         except BadTargets as exc:
             raise ParseError(f"gates[{i}]: {exc}") from exc
     return circuit
+
+
+# The per-op document emitter: each op looked up in the library and
+# converted on its own.  It is the oracle of the stacked emitter in
+# matchgates.io, which must give the same documents.
+
+
+def _oracle_matrix_out(m) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _oracle_emit_op(op: CircuitOp) -> dict:
+    entry = {"targets": list(op.targets)}
+    if op.tag:
+        entry["tag"] = op.tag
+    if op.name not in (None, "matrix", "g"):
+        # By name only when the library reproduces the matrix exactly.
+        try:
+            lib = gate_library(op.name, op.params)
+        except (UnknownGate, BadArity):
+            lib = None
+        if lib is not None and lib.shape == op.gate.shape and np.array_equal(lib, op.gate):
+            entry["name"] = op.name
+            if op.params:
+                entry["params"] = [float(p) for p in op.params]
+            return entry
+    if op.gate.shape == (4, 4) and off_block_weight(op.gate) < 1e-12:
+        g = np.asarray(op.gate, dtype=complex)
+        entry["name"] = "g"
+        entry["blocks"] = {
+            "a": _oracle_matrix_out(g[np.ix_([0, 3], [0, 3])]),
+            "b": _oracle_matrix_out(g[np.ix_([1, 2], [1, 2])]),
+        }
+        return entry
+    entry["name"] = "matrix"
+    entry["matrix"] = _oracle_matrix_out(op.gate)
+    return entry
+
+
+def per_op_emit(circuit: Circuit, metadata: dict | None = None) -> dict:
+    """The document of ``circuit`` by the per-op emitter (see above)."""
+    gates = []
+    for entry in circuit.ops:
+        if isinstance(entry, RepeatedSegment):
+            gates.append({"repeat": entry.count, "gates": [_oracle_emit_op(op) for op in entry.body]})
+        else:
+            gates.append(_oracle_emit_op(entry))
+    meta = dict(circuit.metadata)
+    if metadata:
+        meta.update(metadata)
+    return {"format_version": FORMAT_VERSION, "qubits": circuit.n, "gates": gates, "metadata": meta}
