@@ -222,13 +222,15 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitar
     if target_gate.shape != (4, 4):
         raise ParseError("target must be a two-qubit gate")
     compiled = compile_circuit(logical, target_gate, epsilon, r_max=r_max, tol=tol)
-    meta = {
-        "target": {"matrix": matrix_out(target_gate), "spec": target},
-        "provenance": compiled.provenance,
-    }
-    if compiled.plan:
-        meta["plan"] = asdict(compiled.plan)
-    doc = emit_circuit_document(compiled.physical, meta)
+    doc = None
+    if out or as_json:
+        meta = {
+            "target": {"matrix": matrix_out(target_gate), "spec": target},
+            "provenance": compiled.provenance,
+        }
+        if compiled.plan:
+            meta["plan"] = asdict(compiled.plan)
+        doc = emit_circuit_document(compiled.physical, meta)
     if out:
         Path(out).write_text(dumps_document(doc), encoding="utf-8")
     summary = {
@@ -247,7 +249,7 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitar
             "leakage": report.leakage,
             "passed": report.passed,
         }
-    if not out:
+    if doc is not None and not out:
         summary["circuit"] = doc
 
     def render(s):

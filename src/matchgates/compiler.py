@@ -51,7 +51,6 @@ from .gates import (
     ToleranceConfig,
     X,
     assemble_pp,
-    build_pp,
     gate_library,
     is_unitary,
     nl,
@@ -117,9 +116,9 @@ class StripResult:
         t3, t4 = self.right
         return (
             np.exp(1j * self.global_phase)
-            * build_pp(phase_rz(t1), phase_rz(t2))
+            * assemble_pp(phase_rz(t1), phase_rz(t2))
             @ self.core.matrix()
-            @ build_pp(phase_rz(t3), phase_rz(t4))
+            @ assemble_pp(phase_rz(t3), phase_rz(t4))
         )
 
 
@@ -173,8 +172,8 @@ def build_entangler_block(
     By default the nonlocal core itself is emitted, tagged as the target
     instance; the compiler substitutes the stripped user gate for it.
     """
-    ghh = CircuitOp(build_pp(H, H), pair, name="g_hh")
-    gxx = CircuitOp(build_pp(X, X), pair, name="g_xx")
+    ghh = CircuitOp(assemble_pp(H, H), pair, name="g_hh")
+    gxx = CircuitOp(assemble_pp(X, X), pair, name="g_xx")
     if target_ops is None:
         target_ops = [CircuitOp(nl(*core.as_tuple()), pair, name="nl", tag="target")]
     ops = [ghh, *target_ops, gxx, ghh]
@@ -431,8 +430,8 @@ def compile_circuit(
     phys = Circuit(enc.physical_count)
     t1, t2 = strip.left
     t3, t4 = strip.right
-    strip_right = build_pp(phase_rz(-t3), phase_rz(-t4))
-    strip_left = build_pp(phase_rz(-t1), phase_rz(-t2))
+    strip_right = assemble_pp(phase_rz(-t3), phase_rz(-t4))
+    strip_left = assemble_pp(phase_rz(-t1), phase_rz(-t2))
     provenance: list[dict] = []
 
     def block_ops(pair: tuple[int, int]) -> list[CircuitOp]:
@@ -459,7 +458,7 @@ def compile_circuit(
                 if abs(_wrap(chi, 2 * math.pi)) > 1e-14:
                     rzg = phase_rz(chi)
                     phys.append(
-                        build_pp(rzg, rzg), enc.pair(logical_q), name="g_rz"
+                        assemble_pp(rzg, rzg), enc.pair(logical_q), name="g_rz"
                     )
         provenance.append(
             {

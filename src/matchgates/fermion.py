@@ -18,12 +18,18 @@ the 2x2 block of its own qubit's (X, Y) the same way.  Nonmatchgate
 parity-preserving gates have a Z x Z term in their log (quartic in fermion
 operators) and map Majoranas out of their span, so they are refused.
 
-``run_covariance`` works on stacks: it takes the circuit OP_CHUNK ops at a
-time in walk order, checks the chunk's gates with one ``classify_stack``
-call (a one-qubit gate as kron(g, I), a reversed pair conjugated by the
-index swap), reads every block off one batched conjugation, and then folds
-and applies them in order.  The per-gate work left is the O(n) update of
-the block's rows and columns of M.
+The traces of a stack of gates are one matrix product: for a d x d gate g
+and k local Majoranas, the constant K_{(b,a,c,e),(u,v)} = (c_u)_bc (c_v)_ea
+gives R_uv = Re[(conj(vec g) (x) vec g) K]_{(u,v)} / d, so N gates take one
+(N, d^4) x (d^4, k^2) product.
+
+``run_covariance`` works in the Heisenberg picture and on stacks: it takes
+the circuit OP_CHUNK ops at a time in walk order, checks the chunk's gates
+with one ``classify_stack`` call (a one-qubit gate as kron(g, I), a reversed
+pair conjugated by the index swap), reads every block off one conjugation
+product, and then folds them in order into the rows of P = R_L ... R_1.
+The per-gate work left is the O(n) update of the block's rows of P.  M is
+formed once at the end, on the Majorana pairs the circuit touched.
 """
 
 from __future__ import annotations
@@ -56,8 +62,10 @@ PROB_FLOOR = 1e-12
 SAMPLER_BUDGET_BYTES = 32 * 2**20
 
 # Ops that run_covariance checks and converts in one stacked call.  The
-# stacked temporaries take about 3 KiB per op, so memory stays near 0.5 MiB
-# above the circuit's own whatever its length.
+# stacked temporaries take about 5 KiB per op, 4 KiB of it the (N, 256)
+# outer-product stack of the conjugation, so memory stays near 1 MiB above
+# the circuit's own and M whatever its length.  Forming M on the touched
+# Majoranas T at the end takes three more |T| x |T| matrices.
 OP_CHUNK = 128
 
 # Largest register the covariance backend accepts.  Past n of about 115 the
@@ -156,12 +164,26 @@ _QUBIT_MAJORANAS = np.array([X, Y])
 _SWAP_ORDER = [0, 2, 1, 3]
 
 
-def _conjugation_block(g: np.ndarray, majoranas: np.ndarray) -> np.ndarray:
-    """R with g^dag c_u g = sum_v R_uv c_v over the local ``majoranas``, for
-    each g of an (N, d, d) stack: R_uv = Re tr(g^dag c_u g c_v) / d, shape
-    (N, len(majoranas), len(majoranas))."""
-    heis = np.conj(np.swapaxes(g, -1, -2))[:, None] @ majoranas @ g[:, None]
-    return np.einsum("kuij,vji->kuv", heis, majoranas).real / g.shape[-1]
+def _trace_kernel(majoranas: np.ndarray) -> np.ndarray:
+    """K with rows (b, a, c, e) and columns (u, v): (c_u)_bc (c_v)_ea, so that
+    tr(g^dag c_u g c_v) = (conj(vec g) (x) vec g) . K[:, (u, v)]."""
+    k, d = len(majoranas), majoranas.shape[-1]
+    return np.einsum("ubc,vea->baceuv", majoranas, majoranas).reshape(d**4, k * k)
+
+
+_PAIR_KERNEL = _trace_kernel(_PAIR_MAJORANAS)
+_QUBIT_KERNEL = _trace_kernel(_QUBIT_MAJORANAS)
+
+
+def _conjugation_block(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """R with g^dag c_u g = sum_v R_uv c_v over the Majoranas of ``kernel``
+    (``_PAIR_KERNEL`` or ``_QUBIT_KERNEL``), for each g of an (N, d, d)
+    stack: R_uv = Re tr(g^dag c_u g c_v) / d, shape (N, k, k)."""
+    count, d = len(g), g.shape[-1]
+    k = math.isqrt(kernel.shape[1])
+    flat = g.reshape(count, d * d)
+    outer = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(count, d**4)
+    return (outer @ kernel).real.reshape(count, k, k) / d
 
 
 def matchgate_to_rotation(
@@ -171,7 +193,7 @@ def matchgate_to_rotation(
     if not 0 <= site < n - 1:
         raise BadTargets(f"site {site} has no right neighbor in n={n}")
     _require_matchgate(g, tol)
-    block = _conjugation_block(np.asarray(g, dtype=complex)[None], _PAIR_MAJORANAS)[0]
+    block = _conjugation_block(np.asarray(g, dtype=complex)[None], _PAIR_KERNEL)[0]
     return MajoranaRotation(n=n, site=site, block=block)
 
 
@@ -193,20 +215,14 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
     return CovarianceState(n, m)
 
 
-def _rotate(m: np.ndarray, site: int, block: np.ndarray) -> None:
-    """In place M -> R M R^T for R = ``block`` at Majorana index 2*site; only
-    the rows and columns of the block change."""
-    sl = slice(2 * site, 2 * site + len(block))
-    m[sl, :] = block @ m[sl, :]
-    m[:, sl] = m[:, sl] @ block.T
-
-
 def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
-    """M -> R M R^T; local O(n) update using the block."""
+    """M -> R M R^T; local O(n) update of the block's rows and columns."""
     if rot.n != state.n:
         raise DimensionMismatch(f"rotation is for n={rot.n}, state has n={state.n}")
     m = state.m.copy()
-    _rotate(m, rot.site, rot.block)
+    sl = slice(2 * rot.site, 2 * rot.site + len(rot.block))
+    m[sl, :] = rot.block @ m[sl, :]
+    m[:, sl] = m[:, sl] @ rot.block.T
     return CovarianceState(state.n, m)
 
 
@@ -278,10 +294,12 @@ def measure_z(
     return outcome, CovarianceState(state.n, new)
 
 
-def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> list[tuple[int, np.ndarray]]:
-    """(site, block) of each op in ``chunk``, items (entry, position, ops,
-    count) in walk order.  All ops are checked in one stacked call; the first
-    that fails is refused, named by its entry and position."""
+def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> tuple[list, list, np.ndarray]:
+    """(sites, blocks, qubits) of the ops in ``chunk``, items (entry,
+    position, ops, count) in walk order: each op's lowest qubit and Majorana
+    block, and the qubits the chunk acts on.  All ops are checked in one
+    stacked call; the first that fails is refused, named by its entry and
+    position."""
     ops = [body[position] for _, position, body, _ in chunk]
     single = np.array([len(op.targets) == 1 for op in ops], dtype=bool)
     first = np.array([op.targets[0] for op in ops])
@@ -311,10 +329,10 @@ def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> list[tuple[int, np.ndarr
             raise NonUnitaryInput(f"{name} is not unitary: {exc}") from exc
         except NotMatchgate as exc:
             raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
-    single_blocks = iter(_conjugation_block(singles, _QUBIT_MAJORANAS))
-    pair_blocks = iter(_conjugation_block(pairs, _PAIR_MAJORANAS))
+    single_blocks = iter(_conjugation_block(singles, _QUBIT_KERNEL))
+    pair_blocks = iter(_conjugation_block(pairs, _PAIR_KERNEL))
     blocks = [next(single_blocks if one else pair_blocks) for one in single.tolist()]
-    return list(zip(np.minimum(first, last).tolist(), blocks))
+    return np.minimum(first, last).tolist(), blocks, np.concatenate([first, last])
 
 
 def run_covariance(
@@ -329,17 +347,35 @@ def run_covariance(
     stays bounded whatever the circuit's length.  Every op is checked once;
     a repetition group is applied as one folded rotation on the Majorana
     span of its body.
+
+    The blocks accumulate as rows of the Heisenberg rotation P = R_L ... R_1
+    (an op on Majorana rows ``sl`` does P[sl] <- block P[sl]), and M = P M0
+    P^T is formed once at the end on the touched Majorana pairs T only.  Rows
+    of P outside T are identity rows, rows in T vanish outside T, and M0 is
+    block-diagonal in qubit pairs, so M outside T x T stays M0.  P's rows in
+    T are therefore kept in M's own rows, each set to an identity row when
+    its qubit is first touched; the other rows of M never change.
     """
     state = init_covariance(circuit.n, initial)
+    m = state.m
+    signs = m[0::2, 1::2].diagonal().copy()  # M0[2k, 2k+1] = <Z_k>
+    touched = np.zeros(circuit.n, dtype=bool)
     items = (
         (i, j, ops, count)
         for i, (ops, count) in enumerate(circuit.walk())
         for j in range(len(ops))
     )
     while chunk := list(itertools.islice(items, OP_CHUNK)):
-        for (_, j, ops, count), (site, block) in zip(chunk, _chunk_blocks(chunk, tol)):
+        sites, blocks, qubits = _chunk_blocks(chunk, tol)
+        fresh = qubits[~touched[qubits]]
+        rows = np.concatenate([2 * fresh, 2 * fresh + 1])
+        m[rows] = 0.0
+        m[rows, rows] = 1.0
+        touched[fresh] = True
+        for (_, j, ops, count), site, block in zip(chunk, sites, blocks):
             if count == 1:
-                _rotate(state.m, site, block)
+                sl = slice(2 * site, 2 * site + len(block))
+                m[sl] = block @ m[sl]
                 continue
             if j == 0:
                 lo = min(min(op.targets) for op in ops)
@@ -347,7 +383,16 @@ def run_covariance(
             sl = slice(2 * (site - lo), 2 * (site - lo) + len(block))
             group[sl, :] = block @ group[sl, :]
             if j == len(ops) - 1:
-                _rotate(state.m, lo, np.linalg.matrix_power(group, count))
+                span = slice(2 * lo, 2 * lo + len(group))
+                m[span] = np.linalg.matrix_power(group, count) @ m[span]
+    # M_TT = P_TT M0_TT P_TT^T, with P_TT M0_TT taken pair by pair: M0's
+    # block on qubit k is [[0, s_k], [-s_k, 0]].
+    t = np.flatnonzero(np.repeat(touched, 2))
+    p, s = m[np.ix_(t, t)], signs[touched]
+    pm = np.empty_like(p)
+    pm[:, 1::2] = p[:, 0::2] * s
+    pm[:, 0::2] = -p[:, 1::2] * s
+    m[np.ix_(t, t)] = pm @ p.T
     return state
 
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.stats import chi2
 
-from matchgates.circuits import Circuit, CircuitOp
+from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
 from matchgates.errors import (
     BackendRefusal,
     BadSampleCount,
@@ -21,6 +21,12 @@ from matchgates.errors import (
     TooLarge,
 )
 from matchgates.fermion import (
+    _PAIR_KERNEL,
+    _PAIR_MAJORANAS,
+    _QUBIT_KERNEL,
+    _QUBIT_MAJORANAS,
+    _SWAP_ORDER,
+    _conjugation_block,
     OP_CHUNK,
     QUBIT_CAP,
     CovarianceState,
@@ -36,6 +42,7 @@ from matchgates.gates import H, I2, X, Y, Z, build_pp, gate_library, kron, nl, p
 from matchgates.statevector import StateVector, apply as sv_apply, expectation_z, run as sv_run, sample as sv_sample
 from util import (
     antisymmetry_defect,
+    batched_conjugation_block,
     embed,
     generator_rotation_block,
     haar_unitary,
@@ -200,6 +207,41 @@ class TestRotationExtraction:
             assert np.max(np.abs(phase * recon - g)) < 1e-9
 
 
+class TestConjugationKernel:
+    """The one-product kernel against the batched per-Majorana oracle."""
+
+    def test_random_pair_stack(self):
+        rng = np.random.default_rng(55)
+        g = np.array([random_matchgate(rng) for _ in range(300)] + EDGE_MATCHGATES)
+        assert_allclose(
+            _conjugation_block(g, _PAIR_KERNEL), batched_conjugation_block(g, _PAIR_MAJORANAS), atol=1e-14
+        )
+
+    def test_one_qubit_z_rotations(self):
+        thetas = np.random.default_rng(56).uniform(-4 * PI, 4 * PI, 200)
+        g = np.array([phase_rz(t) for t in thetas] + [Z, gate_library("S"), gate_library("T"), I2])
+        blocks = _conjugation_block(g, _QUBIT_KERNEL)
+        assert_allclose(blocks, batched_conjugation_block(g, _QUBIT_MAJORANAS), atol=1e-14)
+        # diag(e^{it}, e^{-it}) turns the (X, Y) plane by 2t.
+        c, s = np.cos(2 * thetas), np.sin(2 * thetas)
+        assert_allclose(blocks[:200], np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], 1), atol=1e-12)
+
+    def test_reversed_pairs(self):
+        rng = np.random.default_rng(57)
+        g = np.array([random_matchgate(rng) for _ in range(100)])[:, _SWAP_ORDER][:, :, _SWAP_ORDER]
+        assert_allclose(
+            _conjugation_block(g, _PAIR_KERNEL), batched_conjugation_block(g, _PAIR_MAJORANAS), atol=1e-14
+        )
+
+    def test_branch_cut_gate_gives_minus_identity(self):
+        block = _conjugation_block(nl(0, 0, PI / 2)[None], _PAIR_KERNEL)[0]
+        assert_allclose(block, -np.eye(4), atol=1e-14)
+
+    @pytest.mark.parametrize("kernel,d,k", [(_PAIR_KERNEL, 4, 4), (_QUBIT_KERNEL, 2, 2)])
+    def test_empty_stack(self, kernel, d, k):
+        assert _conjugation_block(np.zeros((0, d, d), dtype=complex), kernel).shape == (0, k, k)
+
+
 class TestCovariance:
     def test_init_blocks(self):
         s = init_covariance(2, 0)
@@ -344,6 +386,23 @@ class TestRepeatGroups:
         flat = Circuit(5, ops=body * 7)
         assert_allclose(run_covariance(seg, 11).m, run_covariance(flat, 11).m, atol=1e-10)
 
+    def test_body_with_an_untouched_qubit_in_its_span(self):
+        # The body spans qubits 0-4 but never acts on qubit 2, which starts
+        # in |1>: its Majoranas keep their basis-state entries.
+        rng = np.random.default_rng(62)
+        body = [
+            CircuitOp(random_matchgate(rng), (0, 1)),
+            CircuitOp(random_matchgate(rng), (4, 3)),
+            CircuitOp(gate_library("S"), (4,)),
+        ]
+        seg = Circuit(6)
+        seg.append(random_matchgate(rng), (1, 0))
+        seg.append_segment(body, 3)
+        m, m0 = run_covariance(seg, "011010").m, init_covariance(6, "011010").m
+        assert_allclose(m, oracle_covariance(seg, "011010"), atol=1e-10)
+        assert m[4:6].tobytes() == m0[4:6].tobytes()
+        assert m[:, 4:6].tobytes() == m0[:, 4:6].tobytes()
+
     def test_single_qubit_gate_on_last_qubit_matches_expansion(self):
         rng = np.random.default_rng(61)
         body = [CircuitOp(random_matchgate(rng), (1, 2)), CircuitOp(gate_library("RZ", (0.3,)), (2,))]
@@ -467,9 +526,39 @@ class TestBulkPath:
         with pytest.raises(BackendRefusal, match=rf"^op {OP_CHUNK + 5}\.1 \(swap on \(2, 3\)\) is not a matchgate"):
             run_covariance(circuit, 0)
 
+    def test_wide_shallow_circuit_leaves_untouched_pairs_alone(self):
+        # Gates on qubits 3-6 of 200, over two chunks: M changes only on
+        # their Majoranas 6-13, where it equals the same circuit moved onto
+        # qubits 0-3 of 4.
+        rng = np.random.default_rng(99)
+        n, lo, hi = 200, 3, 6
+        small = random_bulk_circuit(rng, hi - lo + 1, OP_CHUNK + 20)
+        small.append_segment([CircuitOp(random_matchgate(rng), (2, 1)), CircuitOp(gate_library("S"), (3,))], 5)
+        small.append(random_matchgate(rng), (0, 1))
+        wide = Circuit(n)
+        for entry in small.ops:
+            group = isinstance(entry, RepeatedSegment)
+            body = entry.body if group else (entry,)
+            moved = [CircuitOp(op.gate, tuple(q + lo for q in op.targets), name=op.name) for op in body]
+            if group:
+                wide.append_segment(moved, entry.count)
+            else:
+                wide.ops.extend(moved)
+        bits = "".join(str(b) for b in rng.integers(0, 2, n))
+        m, m0 = run_covariance(wide, bits).m, init_covariance(n, bits).m
+        inside = np.zeros((2 * n, 2 * n), dtype=bool)
+        inside[2 * lo : 2 * hi + 2, 2 * lo : 2 * hi + 2] = True
+        assert m[~inside].tobytes() == m0[~inside].tobytes()
+        assert np.max(np.abs(m + m.T)) < 1e-12
+        assert_allclose(
+            m[2 * lo : 2 * hi + 2, 2 * lo : 2 * hi + 2],
+            oracle_covariance(small, bits[lo : hi + 1]),
+            atol=1e-10,
+        )
+
     def test_memory_stays_bounded_on_a_long_circuit(self):
         # Keeping every block (about 0.3 kB each) or stacking the whole
-        # circuit's temporaries (about 3 kB per op) would need 6-60 MB.
+        # circuit's temporaries (about 5 kB per op) would need 6-100 MB.
         rng = np.random.default_rng(98)
         n, palette = 60, [random_matchgate(rng) for _ in range(64)]
         circuit = Circuit(n)

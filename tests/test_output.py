@@ -203,3 +203,31 @@ def test_compile_encodes_each_output_once(tmp_path, monkeypatch, out):
     assert ("circuit" in summary) is not out
     document = ["format_version", "gates", "metadata", "qubits"]
     assert encoded == ([document] if out else []) + [sorted(summary)]
+
+
+@pytest.mark.parametrize(
+    "flags,built", [((), 0), (("--json",), 1), (("--out",), 1), (("--json", "--out"), 1)]
+)
+def test_compile_builds_the_document_only_when_it_is_written(tmp_path, monkeypatch, flags, built):
+    """Without --out or --json nothing prints the compiled document, so it is
+    not built."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return emit_circuit_document(*args, **kwargs)
+
+    monkeypatch.setattr(matchgates.cli, "emit_circuit_document", counting)
+    circuit = Circuit(2)
+    circuit.append(gate_library("H"), (0,), name="h")
+    circuit.append(gate_library("CZ"), (0, 1), name="cz")
+    (tmp_path / "logical.json").write_text(dumps_document(emit_circuit_document(circuit)))
+    args = ["compile", "--input", str(tmp_path / "logical.json"), "--target", "SWAP"]
+    for flag in flags:
+        args += ["--out", str(tmp_path / "physical.json")] if flag == "--out" else [flag]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == built
+    assert (tmp_path / "physical.json").exists() is ("--out" in flags)
+    if flags == ("--json",):
+        assert json.loads(result.output)["circuit"]["qubits"] == 4

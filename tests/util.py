@@ -103,6 +103,14 @@ def rotation_matrix(rot: MajoranaRotation) -> np.ndarray:
     return r
 
 
+def batched_conjugation_block(g: np.ndarray, majoranas: np.ndarray) -> np.ndarray:
+    """R_uv = Re tr(g^dag c_u g c_v) / d for each g of an (N, d, d) stack,
+    as one batched product g^dag c_u g per gate and Majorana: the oracle of
+    the single-product kernel ``fermion._conjugation_block``."""
+    heis = np.conj(np.swapaxes(g, -1, -2))[:, None] @ majoranas @ g[:, None]
+    return np.einsum("kuij,vji->kuv", heis, majoranas).real / g.shape[-1]
+
+
 def generator_rotation_block(g: np.ndarray) -> np.ndarray:
     """SO(4) block of a matchgate from its quadratic generator: with
     G = e^{i delta} exp(i H),  H = sum_{u<v} alpha_uv (-i c_u c_v),  the block
