@@ -471,9 +471,3 @@ def makhlin_invariants(
     g2 = (t * t - complex(np.trace(mm @ mm))) / 4.0
     return g1, float(g2.real)
 
-
-def locally_equivalent(u: Mat4, v: Mat4, tol: float = 1e-8) -> bool:
-    """Local-equivalence oracle via Makhlin-invariant agreement."""
-    g1u, g2u = makhlin_invariants(u)
-    g1v, g2v = makhlin_invariants(v)
-    return abs(g1u - g1v) <= tol and abs(g2u - g2v) <= tol

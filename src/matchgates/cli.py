@@ -104,14 +104,6 @@ def _exit_codes(command):
     return mapped
 
 
-def _tols(tol_unitary: float, tol_classify: float) -> ToleranceConfig:
-    return ToleranceConfig(
-        tol_unitary=tol_unitary,
-        tol_classify=tol_classify,
-        tol_phase=DEFAULT_TOL.tol_phase,
-    )
-
-
 def _emit(payload: dict, as_json: bool, render) -> None:
     if as_json:
         click.echo(dumps_document(payload), nl=False)
@@ -136,7 +128,7 @@ def main():
 @_exit_codes
 def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
     """Classify a two-qubit gate and report its nonlocal parameters."""
-    tol = _tols(tol_unitary, tol_classify)
+    tol = ToleranceConfig(tol_unitary, tol_classify)
     u = parse_gate_spec(gate)
     if u.shape != (4, 4):
         raise ParseError("analyze expects a two-qubit gate")
@@ -216,7 +208,7 @@ def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
 @_exit_codes
 def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitary, tol_classify, as_json):
     """Compile a logical circuit into matchgates + the target gate."""
-    tol = _tols(tol_unitary, tol_classify)
+    tol = ToleranceConfig(tol_unitary, tol_classify)
     logical = load_circuit(input_path)
     target_gate = parse_gate_spec(target)
     if target_gate.shape != (4, 4):
@@ -362,7 +354,7 @@ def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
         target=None,
         epsilon=epsilon,
     )
-    report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed)
+    report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed, check=True)
     payload = {
         "mode": report.mode,
         "fidelity": report.fidelity,

@@ -17,10 +17,20 @@ r*c mod pi/2 lands within the angle budget of pi/4 yields a logical CZ with
 a small ZZ-angle residual.  Matchgate targets have c = 0 and are refused:
 with them the construction cannot create any logical entanglement.
 
-Error budget: each CZ contributes a residual exp(i delta ZZ) with
-|delta| <= eps_angle.  The generators are traceless, so residuals enter the
-process fidelity only at second order; eps_angle = sqrt(epsilon)/(2 k) over
-k logical CZs keeps the total infidelity below epsilon.
+A logical SWAP of adjacent logical qubits is four FSWAP = G(Z, X)
+matchgates on the physical pairs (1,2), (0,1), (2,3), (1,2) counted from
+the lower qubit's first physical qubit.  It maps |aabb> to |bbaa> with the
+sign (-1)^(4ab) = 1, so it is exactly SWAP on the code and uses no target.
+A CZ, CNOT or SWAP between non-adjacent logical qubits moves the higher
+qubit next to the lower one by such SWAPs, acts, and moves it back; every
+logical CZ or CNOT therefore costs one entangler schedule whatever its
+distance, and every SWAP costs none.
+
+Error budget: each logical CZ or CNOT contributes a residual
+exp(i delta ZZ) with |delta| <= eps_angle, and the FSWAP routing adds none.
+The generators are traceless, so residuals enter the process fidelity only
+at second order; eps_angle = sqrt(epsilon)/(2 k) over k logical CZs and
+CNOTs keeps the total infidelity below epsilon.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ from .circuits import Circuit, CircuitOp
 from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
-    NotParityPreserving,
     ParseError,
     SynthesisError,
     TargetIsMatchgate,
@@ -50,6 +59,7 @@ from .gates import (
     Mat4,
     ToleranceConfig,
     X,
+    Z,
     assemble_pp,
     gate_library,
     is_unitary,
@@ -285,10 +295,19 @@ def _two_qubit_kind(op: CircuitOp) -> str:
 
 @dataclass(frozen=True)
 class _Primitive:
-    kind: str  # "1q" | "cz"
+    kind: str  # "1q" | "swap" | "cz"
     qubits: tuple[int, ...]
-    ops: list[CircuitOp]  # the physical G(A, A) of a "1q" primitive
+    ops: list[CircuitOp]  # the physical ops of a "1q" or "swap" primitive
     source: int  # index of the originating logical op
+
+
+_FSWAP = assemble_pp(Z, X)
+
+
+def _swap_ops(lo: int) -> list[CircuitOp]:
+    """FSWAPs that exchange logical qubits lo and lo + 1 exactly on the code."""
+    base = 2 * lo
+    return [CircuitOp(_FSWAP, (base + k, base + k + 1), name="g_fswap") for k in (1, 0, 2, 1)]
 
 
 def _rewrite_logical(logical: Circuit, tol: ToleranceConfig) -> list[_Primitive]:
@@ -300,33 +319,21 @@ def _rewrite_logical(logical: Circuit, tol: ToleranceConfig) -> list[_Primitive]
         except NonUnitaryInput:
             raise NonUnitaryInput(f"logical op {src} is not unitary") from None
 
-    def add_cz_adjacent(lo: int, src: int):
+    def add_swap(lo: int, src: int):
+        prims.append(_Primitive("swap", (lo, lo + 1), _swap_ops(lo), src))
+
+    def add_cz(lo: int, src: int):
         prims.append(_Primitive("cz", (lo, lo + 1), [], src))
 
-    def add_swap_adjacent(lo: int, src: int):
-        # SWAP = CNOT(a,b) CNOT(b,a) CNOT(a,b) with CNOT = (I x H) CZ (I x H).
-        for tgt in (lo + 1, lo, lo + 1):
-            add_1q(H, tgt, src)
-            add_cz_adjacent(lo, src)
-            add_1q(H, tgt, src)
-
-    def add_cz(q0: int, q1: int, src: int):
+    def routed(act, q0: int, q1: int, src: int):
+        """Move the higher qubit next to the lower one, act, move it back."""
         lo, hi = sorted((q0, q1))
-        chain = list(range(hi - 1, lo, -1))  # move hi leftwards to lo+1
+        chain = range(hi - 1, lo, -1)
         for k in chain:
-            add_swap_adjacent(k, src)
-        add_cz_adjacent(lo, src)
+            add_swap(k, src)
+        act(lo, src)
         for k in reversed(chain):
-            add_swap_adjacent(k, src)
-
-    def add_swap(q0: int, q1: int, src: int):
-        lo, hi = sorted((q0, q1))
-        chain = list(range(hi - 1, lo, -1))
-        for k in chain:
-            add_swap_adjacent(k, src)
-        add_swap_adjacent(lo, src)
-        for k in reversed(chain):
-            add_swap_adjacent(k, src)
+            add_swap(k, src)
 
     for idx, op in enumerate(logical.flat()):
         if len(op.targets) == 1:
@@ -334,14 +341,14 @@ def _rewrite_logical(logical: Circuit, tol: ToleranceConfig) -> list[_Primitive]
             continue
         kind = _two_qubit_kind(op)
         q0, q1 = op.targets
-        if kind == "cz":
-            add_cz(q0, q1, idx)
-        elif kind == "cnot":
-            add_1q(H, q1, idx)
-            add_cz(q0, q1, idx)
-            add_1q(H, q1, idx)
+        if kind == "swap":
+            routed(add_swap, q0, q1, idx)
+        elif kind == "cz":
+            routed(add_cz, q0, q1, idx)
         else:
-            add_swap(q0, q1, idx)
+            add_1q(H, q1, idx)
+            routed(add_cz, q0, q1, idx)
+            add_1q(H, q1, idx)
     return prims
 
 
@@ -447,7 +454,7 @@ def compile_circuit(
 
     for prim in prims:
         start = len(phys.ops)
-        if prim.kind == "1q":
+        if prim.kind != "cz":
             phys.ops.extend(prim.ops)
         else:
             lo = prim.qubits[0]
@@ -518,6 +525,7 @@ def verify(
     epsilon: float | None = None,
     samples: int = 8,
     seed: int = 7,
+    check: bool = False,
 ) -> VerificationReport:
     """Compare the compiled circuit, restricted to the encoded subspace,
     against the logical circuit (up to global phase).
@@ -529,6 +537,8 @@ def verify(
     amplitudes (L <= 8), Psi = I and the check is exact.  Past that,
     ``samples`` random states are pushed one at a time and the worst is
     reported.  TooLarge is raised when one state exceeds the cap (L > 12).
+    With ``check``, a non-unitary op in either circuit raises
+    NonUnitaryInput naming the circuit and the op.
     """
     enc = compiled.encoding
     if enc.logical_count != logical.n:
@@ -549,24 +559,31 @@ def verify(
         cols[code_rows] = psi
         return cols
 
-    def check(psi: np.ndarray) -> tuple[float, float]:
+    def compare(psi: np.ndarray) -> tuple[float, float]:
         """Fidelity and leakage of the logical columns ``psi``."""
         # No local keeps the encoded block, so propagate can free it.
-        out = propagate(compiled.physical, encode(psi))
+        try:
+            out = propagate(compiled.physical, encode(psi), check)
+        except NonUnitaryInput as exc:
+            raise NonUnitaryInput(f"physical circuit: {exc}") from None
         in_code = out[code_rows]
         out[code_rows] = 0.0
-        overlap = np.vdot(propagate(logical, psi), in_code) / np.vdot(psi, psi)
+        try:
+            ideal = propagate(logical, psi, check)
+        except NonUnitaryInput as exc:
+            raise NonUnitaryInput(f"logical circuit: {exc}") from None
+        overlap = np.vdot(ideal, in_code) / np.vdot(psi, psi)
         return float(abs(overlap) ** 2), spectral_norm(out)
 
     if dim * 2**logical.n <= cap:
-        fidelity, leakage = check(np.eye(2**logical.n, dtype=complex))
+        fidelity, leakage = compare(np.eye(2**logical.n, dtype=complex))
         mode, details = "exact", {"provenance_entries": len(compiled.provenance)}
     else:
         rng = np.random.default_rng(seed)
         results = []
         for _ in range(samples):
             psi = rng.normal(size=2**logical.n) + 1j * rng.normal(size=2**logical.n)
-            results.append(check((psi / np.linalg.norm(psi))[:, None]))
+            results.append(compare((psi / np.linalg.norm(psi))[:, None]))
         fidelities, leakages = zip(*results)
         fidelity, leakage, mode = min(fidelities), max(leakages), "sampled"
         details = {"samples": samples, "mean_fidelity": float(np.mean(fidelities))}

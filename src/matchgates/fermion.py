@@ -47,7 +47,6 @@ from .errors import (
     BackendRefusal,
     BadSampleCount,
     BadTargets,
-    DimensionMismatch,
     NonUnitaryInput,
     NotMatchgate,
     TooLarge,
@@ -77,9 +76,6 @@ QUBIT_CAP = 256
 class CovarianceState:
     n: int
     m: np.ndarray
-
-    def copy(self) -> "CovarianceState":
-        return CovarianceState(self.n, self.m.copy())
 
     def expectation_z(self, k: int) -> float:
         if not 0 <= k < self.n:
@@ -186,13 +182,11 @@ def _conjugation_block(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (outer @ kernel).real.reshape(count, k, k) / d
 
 
-def matchgate_to_rotation(
-    g: Mat4, site: int, n: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> MajoranaRotation:
+def matchgate_to_rotation(g: Mat4, site: int, n: int) -> MajoranaRotation:
     """SO(4) Majorana rotation of a matchgate acting on qubits (site, site+1)."""
     if not 0 <= site < n - 1:
         raise BadTargets(f"site {site} has no right neighbor in n={n}")
-    _require_matchgate(g, tol)
+    _require_matchgate(g, DEFAULT_TOL)
     block = _conjugation_block(np.asarray(g, dtype=complex)[None], _PAIR_KERNEL)[0]
     return MajoranaRotation(n=n, site=site, block=block)
 
@@ -213,17 +207,6 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
         m[2 * k, 2 * k + 1] = sign
         m[2 * k + 1, 2 * k] = -sign
     return CovarianceState(n, m)
-
-
-def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
-    """M -> R M R^T; local O(n) update of the block's rows and columns."""
-    if rot.n != state.n:
-        raise DimensionMismatch(f"rotation is for n={rot.n}, state has n={state.n}")
-    m = state.m.copy()
-    sl = slice(2 * rot.site, 2 * rot.site + len(rot.block))
-    m[sl, :] = rot.block @ m[sl, :]
-    m[:, sl] = m[:, sl] @ rot.block.T
-    return CovarianceState(state.n, m)
 
 
 def _condition(m: np.ndarray, parent: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -248,53 +231,7 @@ def _condition(m: np.ndarray, parent: np.ndarray, sign: np.ndarray) -> np.ndarra
     return out
 
 
-def measure_z(
-    state: CovarianceState,
-    k: int,
-    seed_or_rng: int | np.random.Generator,
-    force_outcome: int | None = None,
-) -> tuple[int, CovarianceState]:
-    """Measure Z_k; returns (outcome bit, post-measurement state).
-
-    ``force_outcome`` post-selects (used by exact-distribution oracles); it
-    is an error to force an outcome of probability below PROB_FLOOR.
-    """
-    if not 0 <= k < state.n:
-        raise BadTargets(f"qubit {k} out of range")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
-    u, v = 2 * k, 2 * k + 1
-    m = state.m
-    p0 = min(max((1.0 + m[u, v]) / 2.0, 0.0), 1.0)
-    if force_outcome is None:
-        if p0 >= 1.0 - PROB_FLOOR:
-            outcome = 0
-        elif p0 <= PROB_FLOOR:
-            outcome = 1
-        else:
-            outcome = 0 if rng.random() < p0 else 1
-    else:
-        outcome = int(force_outcome)
-    sign = 1.0 - 2.0 * outcome
-    if (1.0 + sign * m[u, v]) / 2.0 < PROB_FLOOR:
-        raise BadSampleCount(f"outcome {outcome} on qubit {k} has probability ~0")
-
-    # Move the measured pair to the front, condition, and put the rest back.
-    rest = np.r_[0:u, v + 1 : 2 * state.n]
-    order = np.r_[u, v, rest]
-    new = np.zeros_like(m)
-    new[np.ix_(rest, rest)] = _condition(
-        m[np.ix_(order, order)][None], np.zeros(1, dtype=np.intp), np.array([sign])
-    )[0]
-    new[u, v] = sign
-    new[v, u] = -sign
-    return outcome, CovarianceState(state.n, new)
-
-
-def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> tuple[list, list, np.ndarray]:
+def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
     """(sites, blocks, qubits) of the ops in ``chunk``, items (entry,
     position, ops, count) in walk order: each op's lowest qubit and Majorana
     block, and the qubits the chunk acts on.  All ops are checked in one
@@ -317,14 +254,14 @@ def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> tuple[list, list, np.nda
     checks[single] = np.einsum("kab,ij->kaibj", singles, I2).reshape(-1, 4, 4)
     checks[~single] = pairs
     checks[~nearest] = np.eye(4)
-    for k in np.flatnonzero(~(nearest & classify_stack(checks, tol)[2])):
+    for k in np.flatnonzero(~(nearest & classify_stack(checks, DEFAULT_TOL)[2])):
         # The per-op check on the first failure, for its words.
         entry, position, body, count = chunk[k]
         name = describe_op(body, count, entry, position)
         if not nearest[k]:
             raise BackendRefusal(f"{name} is not nearest-neighbor")
         try:
-            _require_matchgate(checks[k], tol)
+            _require_matchgate(checks[k], DEFAULT_TOL)
         except NonUnitaryInput as exc:
             raise NonUnitaryInput(f"{name} is not unitary: {exc}") from exc
         except NotMatchgate as exc:
@@ -335,11 +272,7 @@ def _chunk_blocks(chunk: list, tol: ToleranceConfig) -> tuple[list, list, np.nda
     return np.minimum(first, last).tolist(), blocks, np.concatenate([first, last])
 
 
-def run_covariance(
-    circuit: Circuit,
-    initial: int | str = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> CovarianceState:
+def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
     """Covariance after the circuit acts on a basis state.
 
     Ops are checked and converted to Majorana blocks OP_CHUNK at a time, in
@@ -366,7 +299,7 @@ def run_covariance(
         for j in range(len(ops))
     )
     while chunk := list(itertools.islice(items, OP_CHUNK)):
-        sites, blocks, qubits = _chunk_blocks(chunk, tol)
+        sites, blocks, qubits = _chunk_blocks(chunk)
         fresh = qubits[~touched[qubits]]
         rows = np.concatenate([2 * fresh, 2 * fresh + 1])
         m[rows] = 0.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArity, NonUnitaryInput, NotParityPreserving, UnknownGate
+from .errors import BadArity, NonUnitaryInput, UnknownGate
 
 # Gates are plain complex128 ndarrays; 2x2 for one qubit, 4x4 for two.
 Mat2 = np.ndarray
@@ -35,10 +35,9 @@ class ToleranceConfig:
 
     tol_unitary: float = 1e-9
     tol_classify: float = 1e-9
-    tol_phase: float = 1e-9
 
     def __post_init__(self):
-        for name in ("tol_unitary", "tol_classify", "tol_phase"):
+        for name in ("tol_unitary", "tol_classify"):
             v = getattr(self, name)
             if not (0.0 < v < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {v!r}")
@@ -155,17 +154,6 @@ def off_block_weight(g: Mat4) -> float | np.ndarray:
     return np.max(np.abs(g[..., _OFF_BLOCK]), axis=-1)
 
 
-def pp_product(g1: Mat4, g2: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> Mat4:
-    """Product of two parity-preserving unitaries; blocks multiply blockwise."""
-    for i, g in enumerate((g1, g2)):
-        g = _require_unitary(g, tol.tol_unitary, f"factor {i + 1}")
-        if off_block_weight(g) > tol.tol_classify:
-            raise NotParityPreserving(
-                f"factor {i + 1} has off-block weight {off_block_weight(g):.3e}"
-            )
-    return np.asarray(g1, dtype=complex) @ np.asarray(g2, dtype=complex)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; qubit 0 (the left factor) is the most-significant bit."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -189,29 +177,6 @@ def nl(a: float, b: float, c: float) -> Mat4:
         ],
         dtype=complex,
     )
-
-
-def equal_up_to_global_phase(
-    m: np.ndarray, n: np.ndarray, tol: float = DEFAULT_TOL.tol_phase
-) -> bool:
-    """True iff e^{i phi} m == n entry-wise within ``tol`` for some real phi.
-
-    The phase is anchored on the first entry of ``n`` with modulus >= 0.5
-    (every row of a unitary has one; falls back to the largest entry).
-    """
-    m = np.asarray(m, dtype=complex)
-    n = np.asarray(n, dtype=complex)
-    if m.shape != n.shape:
-        return False
-    flat_n = n.ravel()
-    big = np.flatnonzero(np.abs(flat_n) >= 0.5)
-    idx = big[0] if big.size else int(np.argmax(np.abs(flat_n)))
-    ref = m.ravel()[idx]
-    if abs(ref) < 1e-300:
-        return False
-    phi = flat_n[idx] / ref
-    phi /= abs(phi)
-    return bool(np.max(np.abs(phi * m - n)) <= tol)
 
 
 def _as_angle_list(params, arity: int, name: str):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuits import Circuit, describe_op
 from .errors import BadSampleCount, BadTargets, NonUnitaryInput, TooLarge
-from .gates import DEFAULT_TOL, ToleranceConfig, is_unitary
+from .gates import is_unitary
 
 DEFAULT_QUBIT_CAP = 20
 UNITARY_QUBIT_CAP = 12
@@ -90,13 +90,7 @@ class _Block:
         return self.tensor.transpose(axes).reshape(2**self.n, -1)
 
 
-def apply(
-    state: StateVector,
-    gate: np.ndarray,
-    targets,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    check: bool = True,
-) -> StateVector:
+def apply(state: StateVector, gate: np.ndarray, targets) -> StateVector:
     """Apply a 1- or 2-qubit gate; returns a new state."""
     gate = np.asarray(gate, dtype=complex)
     targets = tuple(int(t) for t in targets)
@@ -107,19 +101,14 @@ def apply(
         raise BadTargets(f"bad targets {targets} for n={state.n}")
     if gate.shape != (2**k, 2**k):
         raise BadTargets(f"gate shape {gate.shape} does not match {k} target(s)")
-    if check and not is_unitary(gate, tol.tol_unitary):
+    if not is_unitary(gate):
         raise NonUnitaryInput("apply expects a unitary gate")
     block = _Block(state.amps[:, None], state.n)
     block.apply(gate, targets)
     return StateVector(state.n, block.columns()[:, 0])
 
 
-def propagate(
-    circuit: Circuit,
-    columns: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    check: bool = False,
-) -> np.ndarray:
+def propagate(circuit: Circuit, columns: np.ndarray, check: bool = False) -> np.ndarray:
     """Left-multiply a (2^n, m) array by the circuit's unitary.
 
     Each entry's ops are checked once.  A repetition group whose body acts
@@ -131,7 +120,7 @@ def propagate(
     for i, (ops, count) in enumerate(circuit.walk()):
         if check:
             for j, op in enumerate(ops):
-                if not is_unitary(op.gate, tol.tol_unitary):
+                if not is_unitary(op.gate):
                     raise NonUnitaryInput(f"{describe_op(ops, count, i, j)} is not unitary")
         if count > 1:
             support = sorted({t for op in ops for t in op.targets})
@@ -148,23 +137,18 @@ def propagate(
     return block.columns()
 
 
-def run(
-    circuit: Circuit,
-    initial: int | str = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    cap: int = DEFAULT_QUBIT_CAP,
-    check: bool = True,
-) -> StateVector:
-    """Left-to-right application of the circuit to a basis state."""
+def run(circuit: Circuit, initial: int | str = 0) -> StateVector:
+    """Left-to-right application of the circuit to a basis state; a
+    non-unitary op is refused, named by its entry."""
     # No local keeps the basis state, so the kernel frees it after one gate.
-    amps = propagate(circuit, StateVector.basis(circuit.n, initial, cap=cap).amps[:, None], tol, check)
+    amps = propagate(circuit, StateVector.basis(circuit.n, initial).amps[:, None], check=True)
     return StateVector(circuit.n, amps[:, 0])
 
 
-def circuit_unitary(circuit: Circuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense 2^n x 2^n unitary of the whole circuit."""
-    if circuit.n > cap:
-        raise TooLarge(f"circuit_unitary capped at {cap} qubits, got {circuit.n}")
+    if circuit.n > UNITARY_QUBIT_CAP:
+        raise TooLarge(f"circuit_unitary capped at {UNITARY_QUBIT_CAP} qubits, got {circuit.n}")
     return propagate(circuit, np.eye(2**circuit.n, dtype=complex))
 
 

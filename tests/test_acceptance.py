@@ -17,7 +17,6 @@ from matchgates.analysis import (
     entangling_power_closed,
     entangling_power_mc,
     kak,
-    locally_equivalent,
     makhlin_invariants,
     nonlocal_from_pp,
     pp_params,
@@ -40,7 +39,6 @@ from matchgates.gates import (
     Y,
     Z,
     build_pp,
-    equal_up_to_global_phase,
     gate_library,
     kron,
     nl,
@@ -51,8 +49,10 @@ from matchgates.statevector import (
     sample as sv_sample,
 )
 from util import (
+    equal_up_to_global_phase,
     haar_unitary,
     isometry,
+    locally_equivalent,
     random_matchgate,
     random_matchgate_circuit,
     random_nonmatchgate_pp,

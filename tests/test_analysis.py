@@ -12,7 +12,6 @@ from matchgates.analysis import (
     entangling_power_closed,
     entangling_power_mc,
     kak,
-    locally_equivalent,
     makhlin_invariants,
     nonlocal_from_pp,
     pp_params,
@@ -26,12 +25,18 @@ from matchgates.gates import (
     Y,
     Z,
     build_pp,
-    equal_up_to_global_phase,
     gate_library,
     kron,
     nl,
 )
-from util import haar_unitary, random_matchgate, random_nonmatchgate_pp, random_pp
+from util import (
+    equal_up_to_global_phase,
+    haar_unitary,
+    locally_equivalent,
+    random_matchgate,
+    random_nonmatchgate_pp,
+    random_pp,
+)
 
 PI = np.pi
 

@@ -6,10 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import matchgates.gates
+import matchgates.statevector
 from matchgates.analysis import classify, entangling_power_closed, kak, pp_params
 from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
 from matchgates.compiler import (
     Encoding,
+    _swap_ops,
     build_entangler_block,
     compile_circuit,
     effective_diagonal,
@@ -31,7 +33,6 @@ from matchgates.gates import (
     I2,
     X,
     build_pp,
-    equal_up_to_global_phase,
     gate_library,
     ToleranceConfig,
     nl,
@@ -39,12 +40,14 @@ from matchgates.gates import (
     rz,
     ry,
 )
+from matchgates.io import emit_circuit_document
 from matchgates.statevector import circuit_unitary, propagate, run as sv_run
 from matchgates.analysis import NonlocalTriple
-from util import haar_unitary, isometry, random_matchgate, random_nonmatchgate_pp, random_pp
+from util import equal_up_to_global_phase, haar_unitary, isometry, random_matchgate, random_nonmatchgate_pp, random_pp
 
 PI = np.pi
 CZ = gate_library("CZ")
+LOGICAL_2Q = {"cz": CZ, "cnot": gate_library("CNOT"), "swap": gate_library("SWAP")}
 
 
 def random_logical_circuit(rng, n_logical: int, depth: int) -> Circuit:
@@ -368,6 +371,99 @@ class TestCompile:
             assert ep == pytest.approx(np.sin(2 * core.c) ** 2, abs=1e-9)
 
 
+class TestRouting:
+    @pytest.mark.parametrize("n_logical,lo", [(2, 0), (3, 1), (4, 1)])
+    def test_fswap_primitive_is_swap_on_the_code(self, n_logical, lo):
+        phys = Circuit(2 * n_logical)
+        for op in _swap_ops(lo):
+            assert op.name == "g_fswap" and op.tag is None
+            assert classify(op.gate).is_matchgate
+            phys.add(op)
+        logical = Circuit(n_logical)
+        logical.append(gate_library("SWAP"), (lo, lo + 1))
+        v = isometry(Encoding(n_logical))
+        out = circuit_unitary(phys) @ v
+        assert np.array_equal(v.conj().T @ out, circuit_unitary(logical))
+        assert np.max(np.abs(out - v @ (v.conj().T @ out))) == 0.0
+
+    @pytest.mark.parametrize("n_logical", [2, 3, 4])
+    def test_target_uses_count_only_logical_cz_and_cnot(self, n_logical):
+        # Every two-qubit kind at every distance in both orders, shuffled
+        # between random one-qubit gates.
+        rng = np.random.default_rng(90 + n_logical)
+        pairs = [
+            (kind, q0, q1)
+            for kind in LOGICAL_2Q
+            for q0 in range(n_logical)
+            for q1 in range(n_logical)
+            if q0 != q1
+        ]
+        logical = Circuit(n_logical)
+        for i in rng.permutation(len(pairs)):
+            kind, q0, q1 = pairs[i]
+            logical.append(haar_unitary(rng, 2), (int(rng.integers(n_logical)),))
+            logical.append(LOGICAL_2Q[kind], (q0, q1), name=kind)
+        entangling = sum(kind != "swap" for kind, _, _ in pairs)
+        for target in (nl(0.2, 0.1, 0.35), random_nonmatchgate_pp(rng)):
+            comp = compile_circuit(logical, target, 1e-6)
+            assert comp.target_uses == comp.plan.repetitions * entangling
+            assert sum(p["kind"] == "cz" for p in comp.provenance) == entangling
+            for p in comp.provenance:
+                if p["kind"] == "swap":
+                    start, end = p["physical_ops"]
+                    assert [op.name for op in comp.physical.ops[start:end]] == ["g_fswap"] * 4
+            rep = verify(comp, logical)
+            assert rep.mode == "exact"
+            assert rep.fidelity >= 1 - 1e-6
+            assert rep.leakage <= 1e-9
+
+    def test_swap_uses_no_target_and_cz_costs_the_same_at_any_distance(self):
+        target = nl(0.2, 0.1, 0.35)
+        lone = Circuit(3)
+        lone.append(gate_library("SWAP"), (2, 0), name="swap")
+        comp = compile_circuit(lone, target, 1e-6)
+        assert comp.target_uses == 0 and comp.plan is None
+        assert verify(comp, lone).fidelity == pytest.approx(1.0, abs=1e-12)
+        uses = []
+        for q0, q1 in ((0, 1), (0, 2), (2, 0)):
+            logical = Circuit(3)
+            logical.append(CZ, (q0, q1), name="cz")
+            uses.append(compile_circuit(logical, target, 1e-6).target_uses)
+        assert uses == [1214] * 3
+
+    def test_routed_documents_hold_only_g_entries_and_repeat_groups(self):
+        rng = np.random.default_rng(93)
+        logical = Circuit(4)
+        for kind, q0, q1 in (("swap", 0, 3), ("cz", 3, 1), ("cnot", 0, 2), ("swap", 1, 2)):
+            logical.append(haar_unitary(rng, 2), (q0,))
+            logical.append(LOGICAL_2Q[kind], (q0, q1), name=kind)
+        for target in (gate_library("SWAP"), nl(0.2, 0.1, 0.35)):
+            doc = emit_circuit_document(compile_circuit(logical, target, 1e-6).physical)
+            for entry in doc["gates"]:
+                assert {e["name"] for e in entry.get("gates", [entry])} == {"g"}
+
+    def test_cz_at_distance_two_and_the_ring_with_diagonals(self):
+        # Target NL(0.2, 0.1, 0.35) at epsilon 1e-6.  Routing adds no target
+        # uses: CZ(0, 2) costs what an adjacent CZ does, and the ten CZs of
+        # the ring and its diagonals cost 10 r with r = 15,414.
+        target = nl(0.2, 0.1, 0.35)
+        far = Circuit(3)
+        far.append(CZ, (0, 2), name="cz")
+        ring = Circuit(4)
+        for _ in range(2):
+            for q0, q1 in ((0, 1), (1, 2), (2, 3), (3, 0)):
+                ring.append(CZ, (q0, q1), name="cz")
+        ring.append(CZ, (0, 2), name="cz")
+        ring.append(CZ, (1, 3), name="cz")
+        for logical, uses in ((far, 1214), (ring, 154_140)):
+            comp = compile_circuit(logical, target, 1e-6)
+            assert comp.target_uses == uses
+            rep = verify(comp, logical)
+            assert rep.mode == "exact"
+            assert rep.fidelity >= 1 - 1e-6
+            assert rep.leakage <= 1e-9
+
+
 class TestVerify:
     def test_compiled_identity(self):
         logical = Circuit(2)
@@ -386,6 +482,19 @@ class TestVerify:
         comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (0, 1))
         bad = verify(comp, logical).fidelity
         assert good - bad > 1e-3
+
+    def test_ops_are_checked_only_when_asked(self, monkeypatch):
+        # compile_circuit built its ops unitary, so its own verify skips the
+        # per-op check; mgc verify asks for it.
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
+        checked = []
+        monkeypatch.setattr(matchgates.statevector, "is_unitary", lambda g: checked.append(g) or True)
+        verify(comp, logical)
+        assert checked == []
+        verify(comp, logical, check=True)
+        assert len(checked) == sum(len(ops) for c in (comp.physical, logical) for ops, _ in c.walk())
 
     def test_sampled_mode_agrees_with_exact(self):
         # Past 8 logical qubits the exact block no longer fits; the SWAP

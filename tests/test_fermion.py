@@ -31,10 +31,8 @@ from matchgates.fermion import (
     QUBIT_CAP,
     CovarianceState,
     init_covariance,
-    evolve,
     matchgate_generator_coefficients,
     matchgate_to_rotation,
-    measure_z,
     run_covariance,
     sample_covariance,
 )
@@ -44,9 +42,11 @@ from util import (
     antisymmetry_defect,
     batched_conjugation_block,
     embed,
+    evolve,
     generator_rotation_block,
     haar_unitary,
     majorana_operators,
+    measure_z,
     measurement_probability,
     principal_log_pauli_coefficients,
     purity_defect,

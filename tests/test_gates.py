@@ -20,18 +20,16 @@ from matchgates.gates import (
     Y,
     Z,
     build_pp,
-    equal_up_to_global_phase,
     extract_blocks,
     gate_library,
     kron,
     nl,
     off_block_weight,
-    pp_product,
     rx,
     ry,
     rz,
 )
-from util import haar_unitary, random_pp
+from util import equal_up_to_global_phase, haar_unitary, pp_product, random_pp
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 FSWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex)

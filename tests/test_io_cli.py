@@ -93,7 +93,7 @@ class TestCircuitDocuments:
         reparsed = parse_circuit_document(json.loads(text))
         assert dumps_document(emit_circuit_document(reparsed)) == text
         assert_allclose(
-            circuit_unitary(reparsed, cap=12), circuit_unitary(circ, cap=12), atol=1e-12
+            circuit_unitary(reparsed), circuit_unitary(circ), atol=1e-12
         )
 
     def test_pi_params_accepted(self):
@@ -593,6 +593,28 @@ class TestVerifyCommand:
         result = runner.invoke(main, args + ["--samples", "0"])
         assert result.exit_code == 2
         assert "--samples" in result.output
+
+    @pytest.mark.parametrize("side", ["physical", "logical"])
+    def test_non_unitary_op_is_a_usage_error_naming_the_op(self, runner, tmp_path, side):
+        # Unchecked, 1.001 I passes with fidelity 1.002.
+        h = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
+        docs = {
+            "logical": {"format_version": 1, "qubits": 2, "gates": [{"name": "h", "targets": [0]}]},
+            "physical": {
+                "format_version": 1,
+                "qubits": 4,
+                "gates": [{"name": "g", "targets": [0, 1], "blocks": {"a": h, "b": h}}],
+            },
+        }
+        targets = [2, 3] if side == "physical" else [1]
+        scaled = [[[1.001 * (i == j), 0.0] for j in range(2 ** len(targets))] for i in range(2 ** len(targets))]
+        docs[side]["gates"].append({"name": "matrix", "targets": targets, "matrix": scaled})
+        args = ["verify", "--json"]
+        for name, doc in docs.items():
+            args += [f"--{name}", write_doc(tmp_path, doc, f"{name}.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{side} circuit: op 1 (matrix on {tuple(targets)}) is not unitary" in result.output
 
     def test_size_mismatch(self, runner, tmp_path):
         logical = write_logical_cz(tmp_path)

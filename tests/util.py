@@ -4,15 +4,34 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
+from matchgates.analysis import makhlin_invariants
 from matchgates.compiler import Encoding
-from matchgates.errors import BadArity, BadTargets, MatchgatesError, ParseError, UnknownGate
-from matchgates.fermion import CovarianceState, MajoranaRotation, matchgate_generator_coefficients
+from matchgates.errors import (
+    BadArity,
+    BadSampleCount,
+    BadTargets,
+    DimensionMismatch,
+    MatchgatesError,
+    NotParityPreserving,
+    ParseError,
+    UnknownGate,
+)
+from matchgates.fermion import (
+    PROB_FLOOR,
+    CovarianceState,
+    MajoranaRotation,
+    _condition,
+    matchgate_generator_coefficients,
+)
 from matchgates.gates import (
     DEFAULT_TOL,
     I2,
+    Mat4,
     X,
     Y,
     Z,
+    ToleranceConfig,
+    _require_unitary,
     build_pp,
     det2,
     gate_library,
@@ -340,3 +359,101 @@ def per_op_emit(circuit: Circuit, metadata: dict | None = None) -> dict:
     if metadata:
         meta.update(metadata)
     return {"format_version": FORMAT_VERSION, "qubits": circuit.n, "gates": gates, "metadata": meta}
+
+
+def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
+    """M -> R M R^T; local O(n) update of the block's rows and columns."""
+    if rot.n != state.n:
+        raise DimensionMismatch(f"rotation is for n={rot.n}, state has n={state.n}")
+    m = state.m.copy()
+    sl = slice(2 * rot.site, 2 * rot.site + len(rot.block))
+    m[sl, :] = rot.block @ m[sl, :]
+    m[:, sl] = m[:, sl] @ rot.block.T
+    return CovarianceState(state.n, m)
+
+
+def measure_z(
+    state: CovarianceState,
+    k: int,
+    seed_or_rng: int | np.random.Generator,
+    force_outcome: int | None = None,
+) -> tuple[int, CovarianceState]:
+    """Measure Z_k; returns (outcome bit, post-measurement state).
+
+    ``force_outcome`` post-selects (used by exact-distribution oracles); it
+    is an error to force an outcome of probability below PROB_FLOOR.
+    """
+    if not 0 <= k < state.n:
+        raise BadTargets(f"qubit {k} out of range")
+    rng = (
+        seed_or_rng
+        if isinstance(seed_or_rng, np.random.Generator)
+        else np.random.default_rng(seed_or_rng)
+    )
+    u, v = 2 * k, 2 * k + 1
+    m = state.m
+    p0 = min(max((1.0 + m[u, v]) / 2.0, 0.0), 1.0)
+    if force_outcome is None:
+        if p0 >= 1.0 - PROB_FLOOR:
+            outcome = 0
+        elif p0 <= PROB_FLOOR:
+            outcome = 1
+        else:
+            outcome = 0 if rng.random() < p0 else 1
+    else:
+        outcome = int(force_outcome)
+    sign = 1.0 - 2.0 * outcome
+    if (1.0 + sign * m[u, v]) / 2.0 < PROB_FLOOR:
+        raise BadSampleCount(f"outcome {outcome} on qubit {k} has probability ~0")
+
+    # Move the measured pair to the front, condition, and put the rest back.
+    rest = np.r_[0:u, v + 1 : 2 * state.n]
+    order = np.r_[u, v, rest]
+    new = np.zeros_like(m)
+    new[np.ix_(rest, rest)] = _condition(
+        m[np.ix_(order, order)][None], np.zeros(1, dtype=np.intp), np.array([sign])
+    )[0]
+    new[u, v] = sign
+    new[v, u] = -sign
+    return outcome, CovarianceState(state.n, new)
+
+
+def pp_product(g1: Mat4, g2: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> Mat4:
+    """Product of two parity-preserving unitaries; blocks multiply blockwise."""
+    for i, g in enumerate((g1, g2)):
+        g = _require_unitary(g, tol.tol_unitary, f"factor {i + 1}")
+        if off_block_weight(g) > tol.tol_classify:
+            raise NotParityPreserving(
+                f"factor {i + 1} has off-block weight {off_block_weight(g):.3e}"
+            )
+    return np.asarray(g1, dtype=complex) @ np.asarray(g2, dtype=complex)
+
+
+def equal_up_to_global_phase(
+    m: np.ndarray, n: np.ndarray, tol: float = 1e-9
+) -> bool:
+    """True iff e^{i phi} m == n entry-wise within ``tol`` for some real phi.
+
+    The phase is anchored on the first entry of ``n`` with modulus >= 0.5
+    (every row of a unitary has one; falls back to the largest entry).
+    """
+    m = np.asarray(m, dtype=complex)
+    n = np.asarray(n, dtype=complex)
+    if m.shape != n.shape:
+        return False
+    flat_n = n.ravel()
+    big = np.flatnonzero(np.abs(flat_n) >= 0.5)
+    idx = big[0] if big.size else int(np.argmax(np.abs(flat_n)))
+    ref = m.ravel()[idx]
+    if abs(ref) < 1e-300:
+        return False
+    phi = flat_n[idx] / ref
+    phi /= abs(phi)
+    return bool(np.max(np.abs(phi * m - n)) <= tol)
+
+
+def locally_equivalent(u: Mat4, v: Mat4, tol: float = 1e-8) -> bool:
+    """Local-equivalence oracle via Makhlin-invariant agreement."""
+    g1u, g2u = makhlin_invariants(u)
+    g1v, g2v = makhlin_invariants(v)
+    return abs(g1u - g1v) <= tol and abs(g2u - g2v) <= tol
