@@ -538,7 +538,8 @@ def verify(
     ``samples`` random states are pushed one at a time and the worst is
     reported.  TooLarge is raised when one state exceeds the cap (L > 12).
     With ``check``, a non-unitary op in either circuit raises
-    NonUnitaryInput naming the circuit and the op.
+    NonUnitaryInput naming the circuit and the op; the logical circuit is
+    checked first, and in sampled mode only the first sample checks.
     """
     enc = compiled.encoding
     if enc.logical_count != logical.n:
@@ -559,8 +560,14 @@ def verify(
         cols[code_rows] = psi
         return cols
 
-    def compare(psi: np.ndarray) -> tuple[float, float]:
-        """Fidelity and leakage of the logical columns ``psi``."""
+    def compare(psi: np.ndarray, check: bool) -> tuple[float, float]:
+        """Fidelity and leakage of the logical columns ``psi``; with
+        ``check``, the logical circuit's ops are checked before the
+        physical circuit is propagated."""
+        try:
+            ideal = propagate(logical, psi, check)
+        except NonUnitaryInput as exc:
+            raise NonUnitaryInput(f"logical circuit: {exc}") from None
         # No local keeps the encoded block, so propagate can free it.
         try:
             out = propagate(compiled.physical, encode(psi), check)
@@ -568,22 +575,19 @@ def verify(
             raise NonUnitaryInput(f"physical circuit: {exc}") from None
         in_code = out[code_rows]
         out[code_rows] = 0.0
-        try:
-            ideal = propagate(logical, psi, check)
-        except NonUnitaryInput as exc:
-            raise NonUnitaryInput(f"logical circuit: {exc}") from None
         overlap = np.vdot(ideal, in_code) / np.vdot(psi, psi)
         return float(abs(overlap) ** 2), spectral_norm(out)
 
     if dim * 2**logical.n <= cap:
-        fidelity, leakage = compare(np.eye(2**logical.n, dtype=complex))
+        fidelity, leakage = compare(np.eye(2**logical.n, dtype=complex), check)
         mode, details = "exact", {"provenance_entries": len(compiled.provenance)}
     else:
         rng = np.random.default_rng(seed)
         results = []
-        for _ in range(samples):
+        for k in range(samples):
             psi = rng.normal(size=2**logical.n) + 1j * rng.normal(size=2**logical.n)
-            results.append(compare((psi / np.linalg.norm(psi))[:, None]))
+            # Every sample walks the same ops, so the first one checks them.
+            results.append(compare((psi / np.linalg.norm(psi))[:, None], check and k == 0))
         fidelities, leakages = zip(*results)
         fidelity, leakage, mode = min(fidelities), max(leakages), "sampled"
         details = {"samples": samples, "mean_fidelity": float(np.mean(fidelities))}

@@ -417,19 +417,12 @@ class TestRouting:
             assert rep.fidelity >= 1 - 1e-6
             assert rep.leakage <= 1e-9
 
-    def test_swap_uses_no_target_and_cz_costs_the_same_at_any_distance(self):
-        target = nl(0.2, 0.1, 0.35)
+    def test_lone_swap_uses_no_target(self):
         lone = Circuit(3)
         lone.append(gate_library("SWAP"), (2, 0), name="swap")
-        comp = compile_circuit(lone, target, 1e-6)
+        comp = compile_circuit(lone, nl(0.2, 0.1, 0.35), 1e-6)
         assert comp.target_uses == 0 and comp.plan is None
         assert verify(comp, lone).fidelity == pytest.approx(1.0, abs=1e-12)
-        uses = []
-        for q0, q1 in ((0, 1), (0, 2), (2, 0)):
-            logical = Circuit(3)
-            logical.append(CZ, (q0, q1), name="cz")
-            uses.append(compile_circuit(logical, target, 1e-6).target_uses)
-        assert uses == [1214] * 3
 
     def test_routed_documents_hold_only_g_entries_and_repeat_groups(self):
         rng = np.random.default_rng(93)
@@ -442,20 +435,25 @@ class TestRouting:
             for entry in doc["gates"]:
                 assert {e["name"] for e in entry.get("gates", [entry])} == {"g"}
 
-    def test_cz_at_distance_two_and_the_ring_with_diagonals(self):
+    def test_cz_at_any_distance_and_the_ring_with_diagonals(self):
         # Target NL(0.2, 0.1, 0.35) at epsilon 1e-6.  Routing adds no target
-        # uses: CZ(0, 2) costs what an adjacent CZ does, and the ten CZs of
-        # the ring and its diagonals cost 10 r with r = 15,414.
+        # uses: CZ(0, 2) and CZ(2, 0) cost what the adjacent CZ(0, 1) does,
+        # and the ten CZs of the ring and its diagonals cost 10 r with
+        # r = 15,414.
         target = nl(0.2, 0.1, 0.35)
-        far = Circuit(3)
-        far.append(CZ, (0, 2), name="cz")
+        cases = []
+        for q0, q1 in ((0, 1), (0, 2), (2, 0)):
+            logical = Circuit(3)
+            logical.append(CZ, (q0, q1), name="cz")
+            cases.append((logical, 1214))
         ring = Circuit(4)
         for _ in range(2):
             for q0, q1 in ((0, 1), (1, 2), (2, 3), (3, 0)):
                 ring.append(CZ, (q0, q1), name="cz")
         ring.append(CZ, (0, 2), name="cz")
         ring.append(CZ, (1, 3), name="cz")
-        for logical, uses in ((far, 1214), (ring, 154_140)):
+        cases.append((ring, 154_140))
+        for logical, uses in cases:
             comp = compile_circuit(logical, target, 1e-6)
             assert comp.target_uses == uses
             rep = verify(comp, logical)
@@ -495,6 +493,22 @@ class TestVerify:
         assert checked == []
         verify(comp, logical, check=True)
         assert len(checked) == sum(len(ops) for c in (comp.physical, logical) for ops, _ in c.walk())
+
+    def test_sampled_mode_checks_each_op_once_logical_first(self, monkeypatch):
+        logical = Circuit(9)
+        logical.append(CZ, (0, 1), name="cz")
+        comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
+        checked, real = [], matchgates.statevector.is_unitary
+        monkeypatch.setattr(matchgates.statevector, "is_unitary", lambda g: checked.append(g) or real(g))
+        assert verify(comp, logical, samples=3, check=True).mode == "sampled"
+        walked = [[op.gate for ops, _ in c.walk() for op in ops] for c in (logical, comp.physical)]
+        assert [id(g) for g in checked] == [id(g) for g in walked[0] + walked[1]]
+        # A bad logical op is refused before the physical circuit is walked.
+        logical.append(1.001 * I2, (3,))
+        checked.clear()
+        with pytest.raises(NonUnitaryInput, match="^logical circuit: op 1 "):
+            verify(comp, logical, samples=3, check=True)
+        assert len(checked) == 2
 
     def test_sampled_mode_agrees_with_exact(self):
         # Past 8 logical qubits the exact block no longer fits; the SWAP
