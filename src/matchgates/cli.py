@@ -11,7 +11,7 @@ Exit codes are a stable contract:
     5  problem too large for the requested mode (e.g. verifying > 12 logical qubits)
     6  backend refusal (e.g. non-matchgate op on the ff backend)
     7  repetition synthesis failed within --r-max
-    8  verification failed (fidelity below 1 - epsilon in ``mgc verify``, or
+    8  verification failed (fidelity more than epsilon from 1 in ``mgc verify``, or
        in ``mgc compile`` without --skip-verify; the summary and --out are
        still written)
 """

@@ -5,17 +5,29 @@ Logical qubit i lives in the even-parity subspace of physical qubits
 (2i, 2i+1), with |0>_L = |00> and |1>_L = |11>.  Single-qubit logical gates
 A become the matchgates G(A, A) on the pair.  A logical CZ between adjacent
 logical qubits is built on the middle physical pair (2i+1, 2i+2) from the
-sandwich
+paper's entangler block
 
-    G(H,H) . G(X,X) . [stripped target] . G(H,H)        (matrix order)
+    B = G(H,H) . G(X,X) . sl . T . sr . G(H,H)        (matrix order)
 
-whose action on the encoded subspace is the diagonal
-diag(e^{i(a-b+c)}, e^{i(a+b-c)}, -e^{i(-a-b-c)}, -e^{i(-a+b+c)}) determined by
-the target's nonlocal triple (a, b, c).  Up to logical Z rotations that
-diagonal is exp(i c ZZ); repeating the block r times and choosing r so that
-r*c mod pi/2 lands within the angle budget of pi/4 yields a logical CZ with
-a small ZZ-angle residual.  Matchgate targets have c = 0 and are refused:
-with them the construction cannot create any logical entanglement.
+where T is the target and the Z-rotation matchgates sl, sr strip it to its
+nonlocal core (a, b, c).  On the encoded subspace B is the diagonal
+diag(e^{i(a-b+c)}, e^{i(a+b-c)}, -e^{i(-a-b-c)}, -e^{i(-a+b+c)}), which up to
+logical Z rotations is exp(i c ZZ); r blocks, with r chosen so that
+r*c mod pi/2 lands within the angle budget of pi/4, and the logical
+corrections Rz(chi1), Rz(chi2) yield a logical CZ with a small ZZ-angle
+residual.  Matchgate targets have c = 0 and are refused: with them the
+construction cannot create any logical entanglement.
+
+Only the uses of T need the target; since G(A,B) . G(A',B') = G(AA',BB') and
+G(H,H)^2 = I, whatever sits between two uses is one matchgate:
+
+    B^r = L . T . (W . T)^(r-1) . R,   R = sr . G(H,H),
+    W = sr . G(X,X) . sl,              L = G(H,H) . G(X,X) . sl.
+
+The corrections are diagonal, so on the code they equal
+C = Rz(chi1) (x) Rz(chi2) on the middle pair and fold into L' = C . L.  Each
+logical CZ is emitted as R, T, a repeat group (W, T) of count r - 1 and L':
+2r + 1 ops, r of them target uses.
 
 A logical SWAP of adjacent logical qubits is four FSWAP = G(Z, X)
 matchgates on the physical pairs (1,2), (0,1), (2,3), (1,2) counted from
@@ -99,9 +111,6 @@ class Encoding:
     def physical_count(self) -> int:
         return 2 * self.logical_count
 
-    def pair(self, i: int) -> tuple[int, int]:
-        return (2 * i, 2 * i + 1)
-
     def encode_index(self, x: int) -> int:
         """Physical basis index of the encoded logical basis state x."""
         idx = 0
@@ -172,22 +181,18 @@ def logical_single_qubit(
 
 
 def build_entangler_block(
-    core: NonlocalTriple,
-    pair: tuple[int, int] = (1, 2),
-    target_ops: list[CircuitOp] | None = None,
+    core: NonlocalTriple, pair: tuple[int, int] = (1, 2)
 ) -> tuple[list[CircuitOp], Mat4]:
-    """Physical ops of one entangler block on ``pair`` and its effective
-    logical diagonal.
+    """The paper's reference entangler block on ``pair``, with the nonlocal
+    core tagged as the target, and its effective logical diagonal.
 
-    By default the nonlocal core itself is emitted, tagged as the target
-    instance; the compiler substitutes the stripped user gate for it.
+    The compiler does not emit it: it fuses the matchgates between target
+    uses of r such blocks (see the module docstring).
     """
     ghh = CircuitOp(assemble_pp(H, H), pair, name="g_hh")
     gxx = CircuitOp(assemble_pp(X, X), pair, name="g_xx")
-    if target_ops is None:
-        target_ops = [CircuitOp(nl(*core.as_tuple()), pair, name="nl", tag="target")]
-    ops = [ghh, *target_ops, gxx, ghh]
-    return ops, effective_diagonal(core)
+    core_op = CircuitOp(nl(*core.as_tuple()), pair, name="nl", tag="target")
+    return [ghh, core_op, gxx, ghh], effective_diagonal(core)
 
 
 @dataclass(frozen=True)
@@ -404,6 +409,9 @@ def compile_circuit(
 
     ``target`` must be a nonmatchgate parity-preserving unitary; every other
     emitted op is a matchgate and every two-qubit op is nearest-neighbor.
+    Each logical CZ becomes R, T, a repeat group (W, T) of count r - 1 (left
+    out when r = 1) and L', with the logical Z corrections folded into L'
+    (module docstring); logical SWAPs and routing are FSWAPs.
     Raises ParseError when ``epsilon`` is not finite and > 0, TooLarge past
     LOGICAL_QUBIT_CAP qubits or LOGICAL_FLAT_OP_CAP expanded logical ops,
     and SynthesisError when no repetition count <= ``r_max`` meets the
@@ -428,45 +436,30 @@ def compile_circuit(
     n_cz = sum(1 for p in prims if p.kind == "cz")
 
     plan = None
-    block_cache: dict[int, list[CircuitOp]] = {}
     if n_cz:
         eps_angle = max(min(math.sqrt(epsilon) / (2.0 * n_cz), _QUARTER_PI / 2), 1e-13)
         plan = plan_entangler(strip.core, eps_angle, r_max=r_max, tol=tol)
+        (t1, t2), (t3, t4) = strip.left, strip.right
+        sl = assemble_pp(phase_rz(-t1), phase_rz(-t2))
+        sr = assemble_pp(phase_rz(-t3), phase_rz(-t4))
+        ghh, gxx = assemble_pp(H, H), assemble_pp(X, X)
+        corrections = np.kron(*(phase_rz(chi) for chi in plan.local_corrections))
+        enter, link, leave = sr @ ghh, sr @ gxx @ sl, corrections @ ghh @ gxx @ sl
 
     enc = Encoding(logical.n)
     phys = Circuit(enc.physical_count)
-    t1, t2 = strip.left
-    t3, t4 = strip.right
-    strip_right = assemble_pp(phase_rz(-t3), phase_rz(-t4))
-    strip_left = assemble_pp(phase_rz(-t1), phase_rz(-t2))
     provenance: list[dict] = []
-
-    def block_ops(pair: tuple[int, int]) -> list[CircuitOp]:
-        if pair[0] not in block_cache:
-            sandwich = [CircuitOp(target, pair, name="target", tag="target")]
-            if np.max(np.abs(strip_right - np.eye(4))) > 1e-14:
-                sandwich.insert(0, CircuitOp(strip_right, pair, name="g_rz"))
-            if np.max(np.abs(strip_left - np.eye(4))) > 1e-14:
-                sandwich.append(CircuitOp(strip_left, pair, name="g_rz"))
-            ops, _ = build_entangler_block(strip.core, pair, target_ops=sandwich)
-            block_cache[pair[0]] = ops
-        return block_cache[pair[0]]
-
     for prim in prims:
         start = len(phys.ops)
         if prim.kind != "cz":
             phys.ops.extend(prim.ops)
         else:
-            lo = prim.qubits[0]
-            pair = (2 * lo + 1, 2 * lo + 2)
-            phys.append_segment(block_ops(pair), plan.repetitions)
-            chi1, chi2 = plan.local_corrections
-            for chi, logical_q in ((chi1, lo), (chi2, lo + 1)):
-                if abs(_wrap(chi, 2 * math.pi)) > 1e-14:
-                    rzg = phase_rz(chi)
-                    phys.append(
-                        assemble_pp(rzg, rzg), enc.pair(logical_q), name="g_rz"
-                    )
+            pair = (2 * prim.qubits[0] + 1, 2 * prim.qubits[0] + 2)
+            use = CircuitOp(target, pair, name="target", tag="target")
+            phys.ops.extend((CircuitOp(enter, pair, name="g_enter"), use))
+            if plan.repetitions > 1:
+                phys.append_segment((CircuitOp(link, pair, name="g_link"), use), plan.repetitions - 1)
+            phys.ops.append(CircuitOp(leave, pair, name="g_leave"))
         provenance.append(
             {
                 "logical_op": prim.source,
@@ -540,6 +533,8 @@ def verify(
     With ``check``, a non-unitary op in either circuit raises
     NonUnitaryInput naming the circuit and the op; the logical circuit is
     checked first, and in sampled mode only the first sample checks.
+    ``passed`` needs |1 - fidelity| <= epsilon: a fidelity above 1 is the
+    drift of a folded power, not a better circuit.
     """
     enc = compiled.encoding
     if enc.logical_count != logical.n:
@@ -601,6 +596,6 @@ def verify(
         flat_op_count=compiled.physical.flat_count(),
         target_uses=compiled.target_uses,
         epsilon=eps,
-        passed=None if eps is None else fidelity >= 1.0 - eps,
+        passed=None if eps is None else abs(1.0 - fidelity) <= eps,
         details=details,
     )

@@ -23,6 +23,10 @@ from .gates import is_unitary
 
 DEFAULT_QUBIT_CAP = 20
 UNITARY_QUBIT_CAP = 12
+# A repetition group on at most FOLD_QUBIT_CAP qubits folds into one matrix
+# power; a wider one is expanded op by op, up to EXPANSION_CAP ops.
+FOLD_QUBIT_CAP = 6
+EXPANSION_CAP = 100_000
 
 
 @dataclass
@@ -112,8 +116,9 @@ def propagate(circuit: Circuit, columns: np.ndarray, check: bool = False) -> np.
     """Left-multiply a (2^n, m) array by the circuit's unitary.
 
     Each entry's ops are checked once.  A repetition group whose body acts
-    on at most two qubits becomes one matrix on those qubits, the body's
-    product raised to the group's count; wider groups are expanded.
+    on at most FOLD_QUBIT_CAP qubits becomes one matrix on those qubits, the
+    body's product raised to the group's count.  Wider groups are expanded;
+    TooLarge names one that would expand past EXPANSION_CAP ops.
     """
     block = _Block(columns, circuit.n)
     del columns
@@ -124,13 +129,19 @@ def propagate(circuit: Circuit, columns: np.ndarray, check: bool = False) -> np.
                     raise NonUnitaryInput(f"{describe_op(ops, count, i, j)} is not unitary")
         if count > 1:
             support = sorted({t for op in ops for t in op.targets})
-            if len(support) <= 2:
+            if len(support) <= FOLD_QUBIT_CAP:
                 local = {q: a for a, q in enumerate(support)}
                 body = _Block(np.eye(2 ** len(support), dtype=complex), len(support))
                 for op in ops:
                     body.apply(op.gate, tuple(local[t] for t in op.targets))
                 block.apply(np.linalg.matrix_power(body.columns(), count), tuple(support))
                 continue
+            if count * len(ops) > EXPANSION_CAP:
+                raise TooLarge(
+                    f"entry {i} repeats {len(ops)} op(s) on {len(support)} qubits {count} times: "
+                    f"a group wider than {FOLD_QUBIT_CAP} qubits is expanded, and this one "
+                    f"passes the cap of {EXPANSION_CAP} ops"
+                )
         for _ in range(count):
             for op in ops:
                 block.apply(op.gate, op.targets)

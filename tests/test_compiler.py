@@ -1,10 +1,13 @@
 """Compiler tests: strip decomposition, entangler blocks, repetition
 planning, full compilation, and verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import matchgates.compiler
 import matchgates.gates
 import matchgates.statevector
 from matchgates.analysis import classify, entangling_power_closed, kak, pp_params
@@ -439,27 +442,65 @@ class TestRouting:
         # Target NL(0.2, 0.1, 0.35) at epsilon 1e-6.  Routing adds no target
         # uses: CZ(0, 2) and CZ(2, 0) cost what the adjacent CZ(0, 1) does,
         # and the ten CZs of the ring and its diagonals cost 10 r with
-        # r = 15,414.
+        # r = 15,414.  Each CZ is 2 r + 1 flat ops, and each routing hop
+        # there and back adds 8 FSWAPs.
         target = nl(0.2, 0.1, 0.35)
         cases = []
-        for q0, q1 in ((0, 1), (0, 2), (2, 0)):
+        for (q0, q1), flat in (((0, 1), 2429), ((0, 2), 2437), ((2, 0), 2437)):
             logical = Circuit(3)
             logical.append(CZ, (q0, q1), name="cz")
-            cases.append((logical, 1214))
+            cases.append((logical, 1214, flat))
         ring = Circuit(4)
         for _ in range(2):
             for q0, q1 in ((0, 1), (1, 2), (2, 3), (3, 0)):
                 ring.append(CZ, (q0, q1), name="cz")
         ring.append(CZ, (0, 2), name="cz")
         ring.append(CZ, (1, 3), name="cz")
-        cases.append((ring, 154_140))
-        for logical, uses in cases:
+        cases.append((ring, 154_140, 308_338))
+        for logical, uses, flat in cases:
             comp = compile_circuit(logical, target, 1e-6)
             assert comp.target_uses == uses
+            assert comp.physical.flat_count() == flat
             rep = verify(comp, logical)
             assert rep.mode == "exact"
             assert rep.fidelity >= 1 - 1e-6
             assert rep.leakage <= 1e-9
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_fused_schedule_matches_the_reference_blocks(self, r, monkeypatch):
+        # Oracle: r of the paper's reference blocks on the stripped core, then
+        # the two G(Rz(chi), Rz(chi)) corrections, against the R, T,
+        # (W, T)^(r-1), L' that compile_circuit emits for one adjacent CZ.
+        plan_entangler = matchgates.compiler.plan_entangler
+        monkeypatch.setattr(
+            matchgates.compiler,
+            "plan_entangler",
+            lambda *args, **kwargs: dataclasses.replace(plan_entangler(*args, **kwargs), repetitions=r),
+        )
+        rng = np.random.default_rng(110 + r)
+        v = isometry(Encoding(2))
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        schedule = [(("g_enter",), 1), (("target",), 1)]
+        schedule += [(("g_link", "target"), r - 1)] if r > 1 else []
+        schedule += [(("g_leave",), 1)]
+        for _ in range(4):
+            target = random_nonmatchgate_pp(rng)
+            comp = compile_circuit(logical, target, 1e-6)
+            assert [(tuple(op.name for op in ops), count) for ops, count in comp.physical.walk()] == schedule
+            assert comp.physical.flat_count() == 2 * r + 1 and comp.target_uses == r
+            strip = strip_z_rotations(target)
+            block, _ = build_entangler_block(strip.core, (1, 2))
+            reference = Circuit(4, ops=block * r)
+            for chi, pair in zip(comp.plan.local_corrections, ((0, 1), (2, 3))):
+                reference.append(build_pp(phase_rz(chi), phase_rz(chi)), pair)
+            want = np.exp(1j * r * strip.global_phase) * (v.conj().T @ circuit_unitary(reference) @ v)
+            u = circuit_unitary(comp.physical)
+            on_code = v.conj().T @ u @ v
+            assert np.max(np.abs(on_code - want)) <= 1e-12
+            assert np.linalg.norm(u @ v - v @ on_code, 2) <= 1e-12
 
 
 class TestVerify:
@@ -480,6 +521,18 @@ class TestVerify:
         comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (0, 1))
         bad = verify(comp, logical).fidelity
         assert good - bad > 1e-3
+
+    def test_fidelity_above_one_by_more_than_epsilon_fails(self):
+        # A fidelity past 1 is drift, not a better circuit: scaling the
+        # compiled circuit by 1 + 1e-4 reads about 1 + 2e-4.
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
+        comp.physical.append((1 + 1e-4) * np.eye(4), (0, 1))
+        rep = verify(comp, logical)
+        assert rep.fidelity == pytest.approx(1 + 2e-4, abs=1e-7)
+        assert rep.passed is False
+        assert verify(comp, logical, epsilon=3e-4).passed is True
 
     def test_ops_are_checked_only_when_asked(self, monkeypatch):
         # compile_circuit built its ops unitary, so its own verify skips the

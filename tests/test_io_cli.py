@@ -334,7 +334,8 @@ class TestCompileCommand:
 
     def test_failed_verification_exits_8_after_writing_its_output(self, runner, tmp_path):
         # r = 7138963 repetitions: the ZZ residual meets the angle budget, but
-        # the folded product drifts by about 2.5e-9 in fidelity, past epsilon.
+        # the folded product drifts the fidelity about 1e-9 away from 1, past
+        # epsilon.
         logical = write_logical_cz(tmp_path)
         out = str(tmp_path / "compiled.json")
         args = ["compile", "--input", logical, "--target", "NL(0,0,0.1)", "--epsilon", "4e-14", "--json"]
@@ -419,6 +420,28 @@ class TestSimulateCommand:
             assert result.exit_code == 0, result.output
             payloads.append(np.array(json.loads(result.output)[key]))
         assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-6
+
+    @pytest.mark.parametrize("backend,key", [("sv", "state"), ("ff", "z_expectations")])
+    def test_huge_three_qubit_repeat_matches_one_application(self, runner, tmp_path, backend, key):
+        # The body is an involution; sv folds it on its three qubits.
+        h = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
+        ghh = {"name": "g", "targets": [0, 1], "blocks": {"a": h, "b": h}}
+        body = [{"name": "fswap", "targets": t} for t in ([0, 1], [1, 2], [0, 1])]
+        payloads = []
+        for gates in ([ghh, *body], [ghh, {"repeat": 10**9 + 1, "gates": body}]):
+            doc = {"format_version": 1, "qubits": 3, "gates": gates}
+            path = write_doc(tmp_path, doc, name=f"{len(gates)}.json")
+            result = runner.invoke(main, ["simulate", "--input", path, "--backend", backend, "--json"])
+            assert result.exit_code == 0, result.output
+            payloads.append(np.array(json.loads(result.output)[key]))
+        assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-6
+
+    def test_sv_refuses_a_wide_repeat_past_the_expansion_cap(self, runner, tmp_path):
+        body = [{"name": "h", "targets": [q]} for q in range(7)]
+        doc = {"format_version": 1, "qubits": 7, "gates": [{"repeat": 10**9, "gates": body}]}
+        result = runner.invoke(main, ["simulate", "--input", write_doc(tmp_path, doc), "--backend", "sv"])
+        assert result.exit_code == 5
+        assert "entry 0 repeats 7 op(s) on 7 qubits 1000000000 times" in result.output
 
     @pytest.mark.parametrize("gate", [{"name": "z"}, {"name": "s"}, {"name": "rz", "params": [0.7]}])
     @pytest.mark.parametrize("initial", ["0", "1"])

@@ -164,7 +164,7 @@ def test_compiled_document_has_one_line_per_top_level_gate_entry(tmp_path):
     out = tmp_path / "physical.json"
     result = CliRunner().invoke(
         main,
-        ["compile", "--input", str(tmp_path / "logical.json"), "--target", "SWAP",
+        ["compile", "--input", str(tmp_path / "logical.json"), "--target", "NL(0.2, 0.1, 0.35)",
          "--skip-verify", "--out", str(out)],
     )
     assert result.exit_code == 0, result.output

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from matchgates.circuits import Circuit, CircuitOp
+from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
 from matchgates.errors import BadTargets, NonUnitaryInput, TooLarge
 from matchgates.gates import H, I2, X, build_pp, gate_library, kron
 from matchgates.statevector import (
+    EXPANSION_CAP,
+    FOLD_QUBIT_CAP,
     StateVector,
     apply,
     circuit_unitary,
@@ -183,6 +185,38 @@ class TestRepeatGroups:
         flat = Circuit(4, ops=body_circ.ops * 7)
         assert_allclose(circuit_unitary(seg), circuit_unitary(flat), atol=1e-12)
         assert_allclose(run(seg, 6).amps, run(flat, 6).amps, atol=1e-12)
+
+    @pytest.mark.parametrize("width", range(3, FOLD_QUBIT_CAP + 1))
+    def test_body_on_up_to_six_qubits_folds_like_its_expansion(self, width):
+        rng = np.random.default_rng(48 + width)
+        body = [CircuitOp(haar_unitary(rng, 4), (q + 1, q)) for q in range(width - 1)]
+        body.append(CircuitOp(haar_unitary(rng, 2), (width - 1,)))
+        seg = Circuit(width + 1)
+        seg.append_segment(body, 7)
+        flat = Circuit(width + 1, ops=body * 7)
+        assert_allclose(circuit_unitary(seg), circuit_unitary(flat), atol=1e-12)
+
+    def test_three_qubit_body_at_a_billion_repetitions(self):
+        # FSWAP(0,1) FSWAP(1,2) FSWAP(0,1) is an involution, so 10**9 + 1
+        # repetitions equal one; expanded, they would take hours.
+        fswap = gate_library("FSWAP")
+        body = [CircuitOp(fswap, (0, 1)), CircuitOp(fswap, (1, 2)), CircuitOp(fswap, (0, 1))]
+        prefix = random_matchgate_circuit(np.random.default_rng(53), 4, 6)
+        once = Circuit(4, ops=list(prefix.ops) + body)
+        folded = Circuit(4, ops=list(prefix.ops))
+        folded.append_segment(body, 10**9 + 1)
+        assert np.max(np.abs(run(folded, 5).amps - run(once, 5).amps)) < 1e-6
+
+    def test_wider_group_expands_up_to_the_cap_and_is_refused_past_it(self):
+        body = tuple(CircuitOp(H, (q,)) for q in range(FOLD_QUBIT_CAP + 1))
+        circ = Circuit(FOLD_QUBIT_CAP + 1)
+        circ.append(X, (0,))
+        circ.append_segment(body, 2)
+        assert_allclose(run(circ, 0).amps, run(Circuit(circ.n, ops=circ.ops[:1]), 0).amps, atol=1e-12)
+        count = EXPANSION_CAP // len(body) + 1
+        circ.ops[1] = RepeatedSegment(body, count)
+        with pytest.raises(TooLarge, match=rf"^entry 1 repeats 7 op\(s\) on 7 qubits {count} times"):
+            run(circ, 0)
 
     def test_non_unitary_op_in_group_names_entry_and_position(self):
         circ = Circuit(2)
