@@ -34,11 +34,11 @@ from .errors import (
     NotParityPreserving,
 )
 from .gates import (
-    DEFAULT_TOL,
     Mat2,
     Mat4,
     PAULIS,
-    ToleranceConfig,
+    TOL_CLASSIFY,
+    TOL_UNITARY,
     build_pp,
     det2,
     extract_blocks,
@@ -136,16 +136,16 @@ class KAKResult:
         )
 
 
-def classify(u: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> Classification:
+def classify(u: Mat4) -> Classification:
     """Parity-preserving / matchgate classification of a two-qubit unitary.
 
-    Matchgate test is |det(A) - det(B)| <= tol_classify, which is invariant
+    Matchgate test is |det(A) - det(B)| <= TOL_CLASSIFY, which is invariant
     under a global phase (both determinants scale by e^{2i phi}).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise NonUnitaryInput("classify expects a 4x4 unitary")
-    unitary, pp, matchgate = (flags[0] for flags in classify_stack(u[None], tol))
+    unitary, pp, matchgate = (flags[0] for flags in classify_stack(u[None]))
     if not unitary:
         raise NonUnitaryInput("classify expects a 4x4 unitary")
     if not pp:
@@ -154,20 +154,18 @@ def classify(u: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> Classification:
     return Classification(True, True, bool(matchgate), (a, b), det2(a) / det2(b))
 
 
-def classify_stack(
-    u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classify_stack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tests of :func:`classify` over an (N, 4, 4) stack of gates.
 
     Returns boolean arrays (unitary, parity-preserving, matchgate) of shape
     (N,); each flag implies the one before it.  ``classify`` is the N = 1
     case, so a gate gets the same verdict alone or in a stack.
     """
-    unitary = unitarity_defect(u) <= tol.tol_unitary
-    pp = unitary & (off_block_weight(u) <= tol.tol_classify)
+    unitary = unitarity_defect(u) <= TOL_UNITARY
+    pp = unitary & (off_block_weight(u) <= TOL_CLASSIFY)
     det_a = u[:, 0, 0] * u[:, 3, 3] - u[:, 0, 3] * u[:, 3, 0]
     det_b = u[:, 1, 1] * u[:, 2, 2] - u[:, 1, 2] * u[:, 2, 1]
-    return unitary, pp, pp & (np.abs(det_a - det_b) <= tol.tol_classify)
+    return unitary, pp, pp & (np.abs(det_a - det_b) <= TOL_CLASSIFY)
 
 
 def _su2_angles(m0: Mat2, eps: float) -> tuple[float, float, float, list[str], list[str]]:
@@ -188,13 +186,13 @@ def _su2_angles(m0: Mat2, eps: float) -> tuple[float, float, float, list[str], l
     return t, p, q, diag_names, off_names
 
 
-def pp_params(u: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> PPParams:
+def pp_params(u: Mat4) -> PPParams:
     """Extract {theta, alpha, gamma, phi, mu, nu, beta} from a P.P. gate."""
-    cls = classify(u, tol)
+    cls = classify(u)
     if not cls.is_pp:
         raise NotParityPreserving(
             f"off-block weight {off_block_weight(np.asarray(u)):.3e} exceeds "
-            f"{tol.tol_classify:g}"
+            f"{TOL_CLASSIFY:g}"
         )
     a, b = cls.blocks
     det_a = det2(a)
@@ -207,7 +205,7 @@ def pp_params(u: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> PPParams:
     a0 = a * np.exp(-1j * (beta + delta))
     b0 = b * np.exp(-1j * (-beta + delta))
 
-    eps = 10.0 * tol.tol_classify
+    eps = 10.0 * TOL_CLASSIFY
     theta, alpha, mu, d1, o1 = _su2_angles(a0, eps)
     phi, gamma, nu, d2, o2 = _su2_angles(b0, eps)
     degenerate = tuple(
@@ -263,11 +261,12 @@ def nonlocal_from_pp(p: PPParams) -> NonlocalTriple:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
+def _cluster_indices(values: np.ndarray) -> list[list[int]]:
+    """Groups of indices of sorted ``values`` whose neighbours lie within 1e-8."""
     order = np.argsort(values)
     clusters: list[list[int]] = [[int(order[0])]]
     for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] <= tol:
+        if values[idx] - values[clusters[-1][-1]] <= 1e-8:
             clusters[-1].append(int(idx))
         else:
             clusters.append([int(idx)])
@@ -291,7 +290,7 @@ def _simultaneous_diagonalize(s: Mat4) -> np.ndarray:
         first = math.cos(t) * s_re + math.sin(t) * s_im
         second = -math.sin(t) * s_re + math.cos(t) * s_im
         w, p = np.linalg.eigh(first)
-        for cluster in _cluster_indices(w, 1e-8):
+        for cluster in _cluster_indices(w):
             if len(cluster) > 1:
                 sub = p[:, cluster].T @ second @ p[:, cluster]
                 _, q = np.linalg.eigh((sub + sub.T) / 2)
@@ -326,7 +325,7 @@ def _kron_factor(k: Mat4) -> tuple[complex, Mat2, Mat2]:
     return complex(g), f1, f2
 
 
-def kak(u: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> KAKResult:
+def kak(u: Mat4) -> KAKResult:
     """Cartan decomposition via magic-basis diagonalization of U^T U.
 
     The returned core is canonicalized componentwise into [0, pi/2); the
@@ -334,7 +333,7 @@ def kak(u: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> KAKResult:
     ``KAKResult.reconstruct()`` reproduces the input to ~1e-10.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or not is_unitary(u, tol.tol_unitary):
+    if u.shape != (4, 4) or not is_unitary(u):
         raise NonUnitaryInput("kak expects a 4x4 unitary")
 
     phase = cmath.phase(complex(np.linalg.det(u))) / 4.0
@@ -420,12 +419,7 @@ def entangling_power_closed(t: NonlocalTriple | tuple[float, float, float]) -> f
 MC_RESCALE = 4.5
 
 
-def entangling_power_mc(
-    u: Mat4,
-    samples: int,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def entangling_power_mc(u: Mat4, samples: int, seed: int) -> float:
     """Monte-Carlo entangling power over Haar-random product states.
 
     Averages the linear entropy 1 - tr(rho_A^2) of U|psi1>|psi2> and rescales
@@ -435,7 +429,7 @@ def entangling_power_mc(
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise BadSampleCount(f"samples must be a positive integer, got {samples!r}")
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol.tol_unitary):
+    if not is_unitary(u):
         raise NonUnitaryInput("entangling_power_mc expects a unitary")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -451,9 +445,7 @@ def entangling_power_mc(
     return MC_RESCALE * float(np.sum(1.0 - purity)) / samples
 
 
-def makhlin_invariants(
-    u: Mat4, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[complex, float]:
+def makhlin_invariants(u: Mat4) -> tuple[complex, float]:
     """Makhlin local invariants (G1, G2) computed in the magic basis.
 
     Two gates are locally equivalent iff both invariants agree.  The input is
@@ -461,7 +453,7 @@ def makhlin_invariants(
     invariants.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or not is_unitary(u, tol.tol_unitary):
+    if u.shape != (4, 4) or not is_unitary(u):
         raise NonUnitaryInput("makhlin_invariants expects a 4x4 unitary")
     u_su = u * np.exp(-1j * cmath.phase(complex(np.linalg.det(u))) / 4.0)
     m = _MAGIC_DAG @ u_su @ MAGIC

@@ -14,6 +14,9 @@ Exit codes are a stable contract:
     8  verification failed (fidelity more than epsilon from 1 in ``mgc verify``, or
        in ``mgc compile`` without --skip-verify; the summary and --out are
        still written)
+
+The unitarity and classification thresholds are fixed at 1e-9
+(``gates.TOL_UNITARY`` and ``gates.TOL_CLASSIFY``); no option changes them.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .errors import (
     UnsupportedLogicalGate,
 )
 from .fermion import run_covariance, sample_covariance
-from .gates import DEFAULT_TOL, ToleranceConfig
 from .io import (
     dumps_document,
     emit_circuit_document,
@@ -122,20 +124,17 @@ def main():
 @click.option("--gate", required=True, help="Gate spec: name, NAME(args), or JSON file.")
 @click.option("--mc-samples", default=0, show_default=True, help="Monte-Carlo samples for the entangling-power estimator (0 = skip).")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol-unitary", default=DEFAULT_TOL.tol_unitary, show_default=True)
-@click.option("--tol-classify", default=DEFAULT_TOL.tol_classify, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @_exit_codes
-def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
+def analyze(gate, mc_samples, seed, as_json):
     """Classify a two-qubit gate and report its nonlocal parameters."""
-    tol = ToleranceConfig(tol_unitary, tol_classify)
     u = parse_gate_spec(gate)
     if u.shape != (4, 4):
         raise ParseError("analyze expects a two-qubit gate")
-    cls = classify(u, tol)
-    dec = kak(u, tol)
+    cls = classify(u)
+    dec = kak(u)
     core = dec.core
-    g1, g2 = makhlin_invariants(u, tol)
+    g1, g2 = makhlin_invariants(u)
     report = {
         "gate": gate,
         "is_unitary": cls.is_unitary,
@@ -147,7 +146,7 @@ def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
     }
     if cls.is_pp:
         report["det_ratio"] = [cls.det_ratio.real, cls.det_ratio.imag]
-        p = pp_params(u, tol)
+        p = pp_params(u)
         report["pp_params"] = {
             "theta": p.theta,
             "alpha": p.alpha,
@@ -160,9 +159,7 @@ def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
         t = nonlocal_from_pp(p)
         report["pp_nonlocal_triple"] = {"a": t.a, "b": t.b, "c": t.c}
     if mc_samples:
-        report["entangling_power_mc"] = entangling_power_mc(
-            u, mc_samples, seed, tol=tol
-        )
+        report["entangling_power_mc"] = entangling_power_mc(u, mc_samples, seed)
         report["mc_samples"] = mc_samples
         report["seed"] = seed
 
@@ -199,21 +196,18 @@ def analyze(gate, mc_samples, seed, tol_unitary, tol_classify, as_json):
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True), help="Logical circuit JSON.")
 @click.option("--target", required=True, help="Target gate spec.")
 @click.option("--epsilon", default=1e-6, show_default=True, help="Encoded-subspace infidelity budget.")
-@click.option("--r-max", default=DEFAULT_R_MAX, show_default=True, help="Repetition search cap.")
+@click.option("--r-max", type=click.IntRange(min=1), default=DEFAULT_R_MAX, show_default=True, help="Repetition search cap.")
 @click.option("--out", type=click.Path(), help="Write the compiled circuit JSON here.")
 @click.option("--skip-verify", is_flag=True, help="Skip the verification summary.")
-@click.option("--tol-unitary", default=DEFAULT_TOL.tol_unitary, show_default=True)
-@click.option("--tol-classify", default=DEFAULT_TOL.tol_classify, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @_exit_codes
-def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, tol_unitary, tol_classify, as_json):
+def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, as_json):
     """Compile a logical circuit into matchgates + the target gate."""
-    tol = ToleranceConfig(tol_unitary, tol_classify)
     logical = load_circuit(input_path)
     target_gate = parse_gate_spec(target)
     if target_gate.shape != (4, 4):
         raise ParseError("target must be a two-qubit gate")
-    compiled = compile_circuit(logical, target_gate, epsilon, r_max=r_max, tol=tol)
+    compiled = compile_circuit(logical, target_gate, epsilon, r_max=r_max)
     doc = None
     if out or as_json:
         meta = {
@@ -347,13 +341,7 @@ def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
             f"physical circuit has {physical.n} qubits; expected {2 * logical.n} "
             f"for {logical.n} logical qubits"
         )
-    compiled = CompiledCircuit(
-        physical=physical,
-        encoding=Encoding(logical.n),
-        plan=None,
-        target=None,
-        epsilon=epsilon,
-    )
+    compiled = CompiledCircuit(physical=physical, encoding=Encoding(logical.n), plan=None, epsilon=epsilon)
     report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed, check=True)
     payload = {
         "mode": report.mode,

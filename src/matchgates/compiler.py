@@ -65,11 +65,10 @@ from .errors import (
     UnsupportedLogicalGate,
 )
 from .gates import (
-    DEFAULT_TOL,
     H,
     Mat2,
     Mat4,
-    ToleranceConfig,
+    TOL_CLASSIFY,
     X,
     Z,
     assemble_pp,
@@ -141,10 +140,10 @@ class StripResult:
         )
 
 
-def strip_z_rotations(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> StripResult:
+def strip_z_rotations(g: Mat4) -> StripResult:
     """Peel the outer Z-rotation matchgates off a P.P. gate, leaving the
     bare nonlocal core."""
-    p = pp_params(g, tol)
+    p = pp_params(g)
     core = nonlocal_from_pp(p)
     result = StripResult(
         core=core,
@@ -170,25 +169,23 @@ def effective_diagonal(core: NonlocalTriple, extra_phase: float = 0.0) -> Mat4:
     return np.diag(np.exp(1j * effective_diagonal_phases(core, extra_phase)))
 
 
-def logical_single_qubit(
-    a: Mat2, logical: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[CircuitOp]:
+def logical_single_qubit(a: Mat2, logical: int) -> list[CircuitOp]:
     """G(A, A) on the logical qubit's physical pair acts as A on the code."""
-    if not is_unitary(np.asarray(a, dtype=complex), tol.tol_unitary):
+    if not is_unitary(np.asarray(a, dtype=complex)):
         raise NonUnitaryInput("logical single-qubit gate must be unitary")
     pair = (2 * logical, 2 * logical + 1)
     return [CircuitOp(assemble_pp(a, a), pair, name="g_aa")]
 
 
-def build_entangler_block(
-    core: NonlocalTriple, pair: tuple[int, int] = (1, 2)
-) -> tuple[list[CircuitOp], Mat4]:
-    """The paper's reference entangler block on ``pair``, with the nonlocal
-    core tagged as the target, and its effective logical diagonal.
+def build_entangler_block(core: NonlocalTriple) -> tuple[list[CircuitOp], Mat4]:
+    """The paper's reference entangler block on the middle pair (1, 2) of two
+    logical qubits, with the nonlocal core tagged as the target, and its
+    effective logical diagonal.
 
     The compiler does not emit it: it fuses the matchgates between target
     uses of r such blocks (see the module docstring).
     """
+    pair = (1, 2)
     ghh = CircuitOp(assemble_pp(H, H), pair, name="g_hh")
     gxx = CircuitOp(assemble_pp(X, X), pair, name="g_xx")
     core_op = CircuitOp(nl(*core.as_tuple()), pair, name="nl", tag="target")
@@ -210,7 +207,6 @@ def plan_entangler(
     core: NonlocalTriple,
     epsilon: float,
     r_max: int = DEFAULT_R_MAX,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> EntanglerPlan:
     """Choose the minimal r with r*c_eff mod pi/2 within ``epsilon`` of pi/4.
 
@@ -222,7 +218,7 @@ def plan_entangler(
         raise ValueError("epsilon must be positive")
     phases = effective_diagonal_phases(core)
     c_eff = _wrap((phases[0] - phases[1] - phases[2] + phases[3]) / 4.0, _HALF_PI)
-    if abs(c_eff) <= tol.tol_classify:
+    if abs(c_eff) <= TOL_CLASSIFY:
         raise TargetIsMatchgate(
             "effective ZZ strength is 0: the gate is a matchgate (det A = det B) "
             "and its entangler block creates no logical entanglement"
@@ -282,7 +278,8 @@ _TWO_QUBIT_NAMES = {"cz": "cz", "cnot": "cnot", "cx": "cnot", "swap": "swap"}
 
 
 def _two_qubit_kind(op: CircuitOp) -> str:
-    if op.name is not None:
+    # The parser names 'matrix' and 'g' entries by their form, not their gate.
+    if op.name not in (None, "matrix", "g"):
         kind = _TWO_QUBIT_NAMES.get(op.name.lower())
         if kind is None:
             raise UnsupportedLogicalGate(
@@ -315,12 +312,12 @@ def _swap_ops(lo: int) -> list[CircuitOp]:
     return [CircuitOp(_FSWAP, (base + k, base + k + 1), name="g_fswap") for k in (1, 0, 2, 1)]
 
 
-def _rewrite_logical(logical: Circuit, tol: ToleranceConfig) -> list[_Primitive]:
+def _rewrite_logical(logical: Circuit) -> list[_Primitive]:
     prims: list[_Primitive] = []
 
     def add_1q(gate: Mat2, q: int, src: int):
         try:
-            prims.append(_Primitive("1q", (q,), logical_single_qubit(gate, q, tol), src))
+            prims.append(_Primitive("1q", (q,), logical_single_qubit(gate, q), src))
         except NonUnitaryInput:
             raise NonUnitaryInput(f"logical op {src} is not unitary") from None
 
@@ -362,7 +359,6 @@ class CompiledCircuit:
     physical: Circuit
     encoding: Encoding
     plan: EntanglerPlan | None
-    target: Mat4 | None
     epsilon: float
     provenance: list[dict] = field(default_factory=list)
 
@@ -403,7 +399,6 @@ def compile_circuit(
     target: Mat4,
     epsilon: float = 1e-6,
     r_max: int = DEFAULT_R_MAX,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CompiledCircuit:
     """Compile a logical circuit onto the pair encoding.
 
@@ -422,7 +417,7 @@ def compile_circuit(
         raise TooLarge(f"logical qubit count capped at {LOGICAL_QUBIT_CAP}")
     _check_flat_count(logical)
     target = np.asarray(target, dtype=complex)
-    cls = classify(target, tol)
+    cls = classify(target)
     if not cls.is_pp:
         raise TargetNotPP("target gate is not parity-preserving")
     if cls.is_matchgate:
@@ -431,14 +426,14 @@ def compile_circuit(
             "cannot extend matchgate circuits to universality"
         )
 
-    strip = strip_z_rotations(target, tol)
-    prims = _rewrite_logical(logical, tol)
+    strip = strip_z_rotations(target)
+    prims = _rewrite_logical(logical)
     n_cz = sum(1 for p in prims if p.kind == "cz")
 
     plan = None
     if n_cz:
         eps_angle = max(min(math.sqrt(epsilon) / (2.0 * n_cz), _QUARTER_PI / 2), 1e-13)
-        plan = plan_entangler(strip.core, eps_angle, r_max=r_max, tol=tol)
+        plan = plan_entangler(strip.core, eps_angle, r_max=r_max)
         (t1, t2), (t3, t4) = strip.left, strip.right
         sl = assemble_pp(phase_rz(-t1), phase_rz(-t2))
         sr = assemble_pp(phase_rz(-t3), phase_rz(-t4))
@@ -480,7 +475,6 @@ def compile_circuit(
         physical=phys,
         encoding=enc,
         plan=plan,
-        target=target,
         epsilon=epsilon,
         provenance=provenance,
     )
@@ -542,12 +536,14 @@ def verify(
             f"compiled circuit encodes {enc.logical_count} logical qubits, "
             f"logical circuit has {logical.n}"
         )
-    cap, dim = 4**UNITARY_QUBIT_CAP, 2**enc.physical_count
-    if dim > cap:
+    # Qubit counts are compared before any 2**n: at thousands of qubits the
+    # amplitude count alone has thousands of digits.
+    if logical.n > UNITARY_QUBIT_CAP:
         raise TooLarge(
-            f"verifying {logical.n} logical qubits needs {dim} amplitudes per state, "
-            f"over the cap of {cap}; compile with --skip-verify"
+            f"verifying {logical.n} logical qubits needs 4^{logical.n} amplitudes per state, "
+            f"over the cap of 4^{UNITARY_QUBIT_CAP}; compile with --skip-verify"
         )
+    cap, dim = 4**UNITARY_QUBIT_CAP, 2**enc.physical_count
     code_rows = [enc.encode_index(x) for x in range(2**logical.n)]
 
     def encode(psi: np.ndarray) -> np.ndarray:

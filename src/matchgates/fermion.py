@@ -51,7 +51,7 @@ from .errors import (
     NotMatchgate,
     TooLarge,
 )
-from .gates import DEFAULT_TOL, I2, PAULIS, Mat2, Mat4, ToleranceConfig, X, Y, Z, det2, kron
+from .gates import I2, PAULIS, Mat2, Mat4, X, Y, Z, det2, kron
 
 # Probability below which a measurement outcome is treated as impossible.
 PROB_FLOOR = 1e-12
@@ -116,9 +116,9 @@ def _pauli_coeffs(h: Mat2) -> tuple[float, float, float]:
     )
 
 
-def _require_matchgate(g: Mat4, tol: ToleranceConfig) -> Classification:
+def _require_matchgate(g: Mat4) -> Classification:
     """``classify(g)``, raising NotMatchgate unless g is a matchgate."""
-    cls = classify(g, tol)
+    cls = classify(g)
     if not cls.is_pp:
         raise NotMatchgate("gate is not parity-preserving, hence not a matchgate")
     if not cls.is_matchgate:
@@ -129,10 +129,10 @@ def _require_matchgate(g: Mat4, tol: ToleranceConfig) -> Classification:
     return cls
 
 
-def matchgate_generator_coefficients(g: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
+def matchgate_generator_coefficients(g: Mat4) -> dict[str, float]:
     """Coefficients of a matchgate's Hamiltonian on the six quadratic
     generators {XX, YY, XY, YX, ZI, IZ}, via per-block su(2) logarithms."""
-    a, b = _require_matchgate(g, tol).blocks
+    a, b = _require_matchgate(g).blocks
     # One global phase for both blocks: halving each determinant's phase
     # alone can pick opposite branches at det = -1, an error of Z x Z.
     pa = cmath.phase(det2(a)) / 2.0
@@ -186,7 +186,7 @@ def matchgate_to_rotation(g: Mat4, site: int, n: int) -> MajoranaRotation:
     """SO(4) Majorana rotation of a matchgate acting on qubits (site, site+1)."""
     if not 0 <= site < n - 1:
         raise BadTargets(f"site {site} has no right neighbor in n={n}")
-    _require_matchgate(g, DEFAULT_TOL)
+    _require_matchgate(g)
     block = _conjugation_block(np.asarray(g, dtype=complex)[None], _PAIR_KERNEL)[0]
     return MajoranaRotation(n=n, site=site, block=block)
 
@@ -254,14 +254,14 @@ def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
     checks[single] = np.einsum("kab,ij->kaibj", singles, I2).reshape(-1, 4, 4)
     checks[~single] = pairs
     checks[~nearest] = np.eye(4)
-    for k in np.flatnonzero(~(nearest & classify_stack(checks, DEFAULT_TOL)[2])):
+    for k in np.flatnonzero(~(nearest & classify_stack(checks)[2])):
         # The per-op check on the first failure, for its words.
         entry, position, body, count = chunk[k]
         name = describe_op(body, count, entry, position)
         if not nearest[k]:
             raise BackendRefusal(f"{name} is not nearest-neighbor")
         try:
-            _require_matchgate(checks[k], DEFAULT_TOL)
+            _require_matchgate(checks[k])
         except NonUnitaryInput as exc:
             raise NonUnitaryInput(f"{name} is not unitary: {exc}") from exc
         except NotMatchgate as exc:

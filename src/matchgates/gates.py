@@ -14,11 +14,20 @@ Conventions used throughout the package:
 
 * ``nl(a, b, c)`` is exp(i(a XX + b YY + c ZZ)), evaluated in closed form.
 * RX/RY/RZ use the standard half-angle convention exp(-i theta P / 2).
+
+Every check in the package reads one of two fixed thresholds:
+
+* ``TOL_UNITARY`` bounds max |U^dag U - I| of a gate or block accepted as
+  unitary;
+* ``TOL_CLASSIFY`` bounds the off-block weight of a parity-preserving gate,
+  |det A - det B| of a matchgate, and the effective ZZ strength below which
+  a compiler target cannot entangle.
+
+Neither is a setting: the matchgate/nonmatchgate decision is made in one
+place with one threshold.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +38,8 @@ Mat2 = np.ndarray
 Mat4 = np.ndarray
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds used by checks and classification."""
-
-    tol_unitary: float = 1e-9
-    tol_classify: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("tol_unitary", "tol_classify"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1e-2):
-                raise ValueError(f"{name} must lie in (0, 1e-2), got {v!r}")
-
-
-DEFAULT_TOL = ToleranceConfig()
+TOL_UNITARY = 1e-9
+TOL_CLASSIFY = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,23 +60,23 @@ def det2(m: Mat2) -> complex:
 
 def unitarity_defect(m: np.ndarray) -> np.ndarray:
     """max |m^dag m - I| of each matrix in a (..., d, d) stack.  It is NaN
-    where the product overflows, so test it as ``defect <= tol``."""
+    where the product overflows, so test it as ``defect <= TOL_UNITARY``."""
     d = m.shape[-1]
     prod = np.conj(np.swapaxes(m, -1, -2)) @ m
     return np.abs(prod - np.eye(d)).reshape(m.shape[:-2] + (d * d,)).max(axis=-1)
 
 
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL.tol_unitary) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(unitarity_defect(m) <= tol)
+    return bool(unitarity_defect(m) <= TOL_UNITARY)
 
 
-def _require_unitary(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _require_unitary(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if not is_unitary(m, tol):
-        raise NonUnitaryInput(f"{what} is not unitary within {tol:g}")
+    if not is_unitary(m):
+        raise NonUnitaryInput(f"{what} is not unitary within {TOL_UNITARY:g}")
     return m
 
 
@@ -104,10 +100,10 @@ def phase_rz(chi: float) -> Mat2:
     return np.array([[np.exp(1j * chi), 0], [0, np.exp(-1j * chi)]], dtype=complex)
 
 
-def build_pp(a: Mat2, b: Mat2, tol: ToleranceConfig = DEFAULT_TOL) -> Mat4:
+def build_pp(a: Mat2, b: Mat2) -> Mat4:
     """Assemble the parity-preserving gate G(A, B) from its unitary blocks."""
-    a = _require_unitary(a, tol.tol_unitary, "even block A")
-    b = _require_unitary(b, tol.tol_unitary, "odd block B")
+    a = _require_unitary(a, "even block A")
+    b = _require_unitary(b, "odd block B")
     return assemble_pp(a, b)
 
 

@@ -53,7 +53,7 @@ from .analysis import PPParams, reconstruct_pp
 from .circuits import Circuit, CircuitOp, RepeatedSegment
 from .errors import BadArity, BadTargets, MatchgatesError, ParseError, UnknownGate
 from .gates import (
-    DEFAULT_TOL,
+    TOL_UNITARY,
     assemble_pp,
     build_pp,
     extract_blocks,
@@ -283,7 +283,7 @@ def _check_g_blocks(items: list, ab: np.ndarray) -> None:
     """Refuse the first 'g' entry of ``items`` whose (a, b) in ``ab`` is not
     unitary, as build_pp words it; all are checked in one stacked call."""
     defects = unitarity_defect(ab)
-    for k in np.flatnonzero(~np.all(defects <= DEFAULT_TOL.tol_unitary, axis=1)):
+    for k in np.flatnonzero(~np.all(defects <= TOL_UNITARY, axis=1)):
         try:
             build_pp(ab[k, 0], ab[k, 1])
         except MatchgatesError as exc:

@@ -21,7 +21,7 @@ from .circuits import Circuit, describe_op
 from .errors import BadSampleCount, BadTargets, NonUnitaryInput, TooLarge
 from .gates import is_unitary
 
-DEFAULT_QUBIT_CAP = 20
+QUBIT_CAP = 20
 UNITARY_QUBIT_CAP = 12
 # A repetition group on at most FOLD_QUBIT_CAP qubits folds into one matrix
 # power; a wider one is expanded op by op, up to EXPANSION_CAP ops.
@@ -35,11 +35,11 @@ class StateVector:
     amps: np.ndarray
 
     @classmethod
-    def basis(cls, n: int, label: int | str = 0, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
+    def basis(cls, n: int, label: int | str = 0) -> "StateVector":
         """Computational basis state; ``label`` is an integer index or a
         bitstring like "0110" (qubit 0 first)."""
-        if n < 1 or n > cap:
-            raise TooLarge(f"n={n} outside supported range 1..{cap}")
+        if n < 1 or n > QUBIT_CAP:
+            raise TooLarge(f"n={n} outside supported range 1..{QUBIT_CAP}")
         if isinstance(label, str):
             if len(label) != n or set(label) - {"0", "1"}:
                 raise BadTargets(f"bad basis label {label!r} for n={n}")

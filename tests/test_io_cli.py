@@ -319,6 +319,32 @@ class TestCompileCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["repetitions"] == 699
 
+    @pytest.mark.parametrize("r_max", ["0", "-5"])
+    def test_r_max_below_one_is_a_usage_error(self, runner, tmp_path, r_max):
+        logical = write_logical_cz(tmp_path)
+        result = runner.invoke(main, ["compile", "--input", logical, "--target", "SWAP", "--r-max", r_max])
+        assert result.exit_code == 2, result.output
+        assert "--r-max" in result.output
+
+    @pytest.mark.parametrize("target", ["SWAP", "NL(0.2,0.1,0.35)"])
+    def test_cz_written_as_a_matrix_or_g_entry_compiles_as_named_cz(self, runner, tmp_path, target):
+        forms = [
+            {"name": "cz", "targets": [0, 2]},
+            {"name": "matrix", "targets": [0, 2], "matrix": matrix_out(gate_library("CZ"))},
+            g_entry([0, 2], a=np.diag([1, -1]), b=np.eye(2)),
+        ]
+        outputs = []
+        for k, entry in enumerate(forms):
+            doc = {"format_version": 1, "qubits": 3, "gates": [{"name": "h", "targets": [0]}, entry]}
+            path = write_doc(tmp_path, doc, f"cz{k}.json")
+            result = runner.invoke(main, ["compile", "--input", path, "--target", target, "--json"])
+            assert result.exit_code == 0, result.output
+            outputs.append(json.loads(result.output))
+        assert outputs[0]["verification"]["mode"] == "exact"
+        assert outputs[0]["verification"]["passed"] is True
+        assert outputs[0]["target_uses"] > 0
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_huge_logical_repeat_group_is_refused_quickly(self, runner, tmp_path):
         doc = {"format_version": 1, "qubits": 1,
                "gates": [{"repeat": 1_000_000, "gates": [{"name": "h", "targets": [0]}]}]}
@@ -646,6 +672,18 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("logical_qubits", [13, 8000])
+    def test_past_twelve_logical_qubits_is_too_large_in_a_short_message(self, runner, tmp_path, logical_qubits):
+        args = ["verify"]
+        for side, n in (("logical", logical_qubits), ("physical", 2 * logical_qubits)):
+            doc = {"format_version": 1, "qubits": n, "gates": []}
+            args += [f"--{side}", write_doc(tmp_path, doc, f"{side}.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 5, result.output
+        assert len(result.output) < 300
+        assert f"needs 4^{logical_qubits} amplitudes" in result.output
+        assert "--skip-verify" in result.output
+
 
 def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
@@ -717,6 +755,39 @@ class TestMalformedInputExitCodes:
         path = write_doc(tmp_path, one_gate_doc())
         result = runner.invoke(main, ["simulate", "--input", path, "--shots", "3", "--seed", "-1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("form", ["analyze blocks", "analyze matrix", "logical g", "logical matrix"])
+    def test_slightly_non_unitary_input_is_a_usage_error(self, runner, tmp_path, form):
+        # One entry is 1.0000001 instead of 1: 1e-7 past unitarity, over the fixed 1e-9.
+        one, zero, bad = [1.0, 0.0], [0.0, 0.0], [1.0000001, 0.0]
+        a, eye = [[bad, zero], [zero, one]], [[one, zero], [zero, one]]
+        command, entry = form.split()
+        if command == "analyze":
+            wide = [[one if i == j else zero for j in range(4)] for i in range(4)]
+            wide[0][0] = bad
+            doc = {"blocks": {"a": a, "b": eye}} if entry == "blocks" else {"matrix": wide}
+            args = ["analyze", "--gate", write_doc(tmp_path, doc)]
+        else:
+            gate = {"name": "g", "targets": [0, 1], "blocks": {"a": a, "b": eye}}
+            if entry == "matrix":
+                gate = {"name": "matrix", "targets": [1], "matrix": a}
+            doc = {"format_version": 1, "qubits": 2, "gates": [{"name": "cz", "targets": [0, 1]}, gate]}
+            args = ["compile", "--input", write_doc(tmp_path, doc), "--target", "SWAP"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error:") and "Traceback" not in result.output
+        assert "unitary" in result.output
+
+    @pytest.mark.parametrize("command", ["analyze", "compile"])
+    def test_tolerance_flags_are_unknown_options(self, runner, tmp_path, command):
+        args = ["analyze", "--gate", "CNOT"]
+        if command == "compile":
+            args = ["compile", "--input", write_logical_cz(tmp_path), "--target", "SWAP"]
+        for flag in ("--tol-unitary", "--tol-classify"):
+            result = runner.invoke(main, args + [flag, "1e-6"])
+            assert result.exit_code == 2
+            assert f"No such option '{flag}'" in result.output
 
     def test_spec_with_wrong_arity(self, runner):
         with pytest.raises(ParseError):

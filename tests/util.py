@@ -24,13 +24,13 @@ from matchgates.fermion import (
     matchgate_generator_coefficients,
 )
 from matchgates.gates import (
-    DEFAULT_TOL,
     I2,
     Mat4,
     X,
     Y,
     Z,
-    ToleranceConfig,
+    TOL_CLASSIFY,
+    TOL_UNITARY,
     _require_unitary,
     build_pp,
     det2,
@@ -249,7 +249,7 @@ def _oracle_check_g_blocks(g_blocks: list) -> None:
     if not g_blocks:
         return
     defects = unitarity_defect(np.array([(a, b) for _, a, b in g_blocks]))
-    for k in np.flatnonzero(~np.all(defects <= DEFAULT_TOL.tol_unitary, axis=1)):
+    for k in np.flatnonzero(~np.all(defects <= TOL_UNITARY, axis=1)):
         where, a, b = g_blocks[k]
         try:
             build_pp(a, b)
@@ -418,11 +418,11 @@ def measure_z(
     return outcome, CovarianceState(state.n, new)
 
 
-def pp_product(g1: Mat4, g2: Mat4, tol: ToleranceConfig = DEFAULT_TOL) -> Mat4:
+def pp_product(g1: Mat4, g2: Mat4) -> Mat4:
     """Product of two parity-preserving unitaries; blocks multiply blockwise."""
     for i, g in enumerate((g1, g2)):
-        g = _require_unitary(g, tol.tol_unitary, f"factor {i + 1}")
-        if off_block_weight(g) > tol.tol_classify:
+        g = _require_unitary(g, f"factor {i + 1}")
+        if off_block_weight(g) > TOL_CLASSIFY:
             raise NotParityPreserving(
                 f"factor {i + 1} has off-block weight {off_block_weight(g):.3e}"
             )
