@@ -147,7 +147,7 @@ def classify(u: Mat4) -> Classification:
         raise NonUnitaryInput("classify expects a 4x4 unitary")
     unitary, pp, matchgate = (flags[0] for flags in classify_stack(u[None]))
     if not unitary:
-        raise NonUnitaryInput("classify expects a 4x4 unitary")
+        raise NonUnitaryInput(f"gate is not unitary within {TOL_UNITARY:g}")
     if not pp:
         return Classification(True, False, False)
     a, b = extract_blocks(u)

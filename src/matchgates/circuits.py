@@ -6,7 +6,7 @@ short op body repeated ``count`` times, which keeps compiled circuits with
 thousands of identical entangler blocks compact.  Consumers read a circuit
 through :meth:`Circuit.walk`, one ``(ops, count)`` per top-level entry, and
 fold each group once in their own representation.  :meth:`Circuit.flat`
-expands groups; only the compiler's logical rewrite needs that.
+expands groups; no package module needs that, only op-by-op references.
 """
 
 from __future__ import annotations

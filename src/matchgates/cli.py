@@ -322,6 +322,14 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
                     click.echo(f"|{format(i, f'0{circuit.n}b')}>  {re:+.9f}{im:+.9f}i")
 
 
+def _load_side(path: str, side: str):
+    """``load_circuit``, with a refusal prefixed by the document's side."""
+    try:
+        return load_circuit(path)
+    except MatchgatesError as exc:
+        raise type(exc)(f"{side} circuit: {exc}") from exc
+
+
 @main.command()
 @click.option("--logical", "logical_path", required=True, type=click.Path(exists=True))
 @click.option("--physical", "physical_path", required=True, type=click.Path(exists=True))
@@ -334,8 +342,8 @@ def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
     """Check a physical circuit against a logical one under the pair encoding:
     exactly up to 8 logical qubits, on random states up to 12."""
     check_epsilon(epsilon)
-    logical = load_circuit(logical_path)
-    physical = load_circuit(physical_path)
+    logical = _load_side(logical_path, "logical")
+    physical = _load_side(physical_path, "physical")
     if physical.n != 2 * logical.n:
         raise ParseError(
             f"physical circuit has {physical.n} qubits; expected {2 * logical.n} "

@@ -38,6 +38,10 @@ qubit next to the lower one by such SWAPs, acts, and moves it back; every
 logical CZ or CNOT therefore costs one entangler schedule whatever its
 distance, and every SWAP costs none.
 
+Each body op of a logical repeat group is lowered once, to spans (kind,
+logical qubits, physical ops), and appended once per repetition with one
+provenance entry per span.
+
 Error budget: each logical CZ or CNOT contributes a residual
 exp(i delta ZZ) with |delta| <= eps_angle, and the FSWAP routing adds none.
 The generators are traceless, so residuals enter the process fidelity only
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import NonlocalTriple, classify, nonlocal_from_pp, pp_params
-from .circuits import Circuit, CircuitOp
+from .circuits import Circuit, CircuitOp, RepeatedSegment, describe_op
 from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
@@ -83,8 +87,8 @@ from .statevector import UNITARY_QUBIT_CAP, propagate
 # strengths can need millions.
 DEFAULT_R_MAX = 10_000_000
 LOGICAL_QUBIT_CAP = 16
-# Logical ops, with repeat groups expanded, that one compile rewrites; the
-# rewrite walks every expanded op (about 0.1 ms each).
+# Logical ops, with repeat groups expanded, that one compile writes out; the
+# lowered body of a group is appended once per repetition.
 LOGICAL_FLAT_OP_CAP = 100_000
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
@@ -271,36 +275,43 @@ def plan_entangler(
 
 
 # ---------------------------------------------------------------------------
-# Logical-circuit rewriting and lowering
+# Logical-circuit lowering
 # ---------------------------------------------------------------------------
 
 _TWO_QUBIT_NAMES = {"cz": "cz", "cnot": "cnot", "cx": "cnot", "swap": "swap"}
 
 
-def _two_qubit_kind(op: CircuitOp) -> str:
+def _two_qubit_kind(op: CircuitOp, where: str) -> str:
     # The parser names 'matrix' and 'g' entries by their form, not their gate.
     if op.name not in (None, "matrix", "g"):
         kind = _TWO_QUBIT_NAMES.get(op.name.lower())
         if kind is None:
-            raise UnsupportedLogicalGate(
-                f"logical two-qubit gate {op.name!r} not in {{CZ, CNOT, SWAP}}"
-            )
+            raise UnsupportedLogicalGate(f"{where} is not in {{CZ, CNOT, SWAP}}")
         return kind
     for kind, name in (("cz", "CZ"), ("cnot", "CNOT"), ("swap", "SWAP")):
         if np.max(np.abs(op.gate - gate_library(name))) <= 1e-9:
             return kind
     raise UnsupportedLogicalGate(
-        "unnamed logical two-qubit gate does not match CZ, CNOT, or SWAP; "
+        f"{where} does not match CZ, CNOT, or SWAP; "
         "decomposing arbitrary two-qubit unitaries is out of scope"
     )
 
 
-@dataclass(frozen=True)
-class _Primitive:
-    kind: str  # "1q" | "swap" | "cz"
-    qubits: tuple[int, ...]
-    ops: list[CircuitOp]  # the physical ops of a "1q" or "swap" primitive
-    source: int  # index of the originating logical op
+def _check_logical(logical: Circuit) -> list[tuple[tuple[CircuitOp, ...], int, list[str]]]:
+    """Each walk entry (ops, count) with the kind ("1q", "cz", "cnot" or
+    "swap") of each of its ops.  An op that is not unitary, or a two-qubit
+    op other than CZ, CNOT or SWAP, is refused by its :func:`describe_op`
+    name."""
+    checked = []
+    for i, (ops, count) in enumerate(logical.walk()):
+        kinds = []
+        for j, op in enumerate(ops):
+            where = f"logical circuit: {describe_op(ops, count, i, j)}"
+            if not is_unitary(op.gate):
+                raise NonUnitaryInput(f"{where} is not unitary")
+            kinds.append("1q" if len(op.targets) == 1 else _two_qubit_kind(op, where))
+        checked.append((ops, count, kinds))
+    return checked
 
 
 _FSWAP = assemble_pp(Z, X)
@@ -312,46 +323,23 @@ def _swap_ops(lo: int) -> list[CircuitOp]:
     return [CircuitOp(_FSWAP, (base + k, base + k + 1), name="g_fswap") for k in (1, 0, 2, 1)]
 
 
-def _rewrite_logical(logical: Circuit) -> list[_Primitive]:
-    prims: list[_Primitive] = []
-
-    def add_1q(gate: Mat2, q: int, src: int):
-        try:
-            prims.append(_Primitive("1q", (q,), logical_single_qubit(gate, q), src))
-        except NonUnitaryInput:
-            raise NonUnitaryInput(f"logical op {src} is not unitary") from None
-
-    def add_swap(lo: int, src: int):
-        prims.append(_Primitive("swap", (lo, lo + 1), _swap_ops(lo), src))
-
-    def add_cz(lo: int, src: int):
-        prims.append(_Primitive("cz", (lo, lo + 1), [], src))
-
-    def routed(act, q0: int, q1: int, src: int):
-        """Move the higher qubit next to the lower one, act, move it back."""
-        lo, hi = sorted((q0, q1))
-        chain = range(hi - 1, lo, -1)
-        for k in chain:
-            add_swap(k, src)
-        act(lo, src)
-        for k in reversed(chain):
-            add_swap(k, src)
-
-    for idx, op in enumerate(logical.flat()):
-        if len(op.targets) == 1:
-            add_1q(op.gate, op.targets[0], idx)
-            continue
-        kind = _two_qubit_kind(op)
-        q0, q1 = op.targets
-        if kind == "swap":
-            routed(add_swap, q0, q1, idx)
-        elif kind == "cz":
-            routed(add_cz, q0, q1, idx)
-        else:
-            add_1q(H, q1, idx)
-            routed(add_cz, q0, q1, idx)
-            add_1q(H, q1, idx)
-    return prims
+def _lower(kind: str, op: CircuitOp, cz) -> list[tuple[str, tuple[int, ...], list]]:
+    """Spans (kind, logical qubits, physical entries) of one checked logical
+    op.  A one-qubit gate A is G(A, A).  A CZ, CNOT or SWAP is the FSWAP
+    chain that moves the higher qubit next to the lower one, the act, and
+    the chain back; the act of a CZ or CNOT is ``cz(lo)``, and a CNOT is
+    wrapped in H on its second qubit."""
+    if kind == "1q":
+        pair = (2 * op.targets[0], 2 * op.targets[0] + 1)
+        return [("1q", op.targets, [CircuitOp(assemble_pp(op.gate, op.gate), pair, name="g_aa")])]
+    lo, hi = sorted(op.targets)
+    chain = [("swap", (k, k + 1), _swap_ops(k)) for k in range(hi - 1, lo, -1)]
+    act = ("swap", (lo, lo + 1), _swap_ops(lo)) if kind == "swap" else ("cz", (lo, lo + 1), cz(lo))
+    spans = [*chain, act, *reversed(chain)]
+    if kind == "cnot":
+        (h,) = _lower("1q", CircuitOp(H, op.targets[1:]), cz)
+        spans = [h, *spans, h]
+    return spans
 
 
 @dataclass
@@ -407,10 +395,14 @@ def compile_circuit(
     Each logical CZ becomes R, T, a repeat group (W, T) of count r - 1 (left
     out when r = 1) and L', with the logical Z corrections folded into L'
     (module docstring); logical SWAPs and routing are FSWAPs.
+    Each body op of a repeat group is checked, classified and lowered once,
+    and its spans are appended ``count`` times; a span's ``logical_op`` is the
+    op's index in the expanded logical circuit.
     Raises ParseError when ``epsilon`` is not finite and > 0, TooLarge past
     LOGICAL_QUBIT_CAP qubits or LOGICAL_FLAT_OP_CAP expanded logical ops,
-    and SynthesisError when no repetition count <= ``r_max`` meets the
-    angle budget.
+    NonUnitaryInput or UnsupportedLogicalGate naming a refused logical op,
+    all before planning, and SynthesisError when no repetition count
+    <= ``r_max`` meets the angle budget.
     """
     check_epsilon(epsilon)
     if logical.n > LOGICAL_QUBIT_CAP:
@@ -427,8 +419,8 @@ def compile_circuit(
         )
 
     strip = strip_z_rotations(target)
-    prims = _rewrite_logical(logical)
-    n_cz = sum(1 for p in prims if p.kind == "cz")
+    checked = _check_logical(logical)
+    n_cz = sum(count * sum(k in ("cz", "cnot") for k in kinds) for _, count, kinds in checked)
 
     plan = None
     if n_cz:
@@ -441,28 +433,27 @@ def compile_circuit(
         corrections = np.kron(*(phase_rz(chi) for chi in plan.local_corrections))
         enter, link, leave = sr @ ghh, sr @ gxx @ sl, corrections @ ghh @ gxx @ sl
 
+    def cz(lo: int) -> list:
+        pair = (2 * lo + 1, 2 * lo + 2)
+        use = CircuitOp(target, pair, name="target", tag="target")
+        entries = [CircuitOp(enter, pair, name="g_enter"), use]
+        if plan.repetitions > 1:
+            entries.append(RepeatedSegment((CircuitOp(link, pair, name="g_link"), use), plan.repetitions - 1))
+        return entries + [CircuitOp(leave, pair, name="g_leave")]
+
     enc = Encoding(logical.n)
     phys = Circuit(enc.physical_count)
     provenance: list[dict] = []
-    for prim in prims:
-        start = len(phys.ops)
-        if prim.kind != "cz":
-            phys.ops.extend(prim.ops)
-        else:
-            pair = (2 * prim.qubits[0] + 1, 2 * prim.qubits[0] + 2)
-            use = CircuitOp(target, pair, name="target", tag="target")
-            phys.ops.extend((CircuitOp(enter, pair, name="g_enter"), use))
-            if plan.repetitions > 1:
-                phys.append_segment((CircuitOp(link, pair, name="g_link"), use), plan.repetitions - 1)
-            phys.ops.append(CircuitOp(leave, pair, name="g_leave"))
-        provenance.append(
-            {
-                "logical_op": prim.source,
-                "kind": prim.kind,
-                "qubits": list(prim.qubits),
-                "physical_ops": [start, len(phys.ops)],
-            }
-        )
+    flat = 0
+    for ops, count, kinds in checked:
+        spans = [(j, span) for j, (op, kind) in enumerate(zip(ops, kinds)) for span in _lower(kind, op, cz)]
+        for _ in range(count):
+            for j, (kind, qubits, entries) in spans:
+                start = len(phys.ops)
+                phys.ops.extend(entries)
+                provenance.append({"logical_op": flat + j, "kind": kind, "qubits": list(qubits),
+                                   "physical_ops": [start, len(phys.ops)]})
+            flat += len(ops)
 
     phys.metadata.update(
         {

@@ -51,7 +51,7 @@ from .errors import (
     NotMatchgate,
     TooLarge,
 )
-from .gates import I2, PAULIS, Mat2, Mat4, X, Y, Z, det2, kron
+from .gates import I2, PAULIS, TOL_UNITARY, Mat2, Mat4, X, Y, Z, det2, kron
 
 # Probability below which a measurement outcome is treated as impossible.
 PROB_FLOOR = 1e-12
@@ -263,7 +263,7 @@ def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
         try:
             _require_matchgate(checks[k])
         except NonUnitaryInput as exc:
-            raise NonUnitaryInput(f"{name} is not unitary: {exc}") from exc
+            raise NonUnitaryInput(f"{name} is not unitary within {TOL_UNITARY:g}") from exc
         except NotMatchgate as exc:
             raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
     single_blocks = iter(_conjugation_block(singles, _QUBIT_KERNEL))

@@ -131,7 +131,8 @@ class TestLogicalSingleQubit:
 
 
     def test_compile_checks_each_logical_gate_once(self, monkeypatch):
-        """Once per expanded logical op, with the compile's own tolerance."""
+        """Once per body op: a repeat group's body is checked once, not once
+        per repetition."""
         rng = np.random.default_rng(12)
         a, b, c = (haar_unitary(rng, 2) for _ in range(3))
         logical = Circuit(2)
@@ -148,13 +149,13 @@ class TestLogicalSingleQubit:
 
         monkeypatch.setattr(matchgates.gates, "unitarity_defect", recording)
         compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        assert [sum(np.array_equal(m, g) for m in checked) for g in (a, b, c)] == [1, 1, 2]
+        assert [sum(np.array_equal(m, g) for m in checked) for g in (a, b, c)] == [1, 1, 1]
 
     def test_compile_refuses_a_non_unitary_logical_gate_by_its_index(self):
         logical = Circuit(2)
         logical.append(gate_library("CZ"), (0, 1), name="cz")
         logical.append((1 + 1e-7) * I2, (1,))
-        with pytest.raises(NonUnitaryInput, match="^logical op 1 is not unitary$"):
+        with pytest.raises(NonUnitaryInput, match=r"^logical circuit: op 1 \(gate on \(1,\)\) is not unitary$"):
             compile_circuit(logical, gate_library("SWAP"), 1e-6)
 
 
@@ -361,6 +362,50 @@ class TestCompile:
         assert spans[-1][1] == len(comp.physical.ops)
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert end == start
+
+    @pytest.mark.parametrize("target", [gate_library("SWAP"), nl(0.2, 0.1, 0.35)], ids=["SWAP", "NL"])
+    def test_repeat_group_compiles_like_its_hand_expanded_copy(self, target):
+        rng = np.random.default_rng(78)
+        a, b = haar_unitary(rng, 2), haar_unitary(rng, 2)
+        group = [
+            CircuitOp(gate_library("CNOT"), (3, 0), name="cnot"),
+            CircuitOp(a, (2,)),
+            CircuitOp(gate_library("SWAP"), (0, 4), name="swap"),
+            CircuitOp(b, (1,)),
+        ]
+        grouped, expanded = Circuit(5), Circuit(5)
+        for circ in (grouped, expanded):
+            circ.append(H, (1,))
+        grouped.append_segment(group, 3)
+        for _ in range(3):
+            expanded.ops.extend(group)
+        for circ in (grouped, expanded):
+            circ.append(CZ, (4, 1), name="cz")
+
+        def document(logical):
+            comp = compile_circuit(logical, target, 1e-6)
+            return emit_circuit_document(comp.physical, {"provenance": comp.provenance})
+
+        doc = document(grouped)
+        assert doc == document(expanded)
+        assert [p["logical_op"] for p in doc["metadata"]["provenance"]][-1] == 13
+        comp = compile_circuit(grouped, target, 1e-6)
+        assert verify(comp, grouped).fidelity >= 1 - 1e-6
+
+    def test_non_unitary_two_qubit_op_is_refused_as_not_unitary(self):
+        # Before planning: at r_max 50 this target's CZ alone is a SynthesisError.
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        logical.append(2 * CZ, (0, 1), name="matrix")
+        with pytest.raises(NonUnitaryInput, match=r"^logical circuit: op 1 \(matrix on \(0, 1\)\) is not unitary$"):
+            compile_circuit(logical, nl(0.3, 0.1, 0.1), 1e-6, r_max=50)
+
+    def test_unsupported_logical_gate_is_named_by_its_op(self):
+        logical = Circuit(3)
+        logical.append(H, (0,))
+        logical.append_segment([CircuitOp(H, (1,)), CircuitOp(gate_library("ISWAP"), (1, 2), name="iswap")], 2)
+        with pytest.raises(UnsupportedLogicalGate, match=r"^logical circuit: op 1\.1 \(iswap on \(1, 2\)\) "):
+            compile_circuit(logical, gate_library("SWAP"), 1e-6)
 
     def test_sin_squared_2c_law(self):
         rng = np.random.default_rng(77)

@@ -494,7 +494,7 @@ class TestBulkPath:
         [
             # Non-unitary before non-nearest-neighbour.
             ([(2.0 * np.eye(4), (1, 2)), (random_matchgate(np.random.default_rng(94)), (0, 2))],
-             NonUnitaryInput, r"^op 3 \(gate on \(1, 2\)\) is not unitary: classify expects a 4x4 unitary$"),
+             NonUnitaryInput, r"^op 3 \(gate on \(1, 2\)\) is not unitary within 1e-09$"),
             # A defect that overflows to NaN still fails.
             ([(np.full((4, 4), 1e200 + 1e200j), (0, 1)), (gate_library("SWAP"), (0, 1))],
              NonUnitaryInput, r"^op 3 \(gate on \(0, 1\)\) is not unitary"),

@@ -665,6 +665,20 @@ class TestVerifyCommand:
         assert result.exit_code == 2, result.output
         assert f"{side} circuit: op 1 (matrix on {tuple(targets)}) is not unitary" in result.output
 
+    @pytest.mark.parametrize("side", ["logical", "physical"])
+    def test_load_refusal_names_the_document(self, runner, tmp_path, side):
+        docs = {
+            "logical": {"format_version": 1, "qubits": 1, "gates": []},
+            "physical": {"format_version": 1, "qubits": 2, "gates": []},
+        }
+        docs[side]["gates"].append({"name": "g", "targets": [0]})
+        args = ["verify"]
+        for name, doc in docs.items():
+            args += [f"--{name}", write_doc(tmp_path, doc, f"{name}.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {side} circuit: gates[0]: gate 'g' needs blocks {{a, b}}\n"
+
     def test_size_mismatch(self, runner, tmp_path):
         logical = write_logical_cz(tmp_path)
         result = runner.invoke(
