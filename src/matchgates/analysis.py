@@ -32,6 +32,7 @@ from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
     NotParityPreserving,
+    TooLarge,
 )
 from .gates import (
     Mat2,
@@ -417,6 +418,9 @@ def entangling_power_closed(t: NonlocalTriple | tuple[float, float, float]) -> f
 # Haar-average linear entropy of a perfect entangler is 2/9; rescale so the
 # estimator agrees with entangling_power_closed (validated in tests).
 MC_RESCALE = 4.5
+# Each sample holds about 320 bytes of draws and intermediates, so the cap
+# bounds one estimate at about 320 MB.
+MC_SAMPLE_CAP = 1_000_000
 
 
 def entangling_power_mc(u: Mat4, samples: int, seed: int) -> float:
@@ -424,10 +428,13 @@ def entangling_power_mc(u: Mat4, samples: int, seed: int) -> float:
 
     Averages the linear entropy 1 - tr(rho_A^2) of U|psi1>|psi2> and rescales
     by 9/2.  Deterministic for a fixed seed: the stream is the first child
-    of ``numpy.random.SeedSequence(seed)``.
+    of ``numpy.random.SeedSequence(seed)``.  TooLarge refuses more than
+    MC_SAMPLE_CAP samples before any draw.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise BadSampleCount(f"samples must be a positive integer, got {samples!r}")
+    if samples > MC_SAMPLE_CAP:
+        raise TooLarge(f"{samples} Monte-Carlo samples is past the cap of {MC_SAMPLE_CAP}")
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise NonUnitaryInput("entangling_power_mc expects a unitary")

@@ -5,8 +5,15 @@ are either a single :class:`CircuitOp` or a :class:`RepeatedSegment`, a
 short op body repeated ``count`` times, which keeps compiled circuits with
 thousands of identical entangler blocks compact.  Consumers read a circuit
 through :meth:`Circuit.walk`, one ``(ops, count)`` per top-level entry, and
-fold each group once in their own representation.  :meth:`Circuit.flat`
-expands groups; no package module needs that, only op-by-op references.
+fold each group once in their own representation.
+
+A circuit holds only admitted ops: one or two distinct targets in range, a
+gate of matching shape, unitary within ``gates.TOL_UNITARY``.  An op is
+checked once, where it enters: by :meth:`Circuit.add` (so ``append`` and
+``append_segment``) or, for a document, by the parser in ``matchgates.io``.
+The simulators, the compiler and the verifier trust their circuits; code
+that fills ``ops`` directly, as the compiler does with the matchgates it
+builds, vouches for them itself.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import BadTargets
+from .errors import BadTargets, NonUnitaryInput
+from .gates import TOL_UNITARY, is_unitary
 
 
 class CircuitOp(NamedTuple):
@@ -91,10 +99,16 @@ class Circuit:
         return seg
 
     def add(self, entry: CircuitOp | RepeatedSegment) -> None:
-        """Append a built op or repetition group after checking its targets;
-        the op's gate must already be a complex ndarray."""
-        for op in entry.body if isinstance(entry, RepeatedSegment) else (entry,):
+        """Admit a built op or repetition group: BadTargets for bad targets
+        or shape, NonUnitaryInput for a gate that is not unitary, named by
+        :func:`describe_op`; the op's gate must already be a complex
+        ndarray."""
+        ops, count = (entry.body, entry.count) if isinstance(entry, RepeatedSegment) else ((entry,), 1)
+        for j, op in enumerate(ops):
             self._check_targets(op.gate, op.targets)
+            if not is_unitary(op.gate):
+                where = describe_op(ops, count, len(self.ops), j)
+                raise NonUnitaryInput(f"{where} is not unitary within {TOL_UNITARY:g}")
         self.ops.append(entry)
 
     def walk(self) -> Iterator[tuple[tuple[CircuitOp, ...], int]]:
@@ -105,15 +119,6 @@ class Circuit:
                 yield entry.body, entry.count
             else:
                 yield (entry,), 1
-
-    def flat(self) -> Iterator[CircuitOp]:
-        """Yield every op with repetition groups expanded."""
-        for entry in self.ops:
-            if isinstance(entry, RepeatedSegment):
-                for _ in range(entry.count):
-                    yield from entry.body
-            else:
-                yield entry
 
     def flat_count(self) -> int:
         return sum(count * len(ops) for ops, count in self.walk())

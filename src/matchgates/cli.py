@@ -4,11 +4,14 @@ Exit codes are a stable contract:
 
     0  success
     1  internal error (decomposition/synthesis bug)
-    2  parse or usage error (including a bad shot count, a non-unitary
-       user matrix, or a logical two-qubit gate other than CZ, CNOT, SWAP)
+    2  parse or usage error (including a bad shot count, a logical two-qubit
+       gate other than CZ, CNOT, SWAP, or a non-unitary gate: a document's
+       'g' block or 'matrix' entry is refused when it is parsed, with one
+       text whichever command reads it)
     3  target gate is a matchgate
     4  target gate is not parity-preserving
-    5  problem too large for the requested mode (e.g. verifying > 12 logical qubits)
+    5  problem too large for the requested mode (e.g. verifying > 12 logical
+       qubits, or more than 1,000,000 --mc-samples)
     6  backend refusal (e.g. non-matchgate op on the ff backend)
     7  repetition synthesis failed within --r-max
     8  verification failed (fidelity more than epsilon from 1 in ``mgc verify``, or
@@ -122,7 +125,7 @@ def main():
 
 @main.command()
 @click.option("--gate", required=True, help="Gate spec: name, NAME(args), or JSON file.")
-@click.option("--mc-samples", default=0, show_default=True, help="Monte-Carlo samples for the entangling-power estimator (0 = skip).")
+@click.option("--mc-samples", default=0, show_default=True, help="Monte-Carlo samples for the entangling-power estimator (0 = skip; at most 1,000,000).")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @_exit_codes
@@ -350,7 +353,7 @@ def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
             f"for {logical.n} logical qubits"
         )
     compiled = CompiledCircuit(physical=physical, encoding=Encoding(logical.n), plan=None, epsilon=epsilon)
-    report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed, check=True)
+    report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed)
     payload = {
         "mode": report.mode,
         "fidelity": report.fidelity,

@@ -299,17 +299,14 @@ def _two_qubit_kind(op: CircuitOp, where: str) -> str:
 
 def _check_logical(logical: Circuit) -> list[tuple[tuple[CircuitOp, ...], int, list[str]]]:
     """Each walk entry (ops, count) with the kind ("1q", "cz", "cnot" or
-    "swap") of each of its ops.  An op that is not unitary, or a two-qubit
-    op other than CZ, CNOT or SWAP, is refused by its :func:`describe_op`
-    name."""
+    "swap") of each of its ops.  A two-qubit op other than CZ, CNOT or SWAP
+    is refused by its :func:`describe_op` name."""
     checked = []
     for i, (ops, count) in enumerate(logical.walk()):
-        kinds = []
-        for j, op in enumerate(ops):
-            where = f"logical circuit: {describe_op(ops, count, i, j)}"
-            if not is_unitary(op.gate):
-                raise NonUnitaryInput(f"{where} is not unitary")
-            kinds.append("1q" if len(op.targets) == 1 else _two_qubit_kind(op, where))
+        kinds = [
+            "1q" if len(op.targets) == 1 else _two_qubit_kind(op, f"logical circuit: {describe_op(ops, count, i, j)}")
+            for j, op in enumerate(ops)
+        ]
         checked.append((ops, count, kinds))
     return checked
 
@@ -395,14 +392,14 @@ def compile_circuit(
     Each logical CZ becomes R, T, a repeat group (W, T) of count r - 1 (left
     out when r = 1) and L', with the logical Z corrections folded into L'
     (module docstring); logical SWAPs and routing are FSWAPs.
-    Each body op of a repeat group is checked, classified and lowered once,
-    and its spans are appended ``count`` times; a span's ``logical_op`` is the
-    op's index in the expanded logical circuit.
+    Each body op of a repeat group is classified and lowered once, and its
+    spans are appended ``count`` times; a span's ``logical_op`` is the op's
+    index in the expanded logical circuit.
     Raises ParseError when ``epsilon`` is not finite and > 0, TooLarge past
     LOGICAL_QUBIT_CAP qubits or LOGICAL_FLAT_OP_CAP expanded logical ops,
-    NonUnitaryInput or UnsupportedLogicalGate naming a refused logical op,
-    all before planning, and SynthesisError when no repetition count
-    <= ``r_max`` meets the angle budget.
+    UnsupportedLogicalGate naming a refused logical op, all before planning,
+    and SynthesisError when no repetition count <= ``r_max`` meets the
+    angle budget.
     """
     check_epsilon(epsilon)
     if logical.n > LOGICAL_QUBIT_CAP:
@@ -503,7 +500,6 @@ def verify(
     epsilon: float | None = None,
     samples: int = 8,
     seed: int = 7,
-    check: bool = False,
 ) -> VerificationReport:
     """Compare the compiled circuit, restricted to the encoded subspace,
     against the logical circuit (up to global phase).
@@ -515,11 +511,10 @@ def verify(
     amplitudes (L <= 8), Psi = I and the check is exact.  Past that,
     ``samples`` random states are pushed one at a time and the worst is
     reported.  TooLarge is raised when one state exceeds the cap (L > 12).
-    With ``check``, a non-unitary op in either circuit raises
-    NonUnitaryInput naming the circuit and the op; the logical circuit is
-    checked first, and in sampled mode only the first sample checks.
-    ``passed`` needs |1 - fidelity| <= epsilon: a fidelity above 1 is the
-    drift of a folded power, not a better circuit.
+    No op is checked: both circuits hold only admitted ops (see
+    ``matchgates.circuits``).  ``passed`` needs |1 - fidelity| <= epsilon:
+    a fidelity above 1 is the drift of a folded power, not a better
+    circuit.
     """
     enc = compiled.encoding
     if enc.logical_count != logical.n:
@@ -542,34 +537,25 @@ def verify(
         cols[code_rows] = psi
         return cols
 
-    def compare(psi: np.ndarray, check: bool) -> tuple[float, float]:
-        """Fidelity and leakage of the logical columns ``psi``; with
-        ``check``, the logical circuit's ops are checked before the
-        physical circuit is propagated."""
-        try:
-            ideal = propagate(logical, psi, check)
-        except NonUnitaryInput as exc:
-            raise NonUnitaryInput(f"logical circuit: {exc}") from None
+    def compare(psi: np.ndarray) -> tuple[float, float]:
+        """Fidelity and leakage of the logical columns ``psi``."""
+        ideal = propagate(logical, psi)
         # No local keeps the encoded block, so propagate can free it.
-        try:
-            out = propagate(compiled.physical, encode(psi), check)
-        except NonUnitaryInput as exc:
-            raise NonUnitaryInput(f"physical circuit: {exc}") from None
+        out = propagate(compiled.physical, encode(psi))
         in_code = out[code_rows]
         out[code_rows] = 0.0
         overlap = np.vdot(ideal, in_code) / np.vdot(psi, psi)
         return float(abs(overlap) ** 2), spectral_norm(out)
 
     if dim * 2**logical.n <= cap:
-        fidelity, leakage = compare(np.eye(2**logical.n, dtype=complex), check)
+        fidelity, leakage = compare(np.eye(2**logical.n, dtype=complex))
         mode, details = "exact", {"provenance_entries": len(compiled.provenance)}
     else:
         rng = np.random.default_rng(seed)
         results = []
-        for k in range(samples):
+        for _ in range(samples):
             psi = rng.normal(size=2**logical.n) + 1j * rng.normal(size=2**logical.n)
-            # Every sample walks the same ops, so the first one checks them.
-            results.append(compare((psi / np.linalg.norm(psi))[:, None], check and k == 0))
+            results.append(compare((psi / np.linalg.norm(psi))[:, None]))
         fidelities, leakages = zip(*results)
         fidelity, leakage, mode = min(fidelities), max(leakages), "sampled"
         details = {"samples": samples, "mean_fidelity": float(np.mean(fidelities))}

@@ -47,11 +47,10 @@ from .errors import (
     BackendRefusal,
     BadSampleCount,
     BadTargets,
-    NonUnitaryInput,
     NotMatchgate,
     TooLarge,
 )
-from .gates import I2, PAULIS, TOL_UNITARY, Mat2, Mat4, X, Y, Z, det2, kron
+from .gates import I2, PAULIS, Mat2, Mat4, X, Y, Z, det2, kron
 
 # Probability below which a measurement outcome is treated as impossible.
 PROB_FLOOR = 1e-12
@@ -262,8 +261,6 @@ def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
             raise BackendRefusal(f"{name} is not nearest-neighbor")
         try:
             _require_matchgate(checks[k])
-        except NonUnitaryInput as exc:
-            raise NonUnitaryInput(f"{name} is not unitary within {TOL_UNITARY:g}") from exc
         except NotMatchgate as exc:
             raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
     single_blocks = iter(_conjugation_block(singles, _QUBIT_KERNEL))

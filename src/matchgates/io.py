@@ -21,15 +21,18 @@ numbers or pi-literals ("pi/4", "3pi/8", "-pi/2") to avoid decimal drift.
 Parsing is stacked.  One pass over the gate entries, repeat bodies
 included, checks each entry's structure and builds library gates.  The
 numbers of 'g' and 'matrix' entries are converted and checked PARSE_CHUNK
-such entries at a time: one conversion per matrix size (row shapes, number
-types, finiteness), one unitarity check of the 'g' blocks and one G(A, B)
-assembly; the ops hold read-only views into the chunk's gate arrays.  The
-targets of all entries are checked once the document has parsed.  Only a
-failed check runs the per-entry helpers (:func:`matrix_in`,
-:func:`~matchgates.gates.build_pp`, ``Circuit._check_targets``), to give
-the refusal a per-entry parse gives: the first structural or numeric fault
-in document order, after any non-unitary 'g' block before it; a target out
-of range or repeated only after the whole document has parsed.
+such entries at a time: one conversion (row shapes, number types,
+finiteness) and one unitarity check per matrix size, and one G(A, B)
+assembly; the ops hold read-only views into the chunk's gate arrays.  Every
+'g' block and every 'matrix' entry is checked, so a parsed circuit holds
+only admitted ops (see :mod:`matchgates.circuits`).  The targets of all
+entries are checked once the document has parsed.  Only a failed check
+runs the per-entry helpers (:func:`matrix_in`,
+:func:`~matchgates.gates.is_unitary`, ``Circuit._check_targets``), to give
+the refusal a per-entry parse gives: the first structural, numeric or
+unitarity fault in document order ("gates[3]: matrix is not unitary within
+1e-09", or "even block A" / "odd block B" for a 'g' entry); a target out of
+range or repeated only after the whole document has parsed.
 
 Output is stacked too: :func:`emit_circuit_document` converts all of a
 circuit's ops in one pass.  All four commands write their JSON through
@@ -51,13 +54,14 @@ import numpy as np
 
 from .analysis import PPParams, reconstruct_pp
 from .circuits import Circuit, CircuitOp, RepeatedSegment
-from .errors import BadArity, BadTargets, MatchgatesError, ParseError, UnknownGate
+from .errors import BadArity, BadTargets, ParseError, UnknownGate
 from .gates import (
     TOL_UNITARY,
     assemble_pp,
     build_pp,
     extract_blocks,
     gate_library,
+    is_unitary,
     off_block_weight,
     unitarity_defect,
 )
@@ -177,9 +181,9 @@ class _DocumentParser:
     converted and checked in stacks.
 
     Such an entry leaves a placeholder in its op list and is queued;
-    :meth:`flush` converts the queue in one stacked call per kind, checks
-    every 'g' block for unitarity in one call and places the ops.  A repeat
-    group is a plain (count, body) tuple, unlike a CircuitOp, until parsed.
+    :meth:`flush` converts the queue and checks it for unitarity in one
+    stacked call each per kind, and places the ops.  A repeat group is a
+    plain (count, body) tuple, unlike a CircuitOp, until parsed.
     """
 
     def __init__(self):
@@ -264,52 +268,37 @@ class _DocumentParser:
             kind: _complex_stack([m for k in ks for m in queue[k][6]], kind[1])
             for kind, ks in kinds.items()
         }
-        if any(stack is None for stack in stacks.values()):
-            _refuse_malformed(queue)
+        if any(stack is None for stack in stacks.values()) or not all(
+            np.all(unitarity_defect(stack) <= TOL_UNITARY) for stack in stacks.values()
+        ):
+            _refuse_first_fault(queue)
         for kind, ks in kinds.items():
             mats = stacks[kind].reshape(len(ks), -1, kind[1], kind[1])
-            if kind[0] == "g":
-                _check_g_blocks([queue[k] for k in ks], mats)
-                gates = assemble_pp(mats[:, 0], mats[:, 1])
-            else:
-                gates = mats[:, 0]
+            gates = assemble_pp(mats[:, 0], mats[:, 1]) if kind[0] == "g" else mats[:, 0]
             gates.flags.writeable = False
             for k, gate in zip(ks, gates):
                 ops, slot, _, _, targets, tag, _ = queue[k]
                 ops[slot] = CircuitOp(gate, targets, name=kind[0], tag=tag)
 
 
-def _check_g_blocks(items: list, ab: np.ndarray) -> None:
-    """Refuse the first 'g' entry of ``items`` whose (a, b) in ``ab`` is not
-    unitary, as build_pp words it; all are checked in one stacked call."""
-    defects = unitarity_defect(ab)
-    for k in np.flatnonzero(~np.all(defects <= TOL_UNITARY, axis=1)):
-        try:
-            build_pp(ab[k, 0], ab[k, 1])
-        except MatchgatesError as exc:
-            raise ParseError(f"{items[k][2]}: {exc}") from exc
+# (matrix_in's name, the unitarity refusal's name) of each matrix of an entry.
+_PARTS = {
+    "matrix": (("matrix", "matrix"),),
+    "g": (("block a", "even block A"), ("block b", "odd block B")),
+}
 
 
-def _refuse_malformed(queue: list) -> None:
+def _refuse_first_fault(queue: list) -> None:
     """Refuse the queue's first entry that is not well formed, as
-    :func:`matrix_in` words it, after refusing a non-unitary 'g' block
-    before it.  Called only when a stacked conversion of the queue failed,
-    so some entry is malformed."""
-    g_items: list = []
-    g_blocks: list = []
-    for item in queue:
-        _, _, where, (name, dim), _, _, mats = item
-        parts = ("matrix",) if name == "matrix" else ("block a", "block b")
-        try:
-            blocks = [matrix_in(m, dim, f"{where}: {part}") for m, part in zip(mats, parts)]
-        except ParseError:
-            if g_items:
-                _check_g_blocks(g_items, np.array(g_blocks))
-            raise
-        if name == "g":
-            g_items.append(item)
-            g_blocks.append(blocks)
-    raise AssertionError("a stacked conversion refused matrices that matrix_in accepts")
+    :func:`matrix_in` words it, or not unitary.  Called only when a stacked
+    conversion or check of the queue failed, so some entry has a fault."""
+    for _, _, where, (name, dim), _, _, mats in queue:
+        parts = _PARTS[name]
+        converted = [matrix_in(m, dim, f"{where}: {part}") for m, (part, _) in zip(mats, parts)]
+        for m, (_, label) in zip(converted, parts):
+            if not is_unitary(m):
+                raise ParseError(f"{where}: {label} is not unitary within {TOL_UNITARY:g}")
+    raise AssertionError("a stacked check refused matrices that the per-entry check accepts")
 
 
 def parse_circuit_document(doc: dict) -> Circuit:
@@ -341,13 +330,14 @@ def parse_circuit_document(doc: dict) -> Circuit:
     ):
         circuit.ops = ops
         return circuit
-    # The per-op check words the first failing op.
+    # The per-op check words the first failing op; unitarity is not checked again.
     for i, entry in enumerate(ops):
-        try:
-            circuit.add(entry)
-        except BadTargets as exc:
-            raise ParseError(f"gates[{i}]: {exc}") from exc
-    return circuit
+        for op in entry.body if isinstance(entry, RepeatedSegment) else (entry,):
+            try:
+                circuit._check_targets(op.gate, op.targets)
+            except BadTargets as exc:
+                raise ParseError(f"gates[{i}]: {exc}") from exc
+    raise AssertionError("the stacked target check refused targets that the per-op check accepts")
 
 
 def emit_circuit_document(circuit: Circuit, metadata: dict | None = None) -> dict:

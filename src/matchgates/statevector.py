@@ -9,6 +9,8 @@ Every gate goes through one kernel, :class:`_Block`: the block of columns
 is a tensor with one axis per qubit, the gate's targets are gathered to the
 front only when they are not there already, and the product stays in that
 axis order until :func:`propagate` restores qubit order once at the end.
+No op is checked here: a circuit holds only admitted ops (see
+``matchgates.circuits``).
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, describe_op
-from .errors import BadSampleCount, BadTargets, NonUnitaryInput, TooLarge
-from .gates import is_unitary
+from .circuits import Circuit
+from .errors import BadSampleCount, BadTargets, TooLarge
 
 QUBIT_CAP = 20
 UNITARY_QUBIT_CAP = 12
@@ -95,38 +96,24 @@ class _Block:
 
 
 def apply(state: StateVector, gate: np.ndarray, targets) -> StateVector:
-    """Apply a 1- or 2-qubit gate; returns a new state."""
-    gate = np.asarray(gate, dtype=complex)
-    targets = tuple(int(t) for t in targets)
-    k = len(targets)
-    if k not in (1, 2) or len(set(targets)) != k or any(
-        t < 0 or t >= state.n for t in targets
-    ):
-        raise BadTargets(f"bad targets {targets} for n={state.n}")
-    if gate.shape != (2**k, 2**k):
-        raise BadTargets(f"gate shape {gate.shape} does not match {k} target(s)")
-    if not is_unitary(gate):
-        raise NonUnitaryInput("apply expects a unitary gate")
-    block = _Block(state.amps[:, None], state.n)
-    block.apply(gate, targets)
-    return StateVector(state.n, block.columns()[:, 0])
+    """Apply a 1- or 2-qubit gate, admitted as a one-op circuit; returns a
+    new state."""
+    circuit = Circuit(state.n)
+    circuit.append(gate, targets)
+    return StateVector(state.n, propagate(circuit, state.amps[:, None])[:, 0])
 
 
-def propagate(circuit: Circuit, columns: np.ndarray, check: bool = False) -> np.ndarray:
+def propagate(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     """Left-multiply a (2^n, m) array by the circuit's unitary.
 
-    Each entry's ops are checked once.  A repetition group whose body acts
-    on at most FOLD_QUBIT_CAP qubits becomes one matrix on those qubits, the
-    body's product raised to the group's count.  Wider groups are expanded;
-    TooLarge names one that would expand past EXPANSION_CAP ops.
+    A repetition group whose body acts on at most FOLD_QUBIT_CAP qubits
+    becomes one matrix on those qubits, the body's product raised to the
+    group's count.  Wider groups are expanded; TooLarge names one that
+    would expand past EXPANSION_CAP ops.
     """
     block = _Block(columns, circuit.n)
     del columns
     for i, (ops, count) in enumerate(circuit.walk()):
-        if check:
-            for j, op in enumerate(ops):
-                if not is_unitary(op.gate):
-                    raise NonUnitaryInput(f"{describe_op(ops, count, i, j)} is not unitary")
         if count > 1:
             support = sorted({t for op in ops for t in op.targets})
             if len(support) <= FOLD_QUBIT_CAP:
@@ -149,10 +136,9 @@ def propagate(circuit: Circuit, columns: np.ndarray, check: bool = False) -> np.
 
 
 def run(circuit: Circuit, initial: int | str = 0) -> StateVector:
-    """Left-to-right application of the circuit to a basis state; a
-    non-unitary op is refused, named by its entry."""
+    """Left-to-right application of the circuit to a basis state."""
     # No local keeps the basis state, so the kernel frees it after one gate.
-    amps = propagate(circuit, StateVector.basis(circuit.n, initial).amps[:, None], check=True)
+    amps = propagate(circuit, StateVector.basis(circuit.n, initial).amps[:, None])
     return StateVector(circuit.n, amps[:, 0])
 
 

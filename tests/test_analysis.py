@@ -1,12 +1,15 @@
 """Gate-analysis tests: classification, parameter extraction, KAK,
 entangling power, Makhlin invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from matchgates.analysis import (
+    MC_SAMPLE_CAP,
     NonlocalTriple,
     classify,
     entangling_power_closed,
@@ -17,7 +20,7 @@ from matchgates.analysis import (
     pp_params,
     reconstruct_pp,
 )
-from matchgates.errors import BadSampleCount, NonUnitaryInput, NotParityPreserving
+from matchgates.errors import BadSampleCount, NonUnitaryInput, NotParityPreserving, TooLarge
 from matchgates.gates import (
     H,
     I2,
@@ -265,6 +268,18 @@ class TestEntanglingPowerMC:
     def test_bad_sample_count(self):
         with pytest.raises(BadSampleCount):
             entangling_power_mc(gate_library("CNOT"), 0, 0)
+
+    def test_sample_count_past_the_cap_is_refused_before_any_draw(self):
+        # One sample more than the cap would draw about 320 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=f"cap of {MC_SAMPLE_CAP}$"):
+                entangling_power_mc(gate_library("CNOT"), MC_SAMPLE_CAP + 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert MC_SAMPLE_CAP == 10**6
+        assert peak < 2**20
 
 
 class TestMakhlinInvariants:

@@ -1,0 +1,67 @@
+"""Circuit admission: ``Circuit.add``, and so ``append`` and
+``append_segment``, refuses an op with bad targets, a gate of the wrong
+shape or a gate that is not unitary, names it, and leaves the circuit as
+it was."""
+
+import numpy as np
+import pytest
+
+from matchgates.circuits import Circuit, CircuitOp
+from matchgates.errors import BadTargets, NonUnitaryInput
+from matchgates.gates import H, I2, gate_library
+
+CZ = gate_library("CZ")
+# max |U^dag U - I| is NaN once the product overflows; it must still fail.
+OVERFLOWING = np.full((4, 4), 1e200 + 1e200j)
+
+
+@pytest.mark.parametrize(
+    "gate,targets,message",
+    [
+        (2 * I2, (2,), r"^op 1 \(gate on \(2,\)\) is not unitary within 1e-09$"),
+        ((1 + 1e-9) * CZ, (1, 0), r"^op 1 \(gate on \(1, 0\)\) is not unitary within 1e-09$"),
+        (OVERFLOWING, (0, 2), r"^op 1 \(gate on \(0, 2\)\) is not unitary within 1e-09$"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_append_refuses_a_non_unitary_gate_by_its_op(gate, targets, message):
+    circuit = Circuit(3)
+    circuit.append(H, (0,))
+    with pytest.raises(NonUnitaryInput, match=message):
+        circuit.append(gate, targets)
+    assert len(circuit.ops) == 1
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (CircuitOp(2 * I2, (1,), name="matrix"), r"^op 1\.1 \(matrix on \(1,\)\) is not unitary within 1e-09$"),
+        (CircuitOp(OVERFLOWING, (1, 2)), r"^op 1\.1 \(gate on \(1, 2\)\) is not unitary within 1e-09$"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_append_segment_refuses_a_non_unitary_body_op_by_its_position(bad, message):
+    circuit = Circuit(3)
+    circuit.append(H, (0,))
+    with pytest.raises(NonUnitaryInput, match=message):
+        circuit.append_segment([CircuitOp(H, (2,)), bad, CircuitOp(CZ, (0, 1))], 4)
+    assert len(circuit.ops) == 1
+
+
+def test_targets_and_shape_are_refused_before_unitarity():
+    circuit = Circuit(2)
+    for targets, message in (((0, 0), "repeated target"), ((0, 2), "out of range"), ((0,), "does not match")):
+        with pytest.raises(BadTargets, match=message):
+            circuit.append(2 * CZ, targets)
+    with pytest.raises(BadTargets, match="out of range"):
+        circuit.append_segment([CircuitOp(H, (0,)), CircuitOp(2 * CZ, (0, 5))], 2)
+    assert circuit.ops == []
+
+
+def test_the_threshold_is_on_max_abs_of_u_dag_u_minus_i():
+    # (1 + d)^2 - 1 is about 2 d: 2e-10 is admitted, 2e-9 is not.
+    circuit = Circuit(1)
+    circuit.append((1 + 1e-10) * I2, (0,))
+    with pytest.raises(NonUnitaryInput):
+        circuit.append((1 + 1e-9) * I2, (0,))
+    assert len(circuit.ops) == 1

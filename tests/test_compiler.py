@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 import matchgates.compiler
 import matchgates.gates
-import matchgates.statevector
 from matchgates.analysis import classify, entangling_power_closed, kak, pp_params
 from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
 from matchgates.compiler import (
@@ -131,15 +130,11 @@ class TestLogicalSingleQubit:
 
 
     def test_compile_checks_each_logical_gate_once(self, monkeypatch):
-        """Once per body op: a repeat group's body is checked once, not once
-        per repetition."""
+        """Once per body op, where it enters the circuit: compile checks
+        none again, and a repeat group's body is checked once, not once per
+        repetition."""
         rng = np.random.default_rng(12)
         a, b, c = (haar_unitary(rng, 2) for _ in range(3))
-        logical = Circuit(2)
-        logical.append(a, (0,))
-        logical.append(gate_library("CNOT"), (0, 1), name="cnot")
-        logical.append(b, (1,))
-        logical.append_segment([CircuitOp(c, (0,))], 2)
         checked = []
         defect = matchgates.gates.unitarity_defect
 
@@ -148,15 +143,20 @@ class TestLogicalSingleQubit:
             return defect(m)
 
         monkeypatch.setattr(matchgates.gates, "unitarity_defect", recording)
+        logical = Circuit(2)
+        logical.append(a, (0,))
+        logical.append(gate_library("CNOT"), (0, 1), name="cnot")
+        logical.append(b, (1,))
+        logical.append_segment([CircuitOp(c, (0,))], 2)
         compile_circuit(logical, gate_library("SWAP"), 1e-6)
         assert [sum(np.array_equal(m, g) for m in checked) for g in (a, b, c)] == [1, 1, 1]
 
     def test_compile_refuses_a_non_unitary_logical_gate_by_its_index(self):
+        # Refused where it enters the logical circuit, before any compile.
         logical = Circuit(2)
         logical.append(gate_library("CZ"), (0, 1), name="cz")
-        logical.append((1 + 1e-7) * I2, (1,))
-        with pytest.raises(NonUnitaryInput, match=r"^logical circuit: op 1 \(gate on \(1,\)\) is not unitary$"):
-            compile_circuit(logical, gate_library("SWAP"), 1e-6)
+        with pytest.raises(NonUnitaryInput, match=r"^op 1 \(gate on \(1,\)\) is not unitary within 1e-09$"):
+            logical.append((1 + 1e-7) * I2, (1,))
 
 
 class TestEntanglerBlock:
@@ -393,11 +393,14 @@ class TestCompile:
         assert verify(comp, grouped).fidelity >= 1 - 1e-6
 
     def test_non_unitary_two_qubit_op_is_refused_as_not_unitary(self):
-        # Before planning: at r_max 50 this target's CZ alone is a SynthesisError.
+        # Where it enters the circuit, so neither as an unsupported gate nor
+        # as the SynthesisError this target's lone CZ gets at r_max 50.
         logical = Circuit(2)
         logical.append(CZ, (0, 1), name="cz")
-        logical.append(2 * CZ, (0, 1), name="matrix")
-        with pytest.raises(NonUnitaryInput, match=r"^logical circuit: op 1 \(matrix on \(0, 1\)\) is not unitary$"):
+        with pytest.raises(NonUnitaryInput, match=r"^op 1 \(matrix on \(0, 1\)\) is not unitary within 1e-09$"):
+            logical.append(2 * CZ, (0, 1), name="matrix")
+        assert len(logical.ops) == 1
+        with pytest.raises(SynthesisError):
             compile_circuit(logical, nl(0.3, 0.1, 0.1), 1e-6, r_max=50)
 
     def test_unsupported_logical_gate_is_named_by_its_op(self):
@@ -570,40 +573,12 @@ class TestVerify:
         logical = Circuit(2)
         logical.append(CZ, (0, 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        comp.physical.append((1 + 1e-4) * np.eye(4), (0, 1))
+        # Not unitary, so it cannot be appended; it goes straight into ops.
+        comp.physical.ops.append(CircuitOp((1 + 1e-4) * np.eye(4, dtype=complex), (0, 1)))
         rep = verify(comp, logical)
         assert rep.fidelity == pytest.approx(1 + 2e-4, abs=1e-7)
         assert rep.passed is False
         assert verify(comp, logical, epsilon=3e-4).passed is True
-
-    def test_ops_are_checked_only_when_asked(self, monkeypatch):
-        # compile_circuit built its ops unitary, so its own verify skips the
-        # per-op check; mgc verify asks for it.
-        logical = Circuit(2)
-        logical.append(CZ, (0, 1), name="cz")
-        comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        checked = []
-        monkeypatch.setattr(matchgates.statevector, "is_unitary", lambda g: checked.append(g) or True)
-        verify(comp, logical)
-        assert checked == []
-        verify(comp, logical, check=True)
-        assert len(checked) == sum(len(ops) for c in (comp.physical, logical) for ops, _ in c.walk())
-
-    def test_sampled_mode_checks_each_op_once_logical_first(self, monkeypatch):
-        logical = Circuit(9)
-        logical.append(CZ, (0, 1), name="cz")
-        comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        checked, real = [], matchgates.statevector.is_unitary
-        monkeypatch.setattr(matchgates.statevector, "is_unitary", lambda g: checked.append(g) or real(g))
-        assert verify(comp, logical, samples=3, check=True).mode == "sampled"
-        walked = [[op.gate for ops, _ in c.walk() for op in ops] for c in (logical, comp.physical)]
-        assert [id(g) for g in checked] == [id(g) for g in walked[0] + walked[1]]
-        # A bad logical op is refused before the physical circuit is walked.
-        logical.append(1.001 * I2, (3,))
-        checked.clear()
-        with pytest.raises(NonUnitaryInput, match="^logical circuit: op 1 "):
-            verify(comp, logical, samples=3, check=True)
-        assert len(checked) == 2
 
     def test_sampled_mode_agrees_with_exact(self):
         # Past 8 logical qubits the exact block no longer fits; the SWAP

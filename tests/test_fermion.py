@@ -43,6 +43,7 @@ from util import (
     batched_conjugation_block,
     embed,
     evolve,
+    flat,
     generator_rotation_block,
     haar_unitary,
     majorana_operators,
@@ -357,9 +358,9 @@ class TestCovariance:
     def test_non_unitary_op_names_its_index(self):
         circ = Circuit(3)
         circ.append(random_matchgate(np.random.default_rng(3)), (0, 1))
-        circ.append(2.0 * np.eye(4), (1, 2))
+        # Refused where it enters the circuit, before any backend runs it.
         with pytest.raises(NonUnitaryInput, match=r"op 1 \(gate on \(1, 2\)\)"):
-            run_covariance(circ, 0)
+            circ.append(2.0 * np.eye(4), (1, 2))
 
 
 class TestRepeatGroups:
@@ -431,7 +432,7 @@ def oracle_covariance(circuit: Circuit, initial) -> np.ndarray:
     n = circuit.n
     swap = gate_library("SWAP")
     m = init_covariance(n, initial).m
-    for op in circuit.flat():
+    for op in flat(circuit):
         gate, targets = op.gate, op.targets
         if len(targets) == 1:
             q = targets[0]
@@ -492,7 +493,7 @@ class TestBulkPath:
     @pytest.mark.parametrize(
         "faults,error,message",
         [
-            # Non-unitary before non-nearest-neighbour.
+            # Non-unitary before non-nearest-neighbour, refused by append.
             ([(2.0 * np.eye(4), (1, 2)), (random_matchgate(np.random.default_rng(94)), (0, 2))],
              NonUnitaryInput, r"^op 3 \(gate on \(1, 2\)\) is not unitary within 1e-09$"),
             # A defect that overflows to NaN still fails.
@@ -501,8 +502,9 @@ class TestBulkPath:
             # Non-nearest-neighbour before non-matchgate.
             ([(random_matchgate(np.random.default_rng(95)), (2, 0)), (gate_library("SWAP"), (0, 1))],
              BackendRefusal, r"^op 3 \(gate on \(2, 0\)\) is not nearest-neighbor$"),
-            # Non-matchgate before non-unitary; a one-qubit X is checked as kron(X, I).
-            ([(X, (2,)), (2.0 * np.eye(4), (1, 2))],
+            # Non-matchgate before non-nearest-neighbour; a one-qubit X is
+            # checked as kron(X, I).
+            ([(X, (2,)), (random_matchgate(np.random.default_rng(94)), (0, 2))],
              BackendRefusal, r"^op 3 \(gate on \(2,\)\) is not a matchgate: gate is not parity-preserving"),
             ([(gate_library("CZ"), (1, 2)), (X, (0,))],
              BackendRefusal, r"^op 3 \(gate on \(1, 2\)\) is not a matchgate: det\(A\)/det\(B\) = -1\.000000"),
@@ -511,18 +513,19 @@ class TestBulkPath:
     # One case overflows on purpose.
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_first_fault_in_walk_order_is_named(self, faults, error, message):
+        # A non-unitary op is refused as it is appended, the rest by the backend.
         rng = np.random.default_rng(96)
         circuit = random_matchgate_circuit(rng, 3, 3)
-        for gate, targets in faults:
-            circuit.append(gate, targets)
         with pytest.raises(error, match=message):
+            for gate, targets in faults:
+                circuit.append(gate, targets)
             run_covariance(circuit, 0)
 
     def test_fault_in_a_later_chunk_is_named(self):
         rng = np.random.default_rng(97)
         circuit = random_matchgate_circuit(rng, 4, OP_CHUNK + 5)
         circuit.append_segment([CircuitOp(random_matchgate(rng), (0, 1)), CircuitOp(gate_library("SWAP"), (2, 3), name="swap")], 4)
-        circuit.append(2.0 * np.eye(4), (0, 1))
+        circuit.append(random_matchgate(rng), (0, 2))
         with pytest.raises(BackendRefusal, match=rf"^op {OP_CHUNK + 5}\.1 \(swap on \(2, 3\)\) is not a matchgate"):
             run_covariance(circuit, 0)
 

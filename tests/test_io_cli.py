@@ -20,6 +20,7 @@ from matchgates.compiler import LOGICAL_FLAT_OP_CAP, compile_circuit
 from matchgates.errors import MatchgatesError, NonUnitaryInput, ParseError
 from matchgates.gates import H, I2, X, build_pp, gate_library
 from matchgates.io import (
+    _complex_stack,
     dumps_document,
     emit_circuit_document,
     gate_from_document,
@@ -29,7 +30,7 @@ from matchgates.io import (
     parse_gate_spec,
 )
 from matchgates.statevector import circuit_unitary
-from util import random_matchgate, random_matchgate_circuit
+from util import flat, random_matchgate, random_matchgate_circuit
 
 PI = np.pi
 
@@ -87,7 +88,7 @@ class TestCircuitDocuments:
     def test_round_trip_byte_identical(self):
         rng = np.random.default_rng(80)
         circ = random_matchgate_circuit(rng, 4, 6)
-        circ.append_segment(tuple(random_matchgate_circuit(rng, 4, 2).flat()), 5)
+        circ.append_segment(tuple(flat(random_matchgate_circuit(rng, 4, 2))), 5)
         doc = emit_circuit_document(circ)
         text = dumps_document(doc)
         reparsed = parse_circuit_document(json.loads(text))
@@ -181,7 +182,13 @@ class TestCircuitDocuments:
             parse_circuit_document(doc)
 
     def test_matrix_entries_convert_exactly(self):
+        # Far from unitary, so converted as the parser converts a chunk.
         values = [[[1, 0], [0.1, -2**64 - 1]], [[10**30, 3], [-0.0, 1e-300]]]
+        expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in values])
+        gate = _complex_stack([values], 2)[0]
+        assert gate.dtype == complex and np.array_equal(gate, expected)
+        # Ints, a signed zero and a tiny part in a unitary one, parsed.
+        values = [[[1, 0], [-0.0, 1e-300]], [[0, 1e-300], [-1, 0]]]
         doc = {"format_version": 1, "qubits": 1, "gates": [{"name": "matrix", "targets": [0], "matrix": values}]}
         gate = parse_circuit_document(doc).ops[0].gate
         expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in values])
@@ -290,6 +297,12 @@ class TestAnalyzeCommand:
     def test_parse_error_exit_code(self, runner):
         result = runner.invoke(main, ["analyze", "--gate", "NOPE"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("samples", [10**6 + 1, 10**8])
+    def test_mc_samples_past_the_cap_are_too_large(self, runner, samples):
+        result = runner.invoke(main, ["analyze", "--gate", "CNOT", "--mc-samples", str(samples)])
+        assert result.exit_code == 5
+        assert result.output == f"error: {samples} Monte-Carlo samples is past the cap of 1000000\n"
 
 
 class TestCompileCommand:
@@ -645,7 +658,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("side", ["physical", "logical"])
     def test_non_unitary_op_is_a_usage_error_naming_the_op(self, runner, tmp_path, side):
-        # Unchecked, 1.001 I passes with fidelity 1.002.
+        # Unchecked, 1.001 I passes with fidelity 1.002; it is refused at load.
         h = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
         docs = {
             "logical": {"format_version": 1, "qubits": 2, "gates": [{"name": "h", "targets": [0]}]},
@@ -663,7 +676,7 @@ class TestVerifyCommand:
             args += [f"--{name}", write_doc(tmp_path, doc, f"{name}.json")]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert f"{side} circuit: op 1 (matrix on {tuple(targets)}) is not unitary" in result.output
+        assert result.output == f"error: {side} circuit: gates[1]: matrix is not unitary within 1e-09\n"
 
     @pytest.mark.parametrize("side", ["logical", "physical"])
     def test_load_refusal_names_the_document(self, runner, tmp_path, side):
@@ -757,7 +770,31 @@ class TestMalformedInputExitCodes:
             main, ["simulate", "--input", write_doc(tmp_path, doc), "--backend", backend]
         )
         assert result.exit_code == 2
-        assert "op 1 (matrix on (0, 1)) is not unitary" in result.output
+        assert result.output == "error: gates[1]: matrix is not unitary within 1e-09\n"
+
+    @pytest.mark.parametrize("targets", [[0], [0, 1]])
+    @pytest.mark.parametrize("command", ["simulate sv", "simulate ff", "compile", "verify logical", "verify physical"])
+    def test_non_unitary_matrix_entry_gets_one_refusal_from_every_command(self, runner, tmp_path, command, targets):
+        # 1.001 I: refused where the document is parsed, so every command
+        # that reads it says the same.
+        dim = 2 ** len(targets)
+        scaled = [[[1.001 * (i == j), 0.0] for j in range(dim)] for i in range(dim)]
+        bad = write_doc(tmp_path, {"format_version": 1, "qubits": 2, "gates": [
+            {"name": "matrix", "targets": targets, "matrix": scaled}, {"name": "h", "targets": [1]}]}, "bad.json")
+        prefix = ""
+        if command.startswith("simulate"):
+            args = ["simulate", "--input", bad, "--backend", command.split()[1]]
+        elif command == "compile":
+            args = ["compile", "--input", bad, "--target", "SWAP"]
+        else:
+            side = command.split()[1]
+            other = write_doc(tmp_path, {"format_version": 1, "qubits": 4 if side == "logical" else 1, "gates": []})
+            logical, physical = (bad, other) if side == "logical" else (other, bad)
+            args = ["verify", "--logical", logical, "--physical", physical]
+            prefix = f"{side} circuit: "
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {prefix}gates[0]: matrix is not unitary within 1e-09\n"
 
     def test_bad_initial_label(self, runner, tmp_path):
         path = write_doc(tmp_path, one_gate_doc())

@@ -20,7 +20,7 @@ from matchgates.circuits import RepeatedSegment
 from matchgates.gates import assemble_pp
 from matchgates.io import PARSE_CHUNK, parse_circuit_document
 from test_io_cli import mutated_documents
-from util import per_entry_parse, random_matchgate
+from util import haar_unitary, per_entry_parse, random_matchgate
 
 LIBRARY_1Q = (("h", []), ("x", []), ("T", []), ("rz", ["pi/4"]), ("rx", [0.3]), ("ry", [-2]))
 LIBRARY_2Q = (("cz", []), ("swap", []), ("FSWAP", []), ("iswap", []), ("nl", [0.1, "pi/8", 2]))
@@ -45,8 +45,8 @@ def g_entry_of(gate: np.ndarray, targets: list, ints: bool = False) -> dict:
 
 def random_entry(rng: np.random.Generator, n: int) -> dict:
     """One gate entry of any form on ``n`` >= 3 qubits: library gates,
-    'g' entries with unitary blocks, 'matrix' entries of either size with
-    any numbers, pairs in either order or not adjacent, and tags."""
+    'g' entries with unitary blocks, unitary 'matrix' entries of either
+    size, pairs in either order or not adjacent, and tags."""
     kind = rng.integers(6)
     q = int(rng.integers(n - 1))
     pair = [q, q + 1]
@@ -66,8 +66,11 @@ def random_entry(rng: np.random.Generator, n: int) -> dict:
             entry["name"] = "G"
     else:
         dim = 2 if kind == 4 else 4
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        m[0, 0] = complex(-0.0, 3)
+        # A Haar unitary with a row phase that makes m[0, 0] imaginary, its
+        # real part written as -0.0.
+        m = haar_unitary(rng, dim)
+        m[0] *= 1j * abs(m[0, 0]) / m[0, 0]
+        m[0, 0] = complex(-0.0, abs(m[0, 0]))
         entry = {"name": "matrix", "targets": [q] if dim == 2 else pair,
                  "matrix": complex_rows(m)}
     if rng.random() < 0.1:
@@ -169,7 +172,8 @@ def intact_rows(entry: dict, draw):
 def corrupted_documents(draw):
     """A valid document with one to four faults at positions that cluster
     around the parser's chunk boundaries: bad numbers, ragged rows,
-    non-unitary 'g' blocks and structural faults of every kind."""
+    non-unitary 'g' blocks and 'matrix' entries, and structural faults of
+    every kind."""
     size = draw(st.integers(1, 2 * PARSE_CHUNK + 20))
     doc = random_document(draw(st.integers(0, 2**32 - 1)), size)
     gates = doc["gates"]
@@ -203,7 +207,7 @@ def corrupted_documents(draw):
         elif fault == "rows":
             rows.pop()
         else:
-            # A scaled block is not unitary (a 'matrix' entry is not checked).
+            # A scaled row makes a 'g' block or a 'matrix' entry non-unitary.
             for pair in row:
                 pair[0] *= 2.0
                 pair[1] *= 2.0
@@ -270,6 +274,46 @@ def test_refusal_order_around_a_chunk_boundary(faults, message):
             entry["targets"] = [0, 2]
         elif fault == "repeated":
             entry["targets"] = [1, 1]
+    doc = doc_of(gates)
+    want = outcome(per_entry_parse, copy.deepcopy(doc))
+    assert want[1] == message
+    assert outcome(parse_circuit_document, doc) == want
+
+
+def mixed_identity_entries(count: int) -> list:
+    """Identity entries whose kind follows the index mod 3: a 'g' entry, a
+    one-qubit 'matrix' entry, a two-qubit 'matrix' entry."""
+    forms = (g_entry_of(np.eye(4), [0, 1]),
+             {"name": "matrix", "targets": [0], "matrix": complex_rows(np.eye(2))},
+             {"name": "matrix", "targets": [0, 1], "matrix": complex_rows(np.eye(4))})
+    return [copy.deepcopy(forms[i % 3]) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "faults,message",
+    [
+        # The first non-unitary entry in document order, whatever its form
+        # or size, and whichever stack it was checked in.
+        ({3: "unitary", 4: "unitary"}, "gates[3]: even block A is not unitary within 1e-09"),
+        ({4: "unitary", 6: "unitary"}, "gates[4]: matrix is not unitary within 1e-09"),
+        ({5: "unitary", 7: "unitary"}, "gates[5]: matrix is not unitary within 1e-09"),
+        ({PARSE_CHUNK - 2: "unitary", PARSE_CHUNK: "unitary"},
+         f"gates[{PARSE_CHUNK - 2}]: matrix is not unitary within 1e-09"),
+        ({PARSE_CHUNK: "unitary"}, f"gates[{PARSE_CHUNK}]: matrix is not unitary within 1e-09"),
+        # Overflow makes the defect NaN, which still fails the check.
+        ({10: "overflow"}, "gates[10]: matrix is not unitary within 1e-09"),
+        # A malformed entry after a non-unitary one, and before it.
+        ({4: "unitary", 7: "nan"}, "gates[4]: matrix is not unitary within 1e-09"),
+        ({4: "nan", 7: "unitary"}, "complex entries must be [re, im] pairs, got [nan, 0.0]"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_unitary_matrix_entries_are_refused_in_document_order(faults, message):
+    gates = mixed_identity_entries(2 * PARSE_CHUNK)
+    for index, fault in faults.items():
+        entry = gates[index]
+        rows = entry["blocks"]["a"] if entry["name"] == "g" else entry["matrix"]
+        rows[0][0] = {"unitary": [2.0, 0.0], "overflow": [1e200, 1e200], "nan": [float("nan"), 0.0]}[fault]
     doc = doc_of(gates)
     want = outcome(per_entry_parse, copy.deepcopy(doc))
     assert want[1] == message

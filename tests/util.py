@@ -70,6 +70,13 @@ def random_nonmatchgate_pp(rng: np.random.Generator) -> np.ndarray:
             return g
 
 
+def flat(circuit: Circuit):
+    """Every op of ``circuit`` with repetition groups expanded."""
+    for ops, count in circuit.walk():
+        for _ in range(count):
+            yield from ops
+
+
 def random_matchgate_circuit(
     rng: np.random.Generator, n: int, depth: int
 ) -> Circuit:
@@ -196,9 +203,9 @@ def measurement_probability(state: CovarianceState, k: int, outcome: int) -> flo
 
 
 # The per-entry document parser: each gate entry converted and checked on
-# its own, 'g' blocks checked for unitarity 64 entries at a time.  It is the
-# oracle of the stacked parser in matchgates.io, which must give the same
-# ops and the same refusals.
+# its own, 'matrix' entries checked for unitarity as they are read and 'g'
+# blocks 64 entries at a time.  It is the oracle of the stacked parser in
+# matchgates.io, which must give the same ops and the same refusals.
 _G_CHECK_CHUNK = 64
 
 
@@ -221,6 +228,10 @@ def _oracle_gate_entry(entry: dict, where: str, g_blocks: list) -> CircuitOp:
     dim = 2 ** len(targets)
     if key == "matrix":
         gate = matrix_in(entry.get("matrix"), dim, f"{where}: matrix")
+        try:
+            _require_unitary(gate, "matrix")
+        except MatchgatesError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
         return CircuitOp(gate, targets, name="matrix", tag=tag)
     if key == "g":
         blocks = entry.get("blocks")
