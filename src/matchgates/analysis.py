@@ -47,7 +47,6 @@ from .gates import (
     kron,
     nl,
     off_block_weight,
-    unitarity_defect,
 )
 
 # Columns are the magic-basis (Bell-like) states; local unitaries become real
@@ -146,27 +145,28 @@ def classify(u: Mat4) -> Classification:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise NonUnitaryInput("classify expects a 4x4 unitary")
-    unitary, pp, matchgate = (flags[0] for flags in classify_stack(u[None]))
-    if not unitary:
+    if not is_unitary(u):
         raise NonUnitaryInput(f"gate is not unitary within {TOL_UNITARY:g}")
+    pp, matchgate = (flags[0] for flags in classify_stack(u[None]))
     if not pp:
         return Classification(True, False, False)
     a, b = extract_blocks(u)
     return Classification(True, True, bool(matchgate), (a, b), det2(a) / det2(b))
 
 
-def classify_stack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tests of :func:`classify` over an (N, 4, 4) stack of gates.
+def classify_stack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parity and matchgate tests of :func:`classify` over an (N, 4, 4)
+    stack of gates already admitted as unitary.
 
-    Returns boolean arrays (unitary, parity-preserving, matchgate) of shape
-    (N,); each flag implies the one before it.  ``classify`` is the N = 1
-    case, so a gate gets the same verdict alone or in a stack.
+    Returns boolean arrays (parity-preserving, matchgate) of shape (N,); a
+    matchgate is parity-preserving.  ``classify`` checks unitarity and then
+    takes the N = 1 case, so a gate gets the same verdict alone or in a
+    stack.
     """
-    unitary = unitarity_defect(u) <= TOL_UNITARY
-    pp = unitary & (off_block_weight(u) <= TOL_CLASSIFY)
+    pp = off_block_weight(u) <= TOL_CLASSIFY
     det_a = u[:, 0, 0] * u[:, 3, 3] - u[:, 0, 3] * u[:, 3, 0]
     det_b = u[:, 1, 1] * u[:, 2, 2] - u[:, 1, 2] * u[:, 2, 1]
-    return unitary, pp, pp & (np.abs(det_a - det_b) <= TOL_CLASSIFY)
+    return pp, pp & (np.abs(det_a - det_b) <= TOL_CLASSIFY)
 
 
 def _su2_angles(m0: Mat2, eps: float) -> tuple[float, float, float, list[str], list[str]]:

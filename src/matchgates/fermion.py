@@ -20,14 +20,18 @@ operators) and map Majoranas out of their span, so they are refused.
 
 The traces of a stack of gates are one matrix product: for a d x d gate g
 and k local Majoranas, the constant K_{(b,a,c,e),(u,v)} = (c_u)_bc (c_v)_ea
-gives R_uv = Re[(conj(vec g) (x) vec g) K]_{(u,v)} / d, so N gates take one
-(N, d^4) x (d^4, k^2) product.
+gives R_uv = Re[(conj(vec g) (x) vec g) K]_{(u,v)} / d.  A matchgate has
+nonzero entries only in its parity blocks, 8 of 16 on a pair and the
+diagonal of a one-qubit gate, so K keeps only the rows of those entries and
+N pair gates take one (N, 64) x (64, 16) product.
 
 ``run_covariance`` works in the Heisenberg picture and on stacks: it takes
-the circuit OP_CHUNK ops at a time in walk order, checks the chunk's gates
-with one ``classify_stack`` call (a one-qubit gate as kron(g, I), a reversed
-pair conjugated by the index swap), reads every block off one conjugation
-product, and then folds them in order into the rows of P = R_L ... R_1.
+the circuit OP_CHUNK ops at a time in walk order, tests the chunk's gates
+for parity and det A = det B with one ``classify_stack`` call (a one-qubit
+gate as kron(g, I), a reversed pair conjugated by the index swap; unitarity
+was checked when the ops were admitted), reads every block off one
+conjugation product, and then folds them in order into the rows of
+P = R_L ... R_1.
 The per-gate work left is the O(n) update of the block's rows of P.  M is
 formed once at the end, on the Majorana pairs the circuit touched.
 """
@@ -38,6 +42,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .errors import (
     NotMatchgate,
     TooLarge,
 )
-from .gates import I2, PAULIS, Mat2, Mat4, X, Y, Z, det2, kron
+from .gates import I2, PAULIS, Mat2, Mat4, X, Y, Z, det2, extract_blocks, kron
 
 # Probability below which a measurement outcome is treated as impossible.
 PROB_FLOOR = 1e-12
@@ -60,11 +65,11 @@ PROB_FLOOR = 1e-12
 SAMPLER_BUDGET_BYTES = 32 * 2**20
 
 # Ops that run_covariance checks and converts in one stacked call.  The
-# stacked temporaries take about 5 KiB per op, 4 KiB of it the (N, 256)
-# outer-product stack of the conjugation, so memory stays near 1 MiB above
+# stacked temporaries take about 2.5 KiB per op, 1 KiB of it the (N, 64)
+# outer-product stack of the conjugation, so memory stays under 1 MiB above
 # the circuit's own and M whatever its length.  Forming M on the touched
 # Majoranas T at the end takes three more |T| x |T| matrices.
-OP_CHUNK = 128
+OP_CHUNK = 256
 
 # Largest register the covariance backend accepts.  Past n of about 115 the
 # sampler's pending branches hold 10-21 n^3 bytes, 0.17-0.35 GB at this cap.
@@ -115,16 +120,23 @@ def _pauli_coeffs(h: Mat2) -> tuple[float, float, float]:
     )
 
 
+def _not_matchgate(g: Mat4, pp: bool) -> NotMatchgate:
+    """The NotMatchgate refusal of a gate that failed the matchgate test;
+    ``pp`` says whether it passed the parity half."""
+    if not pp:
+        return NotMatchgate("gate is not parity-preserving, hence not a matchgate")
+    a, b = extract_blocks(g)
+    return NotMatchgate(
+        f"det(A)/det(B) = {det2(a) / det2(b):.6f} != 1: the gate's generator has a "
+        "Z x Z component (a fermionic interaction), no quadratic expansion exists"
+    )
+
+
 def _require_matchgate(g: Mat4) -> Classification:
     """``classify(g)``, raising NotMatchgate unless g is a matchgate."""
     cls = classify(g)
-    if not cls.is_pp:
-        raise NotMatchgate("gate is not parity-preserving, hence not a matchgate")
     if not cls.is_matchgate:
-        raise NotMatchgate(
-            f"det(A)/det(B) = {cls.det_ratio:.6f} != 1: the gate's generator has a "
-            "Z x Z component (a fermionic interaction), no quadratic expansion exists"
-        )
+        raise _not_matchgate(g, cls.is_pp)
     return cls
 
 
@@ -159,26 +171,43 @@ _QUBIT_MAJORANAS = np.array([X, Y])
 _SWAP_ORDER = [0, 2, 1, 3]
 
 
-def _trace_kernel(majoranas: np.ndarray) -> np.ndarray:
-    """K with rows (b, a, c, e) and columns (u, v): (c_u)_bc (c_v)_ea, so that
-    tr(g^dag c_u g c_v) = (conj(vec g) (x) vec g) . K[:, (u, v)]."""
+# Row-major entries of a gate that can be nonzero in a matchgate: the eight
+# of G(A, B) on a pair, the diagonal of a one-qubit gate.
+_PAIR_ENTRIES = np.array([0, 3, 5, 6, 9, 10, 12, 15])
+_QUBIT_ENTRIES = np.array([0, 3])
+
+
+class _Kernel(NamedTuple):
+    """Entries of vec g that a conjugation reads, and its (e^2, k^2) constant."""
+
+    entries: np.ndarray
+    matrix: np.ndarray
+
+
+def _trace_kernel(majoranas: np.ndarray, entries: np.ndarray) -> _Kernel:
+    """K with rows (b, a, c, e) and columns (u, v): (c_u)_bc (c_v)_ea / d, so
+    that tr(g^dag c_u g c_v) / d = (conj(vec g) (x) vec g) . K[:, (u, v)].
+    Only the rows whose entries (b, a) and (c, e) are both in ``entries``
+    are kept."""
     k, d = len(majoranas), majoranas.shape[-1]
-    return np.einsum("ubc,vea->baceuv", majoranas, majoranas).reshape(d**4, k * k)
+    full = np.einsum("ubc,vea->baceuv", majoranas, majoranas).reshape(d * d, d * d, k * k) / d
+    return _Kernel(entries, full[np.ix_(entries, entries)].reshape(len(entries) ** 2, k * k))
 
 
-_PAIR_KERNEL = _trace_kernel(_PAIR_MAJORANAS)
-_QUBIT_KERNEL = _trace_kernel(_QUBIT_MAJORANAS)
+_PAIR_KERNEL = _trace_kernel(_PAIR_MAJORANAS, _PAIR_ENTRIES)
+_QUBIT_KERNEL = _trace_kernel(_QUBIT_MAJORANAS, _QUBIT_ENTRIES)
 
 
-def _conjugation_block(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _conjugation_block(g: np.ndarray, kernel: _Kernel) -> np.ndarray:
     """R with g^dag c_u g = sum_v R_uv c_v over the Majoranas of ``kernel``
     (``_PAIR_KERNEL`` or ``_QUBIT_KERNEL``), for each g of an (N, d, d)
-    stack: R_uv = Re tr(g^dag c_u g c_v) / d, shape (N, k, k)."""
+    stack of matchgates: R_uv = Re tr(g^dag c_u g c_v) / d, shape (N, k, k).
+    Only the kernel's entries of g are read; the others are taken as 0."""
     count, d = len(g), g.shape[-1]
-    k = math.isqrt(kernel.shape[1])
-    flat = g.reshape(count, d * d)
-    outer = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(count, d**4)
-    return (outer @ kernel).real.reshape(count, k, k) / d
+    k = math.isqrt(kernel.matrix.shape[1])
+    flat = g.reshape(count, d * d)[:, kernel.entries]
+    outer = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(count, len(kernel.matrix))
+    return (outer @ kernel.matrix).real.reshape(count, k, k)
 
 
 def matchgate_to_rotation(g: Mat4, site: int, n: int) -> MajoranaRotation:
@@ -253,16 +282,15 @@ def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
     checks[single] = np.einsum("kab,ij->kaibj", singles, I2).reshape(-1, 4, 4)
     checks[~single] = pairs
     checks[~nearest] = np.eye(4)
-    for k in np.flatnonzero(~(nearest & classify_stack(checks)[2])):
-        # The per-op check on the first failure, for its words.
+    pp, matchgate = classify_stack(checks)
+    for k in np.flatnonzero(~(nearest & matchgate)):
+        # The first failure is refused, in the words of the per-op check.
         entry, position, body, count = chunk[k]
         name = describe_op(body, count, entry, position)
         if not nearest[k]:
             raise BackendRefusal(f"{name} is not nearest-neighbor")
-        try:
-            _require_matchgate(checks[k])
-        except NotMatchgate as exc:
-            raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
+        exc = _not_matchgate(checks[k], pp[k])
+        raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
     single_blocks = iter(_conjugation_block(singles, _QUBIT_KERNEL))
     pair_blocks = iter(_conjugation_block(pairs, _PAIR_KERNEL))
     blocks = [next(single_blocks if one else pair_blocks) for one in single.tolist()]

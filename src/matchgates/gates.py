@@ -59,9 +59,17 @@ def det2(m: Mat2) -> complex:
 
 
 def unitarity_defect(m: np.ndarray) -> np.ndarray:
-    """max |m^dag m - I| of each matrix in a (..., d, d) stack.  It is NaN
-    where the product overflows, so test it as ``defect <= TOL_UNITARY``."""
+    """max |m^dag m - I| of each matrix in a (..., d, d) stack.  A 2 x 2
+    stack takes the closed form over its columns c0, c1, with no matrix
+    product: max(||c0|^2 - 1|, ||c1|^2 - 1|, |<c0, c1>|).  The defect is NaN
+    or inf where the entries overflow, so test it as
+    ``defect <= TOL_UNITARY``."""
     d = m.shape[-1]
+    if d == 2:
+        sq = m.real**2 + m.imag**2
+        norms = np.abs(sq[..., 0, :] + sq[..., 1, :] - 1.0)
+        inner = np.abs(np.conj(m[..., 0, 0]) * m[..., 0, 1] + np.conj(m[..., 1, 0]) * m[..., 1, 1])
+        return np.maximum(np.maximum(norms[..., 0], norms[..., 1]), inner)
     prod = np.conj(np.swapaxes(m, -1, -2)) @ m
     return np.abs(prod - np.eye(d)).reshape(m.shape[:-2] + (d * d,)).max(axis=-1)
 

@@ -278,7 +278,7 @@ class _DocumentParser:
             gates.flags.writeable = False
             for k, gate in zip(ks, gates):
                 ops, slot, _, _, targets, tag, _ = queue[k]
-                ops[slot] = CircuitOp(gate, targets, name=kind[0], tag=tag)
+                ops[slot] = CircuitOp(gate, targets, kind[0], (), tag)
 
 
 # (matrix_in's name, the unitarity refusal's name) of each matrix of an entry.
@@ -449,7 +449,10 @@ def gate_from_document(doc: dict) -> np.ndarray:
         dim = len(rows) if isinstance(rows, list) else 0
         if dim not in (2, 4):
             raise ParseError("gate matrix must be 2x2 or 4x4")
-        return matrix_in(rows, dim, "matrix")
+        m = matrix_in(rows, dim, "matrix")
+        if not is_unitary(m):
+            raise ParseError(f"matrix is not unitary within {TOL_UNITARY:g}")
+        return m
     if "blocks" in doc:
         blocks = doc["blocks"]
         if not isinstance(blocks, dict) or set(blocks) != {"a", "b"}:

@@ -10,6 +10,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.stats import chi2
 
+import matchgates.analysis
+import matchgates.fermion
+import matchgates.gates
 from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
 from matchgates.errors import (
     BackendRefusal,
@@ -37,6 +40,7 @@ from matchgates.fermion import (
     sample_covariance,
 )
 from matchgates.gates import H, I2, X, Y, Z, build_pp, gate_library, kron, nl, phase_rz
+from matchgates.io import emit_circuit_document, parse_circuit_document
 from matchgates.statevector import StateVector, apply as sv_apply, expectation_z, run as sv_run, sample as sv_sample
 from util import (
     antisymmetry_defect,
@@ -449,25 +453,26 @@ def oracle_covariance(circuit: Circuit, initial) -> np.ndarray:
 ONE_QUBIT_MATCHGATES = [("z", ()), ("s", ()), ("t", ()), ("rz", (0.37,))]
 
 
+def random_bulk_op(rng: np.random.Generator, n: int) -> CircuitOp:
+    """A matchgate on a forward or reversed neighbour pair, or a one-qubit Z
+    rotation."""
+    kind = rng.integers(3)
+    if kind == 0:
+        name, params = ONE_QUBIT_MATCHGATES[rng.integers(len(ONE_QUBIT_MATCHGATES))]
+        return CircuitOp(gate_library(name, params), (int(rng.integers(n)),), name=name)
+    site = int(rng.integers(n - 1))
+    pair = (site, site + 1) if kind == 1 else (site + 1, site)
+    return CircuitOp(random_matchgate(rng), pair)
+
+
 def random_bulk_circuit(rng: np.random.Generator, n: int, entries: int) -> Circuit:
-    """Matchgates on forward and reversed neighbour pairs, one-qubit Z
-    rotations and small repetition groups mixing all three."""
-
-    def op():
-        kind = rng.integers(3)
-        if kind == 0:
-            name, params = ONE_QUBIT_MATCHGATES[rng.integers(len(ONE_QUBIT_MATCHGATES))]
-            return CircuitOp(gate_library(name, params), (int(rng.integers(n)),), name=name)
-        site = int(rng.integers(n - 1))
-        pair = (site, site + 1) if kind == 1 else (site + 1, site)
-        return CircuitOp(random_matchgate(rng), pair)
-
+    """Random bulk ops and small repetition groups of them."""
     circuit = Circuit(n)
     for _ in range(entries):
         if rng.random() < 0.1:
-            circuit.append_segment([op() for _ in range(rng.integers(1, 6))], int(rng.integers(1, 4)))
+            circuit.append_segment([random_bulk_op(rng, n) for _ in range(rng.integers(1, 6))], int(rng.integers(1, 4)))
         else:
-            circuit.ops.append(op())
+            circuit.ops.append(random_bulk_op(rng, n))
     return circuit
 
 
@@ -559,9 +564,73 @@ class TestBulkPath:
             atol=1e-10,
         )
 
+    def test_groups_across_three_chunk_boundaries_match_oracle(self):
+        # Every op admitted by append; a five-op group straddles each of the
+        # first three chunk boundaries of the walk, and the walk runs on
+        # past the third.
+        rng = np.random.default_rng(131)
+        n, walked = 6, 0
+        circuit = Circuit(n)
+        for stop in (OP_CHUNK - 2, 2 * OP_CHUNK - 2, 3 * OP_CHUNK - 2, 3 * OP_CHUNK + 7):
+            for _ in range(stop - walked):
+                op = random_bulk_op(rng, n)
+                circuit.append(op.gate, op.targets, name=op.name)
+            walked = stop
+            if stop < 3 * OP_CHUNK:
+                circuit.append_segment([random_bulk_op(rng, n) for _ in range(5)], int(rng.integers(2, 5)))
+                walked += 5
+        initial = int(rng.integers(2**n))
+        assert_allclose(run_covariance(circuit, initial).m, oracle_covariance(circuit, initial), atol=1e-10)
+
+    @pytest.mark.parametrize("source", ["append", "document"])
+    def test_admitted_ops_are_not_checked_for_unitarity_again(self, monkeypatch, source):
+        # Ops are checked where they enter a circuit, by append or the
+        # parser; the backend tests only parity and det A = det B, and
+        # words its refusals without a unitarity check either.
+        rng = np.random.default_rng(132)
+        circuit = Circuit(5)
+        for _ in range(OP_CHUNK + 40):
+            op = random_bulk_op(rng, 5)
+            circuit.append(op.gate, op.targets, name=op.name)
+        circuit.append_segment([random_bulk_op(rng, 5), random_bulk_op(rng, 5)], 3)
+        if source == "document":
+            circuit = parse_circuit_document(emit_circuit_document(circuit))
+        refused = Circuit(5)
+        refused.append(random_matchgate(rng), (1, 2))
+        refused.append(gate_library("CZ"), (3, 2), name="cz")
+        expected = oracle_covariance(circuit, 9)
+
+        def recheck(m):
+            raise AssertionError("an admitted op was checked for unitarity again")
+
+        for module in (matchgates.gates, matchgates.analysis, matchgates.fermion):
+            monkeypatch.setattr(module, "unitarity_defect", recheck, raising=False)
+        assert_allclose(run_covariance(circuit, 9).m, expected, atol=1e-10)
+        with pytest.raises(BackendRefusal, match=r"^op 1 \(cz on \(3, 2\)\) is not a matchgate: det\(A\)/det\(B\) = -1\.000000"):
+            run_covariance(refused, 0)
+
+    def test_conversion_memory_is_no_more_than_the_full_kernel_took(self):
+        # One ff_deep-sized request: 60 qubits, 2000 ops from a palette of
+        # 64 matchgates.  With the full (N, 256) outer product in chunks of
+        # 128 ops, run_covariance peaked at 1.053 MB here; with the
+        # parity-block kernel, in chunks of 256, it peaks at 0.978 MB.
+        rng = np.random.default_rng(101)
+        n, palette = 60, [random_matchgate(rng) for _ in range(64)]
+        circuit = Circuit(n)
+        for site, pick in zip(rng.integers(0, n - 1, 2000), rng.integers(0, 64, 2000)):
+            circuit.ops.append(CircuitOp(palette[pick], (int(site), int(site) + 1)))
+        run_covariance(circuit, 0)  # first-call caches are not counted
+        tracemalloc.start()
+        try:
+            run_covariance(circuit, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05e6
+
     def test_memory_stays_bounded_on_a_long_circuit(self):
         # Keeping every block (about 0.3 kB each) or stacking the whole
-        # circuit's temporaries (about 5 kB per op) would need 6-100 MB.
+        # circuit's temporaries (about 2.5 kB per op) would need 6-50 MB.
         rng = np.random.default_rng(98)
         n, palette = 60, [random_matchgate(rng) for _ in range(64)]
         circuit = Circuit(n)

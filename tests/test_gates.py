@@ -16,18 +16,23 @@ from matchgates.errors import (
 from matchgates.gates import (
     H,
     I2,
+    S,
+    T,
+    TOL_UNITARY,
     X,
     Y,
     Z,
     build_pp,
     extract_blocks,
     gate_library,
+    is_unitary,
     kron,
     nl,
     off_block_weight,
     rx,
     ry,
     rz,
+    unitarity_defect,
 )
 from util import equal_up_to_global_phase, haar_unitary, pp_product, random_pp
 
@@ -61,6 +66,56 @@ class TestBuildPP:
         rng = np.random.default_rng(12)
         g = random_pp(rng)
         assert_allclose(g @ g.conj().T, np.eye(4), atol=1e-12)
+
+
+def product_defect(m):
+    """max |m^dag m - I| of each matrix of a stack, by the matrix product."""
+    prod = np.conj(np.swapaxes(m, -1, -2)) @ m
+    return np.abs(prod - np.eye(m.shape[-1])).max(axis=(-2, -1))
+
+
+class TestUnitarityDefect:
+    """The closed form for 2 x 2 stacks against the product form."""
+
+    def test_random_stacks_match_the_product_form(self):
+        rng = np.random.default_rng(21)
+        near = np.array([haar_unitary(rng, 2) for _ in range(512)]).reshape(256, 2, 2, 2)
+        near += 1e-7 * (rng.normal(size=near.shape) + 1j * rng.normal(size=near.shape))
+        wild = rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2))
+        for m in (near, wild):
+            got = unitarity_defect(m)
+            assert got.shape == m.shape[:-2]
+            assert_allclose(got, product_defect(m), rtol=1e-12, atol=1e-15)
+
+    def test_exact_unitaries(self):
+        m = np.array([I2, X, Y, Z, S, 1j * X, -I2])
+        assert np.all(unitarity_defect(m) == 0.0)
+        m = np.array([H, T, rx(0.3), ry(-1.2), rz(2.5)] + [haar_unitary(np.random.default_rng(k), 2) for k in range(20)])
+        assert np.all(unitarity_defect(m) <= 1e-15)
+        assert_allclose(unitarity_defect(m), product_defect(m), atol=3e-16)
+
+    @pytest.mark.parametrize("excess,accepted", [(TOL_UNITARY - 1e-12, True), (TOL_UNITARY + 1e-12, False)])
+    @pytest.mark.parametrize("where", ["norm", "inner"])
+    def test_threshold_edge(self, excess, accepted, where):
+        # A first column of norm squared 1 + excess, or columns whose inner
+        # product is excess.
+        if where == "norm":
+            m = np.array([[np.sqrt(1.0 + excess), 0], [0, 1]], dtype=complex)
+        else:
+            m = np.array([[1, excess], [0, 1]], dtype=complex)
+        assert abs(unitarity_defect(m) - excess) < 1e-15
+        assert (unitarity_defect(m[None, None]) <= TOL_UNITARY).item() is accepted
+        assert is_unitary(m) is accepted
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflow_is_never_accepted(self):
+        huge = np.full((3, 2, 2), 1e200 + 1e200j)
+        huge[1] = 1e200
+        huge[2, 0] = 1e200j
+        defect = unitarity_defect(huge)
+        assert np.all(np.isnan(defect) | np.isinf(defect))
+        assert not np.any(defect <= TOL_UNITARY)
+        assert not is_unitary(huge[0])
 
 
 class TestPPProduct:

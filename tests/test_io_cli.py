@@ -796,6 +796,23 @@ class TestMalformedInputExitCodes:
         assert result.exit_code == 2, result.output
         assert result.output == f"error: {prefix}gates[0]: matrix is not unitary within 1e-09\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "compile"])
+    def test_non_unitary_matrix_gate_file_is_refused_at_load(self, runner, tmp_path, command):
+        # The identity with one entry at 1 + 1e-7: refused as the gate file
+        # is read, naming its key, by both commands that read one.
+        rows = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        rows[2][2][0] += 1e-7
+        gate = write_doc(tmp_path, {"matrix": rows}, "gate.json")
+        with pytest.raises(ParseError, match=r"^matrix is not unitary within 1e-09$"):
+            parse_gate_spec(gate)
+        if command == "analyze":
+            args = ["analyze", "--gate", gate]
+        else:
+            args = ["compile", "--input", write_logical_cz(tmp_path), "--target", gate]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: matrix is not unitary within 1e-09\n"
+
     def test_bad_initial_label(self, runner, tmp_path):
         path = write_doc(tmp_path, one_gate_doc())
         for label in ("012", "0"):
