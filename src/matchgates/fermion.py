@@ -34,6 +34,14 @@ conjugation product, and then folds them in order into the rows of
 P = R_L ... R_1.
 The per-gate work left is the O(n) update of the block's rows of P.  M is
 formed once at the end, on the Majorana pairs the circuit touched.
+
+``sample_covariance`` measures the qubits in order, each outcome a rank-2
+update of M (Terhal and DiVincenzo, PRA 65, 032325 (2002)), with all shots
+that share an outcome prefix sharing one conditioned covariance.  Each
+prefix keeps only a window of modes: those that M's exact nonzero pattern
+couples to a mode measured so far.  A depth-D circuit's M vanishes beyond
+about 4D modes of the diagonal, so the window is that light cone's width,
+not the register's; on a dense M it is the whole unmeasured register.
 """
 
 from __future__ import annotations
@@ -71,8 +79,10 @@ SAMPLER_BUDGET_BYTES = 32 * 2**20
 # Majoranas T at the end takes three more |T| x |T| matrices.
 OP_CHUNK = 256
 
-# Largest register the covariance backend accepts.  Past n of about 115 the
-# sampler's pending branches hold 10-21 n^3 bytes, 0.17-0.35 GB at this cap.
+# Largest register the covariance backend accepts.  On a dense covariance,
+# past n of about 115 the sampler's pending branches hold 10-21 n^3 bytes,
+# 0.17-0.35 GB at this cap; on a banded one, O(n w^2) bytes for a light cone
+# w modes wide.
 QUBIT_CAP = 256
 
 
@@ -228,7 +238,10 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
             raise BadTargets(f"bad basis label {bits!r} for n={n}")
         values = [int(ch) for ch in bits]
     else:
-        values = [(int(bits) >> (n - 1 - k)) & 1 for k in range(n)]
+        index = int(bits)
+        if not 0 <= index < 2**n:
+            raise BadTargets(f"basis index {index} out of range for n={n}")
+        values = [(index >> (n - 1 - k)) & 1 for k in range(n)]
     m = np.zeros((2 * n, 2 * n))
     for k, bit in enumerate(values):
         sign = 1.0 - 2.0 * bit
@@ -237,7 +250,7 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
     return CovarianceState(n, m)
 
 
-def _condition(m: np.ndarray, parent: np.ndarray, sign: np.ndarray) -> np.ndarray:
+def _condition(m: np.ndarray, parent: np.ndarray, sign: np.ndarray, out: np.ndarray) -> None:
     """Condition covariances on the Z outcome of their first qubit.
 
     ``m`` stacks covariance matrices, shape (g, d, d).  Child i is
@@ -248,15 +261,15 @@ def _condition(m: np.ndarray, parent: np.ndarray, sign: np.ndarray) -> np.ndarra
 
     with p the outcome's probability, floored at PROB_FLOOR.  After the update
     the pair's rows and columns are zero apart from the (0, 1) entry, so only
-    the block of the other modes is returned, shape (len(parent), d-2, d-2).
+    the block of the other modes is written, into ``out`` of shape
+    (len(parent), d-2, d-2).
     """
     p_out = np.maximum((1.0 + sign * m[parent, 0, 1]) / 2.0, PROB_FLOOR)
-    out = m[parent, 2:, 2:]
     col_u = m[parent, 2:, 0]
     col_v = m[parent, 2:, 1] * (sign / (2.0 * p_out))[:, None]
+    out[...] = m[parent, 2:, 2:]
     # The rank-2 update as one (d-2, 2) x (2, d-2) product per child.
     out += np.stack([col_v, -col_u], axis=2) @ np.stack([col_u, col_v], axis=1)
-    return out
 
 
 def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
@@ -354,6 +367,18 @@ def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
     return state
 
 
+def _reach(m: np.ndarray) -> np.ndarray:
+    """reach[k], k = 0..n, of a 2n x 2n covariance: 1 + the largest mode that
+    M's exact nonzero pattern (rows and columns) couples to any of modes
+    0..2k+1, at least 2k+2 and made non-decreasing; reach[n] = 2n."""
+    d = len(m)
+    nz = m != 0
+    nz |= nz.T
+    last = np.where(nz.any(axis=1), d - np.argmax(nz[:, ::-1], axis=1), 0)
+    reach = np.maximum(np.maximum(last[0::2], last[1::2]), np.arange(2, d + 1, 2))
+    return np.append(np.maximum.accumulate(reach), d)
+
+
 def sample_covariance(state: CovarianceState, shots: int, seed: int) -> dict[int, int]:
     """Full-register measurement histogram, qubits read left to right.
 
@@ -361,37 +386,58 @@ def sample_covariance(state: CovarianceState, shots: int, seed: int) -> dict[int
     shots that share an outcome prefix share one conditioned covariance.  At
     qubit k each prefix's shot count splits binomially with
     p0 = (1 + M[2k, 2k+1]) / 2 of that prefix's covariance.  By the chain
-    rule this is an exact multinomial draw from the joint distribution.  A
-    prefix of length k keeps only the covariance of the 2(n-k) modes not yet
-    measured.  Outcomes with probability within PROB_FLOOR of 0 or 1 are
-    clamped to certain.
+    rule this is an exact multinomial draw from the joint distribution.
+    Outcomes with probability within PROB_FLOOR of 0 or 1 are clamped to
+    certain.
+
+    Light cone.  Let reach[k] be 1 + the largest j with M[i, j] or M[j, i]
+    exactly nonzero for some i <= 2k+1, made non-decreasing (``_reach``).
+    Invariant: after conditioning on qubits 0..k-1, every entry (i, j) with
+    max(i, j) >= reach[k-1] still equals M's.  Proof, by induction on k:
+    conditioning on qubit k adds a rank-2 term in columns 2k and 2k+1 of the
+    conditioned matrix.  Their rows i >= reach[k] >= reach[k-1] are M's by
+    the invariant (and antisymmetry), hence 0 by the definition of reach[k].
+    So the term vanishes outside [0, reach[k])^2 and the invariant holds
+    for k+1.
+    A prefix of length k therefore holds only its window over modes
+    [2k, reach[k]).  Conditioning gives the child's window over
+    [2k+2, reach[k]), and the rows and columns of M over
+    [reach[k], reach[k+1]) are appended to it.  On a dense M, reach[k] = 2n
+    and the window is the whole unmeasured covariance.
 
     Prefixes are expanded depth first, in batches sized so that each level
-    of the tree holds at most SAMPLER_BUDGET_BYTES / n bytes of covariances
-    (and at least one parent's children).  Live memory is therefore about
-    SAMPLER_BUDGET_BYTES plus one batch of temporaries, or O(n^3) bytes if
-    that is larger, whatever ``shots`` is.  Time is O(n^2) per distinct
-    prefix per level, at most O(shots n^3).  Keys are Python ints, exact
-    for any n.
+    of the tree holds at most SAMPLER_BUDGET_BYTES / n bytes of child
+    windows (and at least one parent's children).  Live memory is therefore
+    about SAMPLER_BUDGET_BYTES plus one batch of temporaries, or O(n w^2)
+    bytes if that is larger, whatever ``shots`` is, with w the widest
+    window.  Time is O(w^2) per distinct prefix per level, at most
+    O(shots n w^2); w is 2n on a dense M and about the light cone's width
+    on a shallow circuit.  Keys are Python ints, exact for any n.
     """
     if not isinstance(shots, (int, np.integer)) or not 1 <= shots < 2**63:
         raise BadSampleCount(f"shots must be an integer in [1, 2**63), got {shots!r}")
-    n = state.n
+    n, full = state.n, state.m
     rng = np.random.default_rng(seed)
     level_budget = SAMPLER_BUDGET_BYTES // n
+    reach = _reach(full).tolist()
     hist: dict[int, int] = {}
-    # Batches of prefixes of length k: (k, covariances of modes 2k.., shot
-    # counts, prefix bits).  Bit n-1-k of a key, qubit k's outcome, is bit
-    # (n-1-k) % 64 of word (n-1-k) // 64.
+    # Batches of prefixes of length k: (k, windows over modes 2k..reach[k],
+    # shot counts, prefix bits).  Bit n-1-k of a key, qubit k's outcome, is
+    # bit (n-1-k) % 64 of word (n-1-k) // 64.
     words = np.zeros((1, (n + 63) // 64), dtype=np.uint64)
-    stack = [(0, state.m[None], np.array([int(shots)]), words)]
+    stack = [(0, full[None, : reach[0], : reach[0]], np.array([int(shots)]), words)]
     while stack:
         k, m, counts, prefixes = stack.pop()
         if k == n:
-            for row, count in zip(prefixes.tolist(), counts.tolist()):
-                hist[sum(w << (64 * j) for j, w in enumerate(row))] = count
+            keys = prefixes[:, 0].tolist()
+            for j in range(1, prefixes.shape[1]):
+                keys = [key | w << (64 * j) for key, w in zip(keys, prefixes[:, j].tolist())]
+            hist.update(zip(keys, counts.tolist()))
             continue
-        child_dim = 2 * (n - k - 1)
+        # The child window spans modes lo..new, its first kept = old - lo
+        # of them conditioned and the rest M's own.
+        lo, old, new = 2 * k + 2, reach[k], reach[k + 1]
+        child_dim, kept = new - lo, old - lo
         take = max(1, level_budget // (2 * 8 * max(child_dim, 1) ** 2))
         if len(counts) > take:
             stack.append((k, m[take:], counts[take:], prefixes[take:]))
@@ -407,7 +453,9 @@ def sample_covariance(state: CovarianceState, shots: int, seed: int) -> dict[int
         child_prefixes = prefixes[parent]
         word, bit = divmod(n - 1 - k, 64)
         child_prefixes[:, word] |= outcome.astype(np.uint64) << np.uint64(bit)
-        stack.append(
-            (k + 1, _condition(m, parent, 1.0 - 2.0 * outcome), child_counts[live], child_prefixes)
-        )
+        child = np.empty((len(live), child_dim, child_dim))
+        child[:, kept:] = full[old:new, lo:new]
+        child[:, :kept, kept:] = full[lo:old, old:new]
+        _condition(m, parent, 1.0 - 2.0 * outcome, child[:, :kept, :kept])
+        stack.append((k + 1, child, child_counts[live], child_prefixes))
     return hist

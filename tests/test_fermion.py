@@ -30,7 +30,9 @@ from matchgates.fermion import (
     _QUBIT_MAJORANAS,
     _SWAP_ORDER,
     _conjugation_block,
+    _reach,
     OP_CHUNK,
+    PROB_FLOOR,
     QUBIT_CAP,
     CovarianceState,
     init_covariance,
@@ -48,6 +50,7 @@ from util import (
     embed,
     evolve,
     flat,
+    full_matrix_sample,
     generator_rotation_block,
     haar_unitary,
     majorana_operators,
@@ -295,6 +298,17 @@ class TestCovariance:
         for n in (0, QUBIT_CAP + 1, 2000):
             with pytest.raises(TooLarge, match=f"1..{QUBIT_CAP}"):
                 init_covariance(n)
+
+    @pytest.mark.parametrize("label", [9, -1, 8])
+    def test_out_of_range_integer_label_refused_like_statevector(self, label):
+        circ = Circuit(3)
+        circ.append(build_pp(H, H), (0, 1))
+        messages = []
+        for run in (run_covariance, sv_run):
+            with pytest.raises(BadTargets) as info:
+                run(circ, label)
+            messages.append(str(info.value))
+        assert messages == [f"basis index {label} out of range for n=3"] * 2
 
     def test_invariants_preserved(self):
         rng = np.random.default_rng(57)
@@ -774,20 +788,8 @@ class TestSampler:
                 run_covariance(certain_qubit_circuit(rng, n), int(rng.integers(0, 2**n)))
             )
         for trial, cov in enumerate(cases):
-            exact = exact_outcome_distribution(cov)
             hist = sample_covariance(cov, shots, seed=500 + trial)
-            assert sum(hist.values()) == shots
-            assert set(hist) <= set(exact), "sampled an outcome of probability ~0"
-            keys = sorted(exact)
-            observed = np.array([hist.get(k, 0) for k in keys], dtype=float)
-            expected = shots * np.array([exact[k] for k in keys])
-            big = expected >= 5
-            obs = np.append(observed[big], observed[~big].sum())
-            exp = np.append(expected[big], expected[~big].sum())
-            keep = exp > 0
-            stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
-            dof = max(int(keep.sum()) - 1, 1)
-            assert chi2.sf(stat, dof) > 1e-6, (trial, stat, dof)
+            assert_fits(hist, exact_outcome_distribution(cov), shots, trial)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_basis_states_are_certain(self, n):
@@ -820,12 +822,7 @@ class TestSampler:
     def test_memory_does_not_scale_with_shots(self):
         # A copy of the 80x80 covariance per shot would need 2000 x 51 kB.
         rng = np.random.default_rng(66)
-        n = 40
-        circ = Circuit(n)
-        for layer in range(6):
-            for site in range(layer % 2, n - 1, 2):
-                circ.append(random_matchgate(rng), (site, site + 1))
-        cov = run_covariance(circ, 0)
+        cov = run_covariance(brickwork(rng, 40, 6), 0)
         tracemalloc.start()
         try:
             hist = sample_covariance(cov, 2000, seed=8)
@@ -835,6 +832,174 @@ class TestSampler:
         assert sum(hist.values()) == 2000
         assert len(hist) > 1000  # a wide prefix tree, not a near-certain state
         assert peak < 48e6
+
+
+def brickwork(rng: np.random.Generator, n: int, layers: int) -> Circuit:
+    """Random matchgates on every pair of ``layers`` alternating brick layers."""
+    circ = Circuit(n)
+    for layer in range(layers):
+        for site in range(layer % 2, n - 1, 2):
+            circ.append(random_matchgate(rng), (site, site + 1))
+    return circ
+
+
+def yx_brickwork(rng: np.random.Generator, n: int, layers: int) -> Circuit:
+    """Brick layers of exp(i t Y x X), which rotate Majoranas 2s and 2s+2, so
+    some qubits' even modes couple further than their odd partners."""
+    circ = Circuit(n)
+    for layer in range(layers):
+        for site in range(layer % 2, n - 1, 2):
+            circ.append(expm(1j * rng.uniform(0.2, 1.3) * kron(Y, X)), (site, site + 1))
+    return circ
+
+
+def far_coupling_circuit(rng: np.random.Generator, n: int, start: int) -> Circuit:
+    """A two-layer brickwork, then G(H, H) on (start, start+1) and FSWAPs that
+    carry qubit start+1 to qubit n-1, so qubit start's modes couple to the
+    last qubit's and the light cone jumps to the whole register."""
+    circ = brickwork(rng, n, 2)
+    circ.append(build_pp(H, H), (start, start + 1))
+    for site in range(start + 1, n - 1):
+        circ.append(gate_library("FSWAP"), (site, site + 1))
+    return circ
+
+
+def direct_state(rng: np.random.Generator, n: int) -> CovarianceState:
+    """A CovarianceState built without run_covariance: a random basis state's
+    covariance under the dense product of a three-layer brickwork's
+    rotations, R M0 R^T (not exactly antisymmetric in rounding)."""
+    r = np.eye(2 * n)
+    for layer in range(3):
+        for site in range(layer % 2, n - 1, 2):
+            r = rotation_matrix(matchgate_to_rotation(random_matchgate(rng), site, n)) @ r
+    m0 = init_covariance(n, int(rng.integers(0, 2**n))).m
+    return CovarianceState(n, r @ m0 @ r.T)
+
+
+def random_label(rng: np.random.Generator, n: int) -> str:
+    return "".join(rng.choice(["0", "1"], size=n))
+
+
+# Circuits whose covariance has exact zeros (light cones narrower than the
+# register, clamped qubits, a coupling carried across the register), each
+# with its initial basis label.  All have n <= 12, so the statevector can
+# give their exact distribution.
+SPARSE_CIRCUITS = {
+    "brickwork-10": lambda rng: (brickwork(rng, 10, 3), 0),
+    "brickwork-12": lambda rng: (brickwork(rng, 12, 4), random_label(rng, 12)),
+    "yx-brickwork-12": lambda rng: (yx_brickwork(rng, 12, 2), random_label(rng, 12)),
+    "certain-qubits-11": lambda rng: (certain_qubit_circuit(rng, 11), random_label(rng, 11)),
+    "certain-qubits-12": lambda rng: (certain_qubit_circuit(rng, 12), random_label(rng, 12)),
+    "far-coupling-from-0": lambda rng: (far_coupling_circuit(rng, 12, 0), 0),
+    "far-coupling-from-5": lambda rng: (far_coupling_circuit(rng, 12, 5), random_label(rng, 12)),
+}
+
+
+def sparse_state(name: str, rng: np.random.Generator) -> CovarianceState:
+    if name in SPARSE_CIRCUITS:
+        return run_covariance(*SPARSE_CIRCUITS[name](rng))
+    if name == "direct":
+        return direct_state(rng, 10)
+    n, layers = {"brickwork-28": (28, 4), "brickwork-70": (70, 3)}[name]
+    return run_covariance(brickwork(rng, n, layers), random_label(rng, n))
+
+
+class TestLightCone:
+    def test_reach_reads_exact_nonzeros_in_rows_and_columns(self):
+        m = init_covariance(5, "01101").m
+        assert _reach(m).tolist() == [2, 4, 6, 8, 10, 10]
+        for i, j in ((7, 0), (0, 7)):
+            one_sided = m.copy()
+            one_sided[i, j] = 1e-300
+            assert _reach(one_sided).tolist() == [8, 8, 8, 8, 10, 10]
+
+    def test_far_coupling_makes_reach_jump(self):
+        rng = np.random.default_rng(70)
+        reach = _reach(run_covariance(far_coupling_circuit(rng, 12, 5), 0).m)
+        assert reach[0] < 24 and reach[5] == 24
+        assert all(reach[1:] >= reach[:-1])
+
+    @pytest.mark.parametrize(
+        "name", ["brickwork-12", "yx-brickwork-12", "far-coupling-from-5", "direct"]
+    )
+    def test_entries_beyond_reach_are_never_conditioned(self, name):
+        # The sampler's invariant, checked on the dense rank-2 update: after
+        # conditioning on qubits 0..k-1, entries (i, j) with
+        # max(i, j) >= reach[k-1] are still M's, bit for bit.
+        rng = np.random.default_rng(71)
+        state = sparse_state(name, rng)
+        reach = _reach(state.m)
+        modes = np.arange(2 * state.n)
+        post = state
+        for k in range(1, state.n):
+            outcome = int(measurement_probability(post, k - 1, 1) > 0.5)
+            _, post = measure_z(post, k - 1, 0, force_outcome=outcome)
+            outside = np.maximum.outer(modes, modes) >= reach[k - 1]
+            outside[: 2 * k, : 2 * k] = False  # the measured pairs are cleared
+            np.testing.assert_array_equal(post.m[outside], state.m[outside])
+
+    @pytest.mark.parametrize("budget", [1, matchgates.fermion.SAMPLER_BUDGET_BYTES, 2**50])
+    def test_dense_state_matches_full_matrix_oracle(self, monkeypatch, budget):
+        rng = np.random.default_rng(72)
+        cov = run_covariance(brickwork(rng, 60, 64), random_label(rng, 60))
+        assert _reach(cov.m)[0] == 120
+        monkeypatch.setattr(matchgates.fermion, "SAMPLER_BUDGET_BYTES", budget)
+        hist = sample_covariance(cov, 40, seed=13)
+        assert sum(hist.values()) == 40
+        assert hist == full_matrix_sample(cov, 40, seed=13)
+
+    @pytest.mark.parametrize(
+        "name", [*SPARSE_CIRCUITS, "brickwork-28", "brickwork-70", "direct"]
+    )
+    def test_matches_full_matrix_oracle_with_one_batch_per_level(self, monkeypatch, name):
+        rng = np.random.default_rng(73)
+        cov = sparse_state(name, rng)
+        monkeypatch.setattr(matchgates.fermion, "SAMPLER_BUDGET_BYTES", 2**50)
+        # The oracle's one batch holds a whole covariance per prefix.
+        shots = 100 if cov.n > 64 else 1000
+        hist = sample_covariance(cov, shots, seed=14)
+        assert sum(hist.values()) == shots
+        assert hist == full_matrix_sample(cov, shots, seed=14)
+
+    @pytest.mark.parametrize("name", list(SPARSE_CIRCUITS))
+    def test_goodness_of_fit_against_statevector(self, name):
+        rng = np.random.default_rng(74)
+        circ, initial = SPARSE_CIRCUITS[name](rng)
+        probs = sv_run(circ, initial).probabilities()
+        exact = {i: float(p) for i, p in enumerate(probs) if p > PROB_FLOOR}
+        shots = 20_000
+        hist = sample_covariance(run_covariance(circ, initial), shots, seed=15)
+        assert_fits(hist, exact, shots, name)
+
+    def test_memory_of_a_shallow_circuit_stays_below_the_full_matrix_sampler(self):
+        # The full-matrix sampler peaked at 8.62 MB on this request.
+        rng = np.random.default_rng(68)
+        cov = run_covariance(brickwork(rng, 28, 4), 0)
+        tracemalloc.start()
+        try:
+            hist = sample_covariance(cov, 1000, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.values()) == 1000
+        assert peak <= 8.6e6
+
+
+def assert_fits(hist: dict[int, int], exact: dict[int, float], shots: int, label) -> None:
+    """Chi-square goodness of fit of a histogram to an exact distribution,
+    with expected counts below 5 pooled; no outcome outside its support."""
+    assert sum(hist.values()) == shots
+    assert set(hist) <= set(exact), "sampled an outcome of probability ~0"
+    keys = sorted(exact)
+    observed = np.array([hist.get(k, 0) for k in keys], dtype=float)
+    expected = shots * np.array([exact[k] for k in keys])
+    big = expected >= 5
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    keep = exp > 0
+    stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
+    dof = max(int(keep.sum()) - 1, 1)
+    assert chi2.sf(stat, dof) > 1e-6, (label, stat, dof)
 
 
 def two_sample_chi2(h1: dict[int, int], h2: dict[int, int], size: int):

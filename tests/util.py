@@ -3,6 +3,7 @@
 import numpy as np
 from scipy.linalg import expm, schur
 
+from matchgates import fermion
 from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
 from matchgates.analysis import makhlin_invariants
 from matchgates.compiler import Encoding
@@ -421,12 +422,51 @@ def measure_z(
     rest = np.r_[0:u, v + 1 : 2 * state.n]
     order = np.r_[u, v, rest]
     new = np.zeros_like(m)
-    new[np.ix_(rest, rest)] = _condition(
-        m[np.ix_(order, order)][None], np.zeros(1, dtype=np.intp), np.array([sign])
-    )[0]
+    block = np.empty((1, len(rest), len(rest)))
+    _condition(m[np.ix_(order, order)][None], np.zeros(1, dtype=np.intp), np.array([sign]), block)
+    new[np.ix_(rest, rest)] = block[0]
     new[u, v] = sign
     new[v, u] = -sign
     return outcome, CovarianceState(state.n, new)
+
+
+def full_matrix_sample(state: CovarianceState, shots: int, seed: int) -> dict[int, int]:
+    """``sample_covariance`` without its light cone: every prefix of length k
+    keeps the whole conditioned covariance of the 2(n-k) unmeasured modes.
+    Same prefix tree, depth-first batches (sized by the whole child block
+    under ``fermion.SAMPLER_BUDGET_BYTES``, read at call time), draws and
+    clamps, so its histogram is the sampler's wherever their batches agree."""
+    n = state.n
+    rng = np.random.default_rng(seed)
+    level_budget = fermion.SAMPLER_BUDGET_BYTES // n
+    hist: dict[int, int] = {}
+    words = np.zeros((1, (n + 63) // 64), dtype=np.uint64)
+    stack = [(0, state.m[None], np.array([int(shots)]), words)]
+    while stack:
+        k, m, counts, prefixes = stack.pop()
+        if k == n:
+            for row, count in zip(prefixes.tolist(), counts.tolist()):
+                hist[sum(w << (64 * j) for j, w in enumerate(row))] = count
+            continue
+        child_dim = 2 * (n - k - 1)
+        take = max(1, level_budget // (2 * 8 * max(child_dim, 1) ** 2))
+        if len(counts) > take:
+            stack.append((k, m[take:], counts[take:], prefixes[take:]))
+            m, counts, prefixes = m[:take], counts[:take], prefixes[:take]
+        p0 = np.clip((1.0 + m[:, 0, 1]) / 2.0, 0.0, 1.0)
+        p0[p0 >= 1.0 - PROB_FLOOR] = 1.0
+        p0[p0 <= PROB_FLOOR] = 0.0
+        zeros = rng.binomial(counts, p0)
+        child_counts = np.stack([zeros, counts - zeros], axis=1).ravel()
+        live = np.flatnonzero(child_counts)
+        parent, outcome = np.divmod(live, 2)
+        child_prefixes = prefixes[parent]
+        word, bit = divmod(n - 1 - k, 64)
+        child_prefixes[:, word] |= outcome.astype(np.uint64) << np.uint64(bit)
+        child = np.empty((len(live), child_dim, child_dim))
+        _condition(m, parent, 1.0 - 2.0 * outcome, child)
+        stack.append((k + 1, child, child_counts[live], child_prefixes))
+    return hist
 
 
 def pp_product(g1: Mat4, g2: Mat4) -> Mat4:
