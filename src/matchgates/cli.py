@@ -11,7 +11,8 @@ Exit codes are a stable contract:
     3  target gate is a matchgate
     4  target gate is not parity-preserving
     5  problem too large for the requested mode (e.g. verifying > 12 logical
-       qubits, or more than 1,000,000 --mc-samples)
+       qubits, more than 1,000,000 --mc-samples, or a document's 'repeat'
+       count past 10,000,000, ``circuits.REPEAT_CAP``)
     6  backend refusal (e.g. non-matchgate op on the ff backend)
     7  repetition synthesis failed within --r-max
     8  verification failed (fidelity more than epsilon from 1 in ``mgc verify``, or
@@ -40,14 +41,8 @@ from .analysis import (
     nonlocal_from_pp,
     pp_params,
 )
-from .compiler import (
-    DEFAULT_R_MAX,
-    CompiledCircuit,
-    Encoding,
-    check_epsilon,
-    compile_circuit,
-    verify as verify_compiled,
-)
+from .circuits import REPEAT_CAP
+from .compiler import DEFAULT_R_MAX, check_epsilon, compile_circuit, verify as verify_compiled
 from .errors import (
     BackendRefusal,
     BadSampleCount,
@@ -199,7 +194,7 @@ def analyze(gate, mc_samples, seed, as_json):
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True), help="Logical circuit JSON.")
 @click.option("--target", required=True, help="Target gate spec.")
 @click.option("--epsilon", default=1e-6, show_default=True, help="Encoded-subspace infidelity budget.")
-@click.option("--r-max", type=click.IntRange(min=1), default=DEFAULT_R_MAX, show_default=True, help="Repetition search cap.")
+@click.option("--r-max", type=click.IntRange(min=1, max=REPEAT_CAP), default=DEFAULT_R_MAX, show_default=True, help="Repetition search cap.")
 @click.option("--out", type=click.Path(), help="Write the compiled circuit JSON here.")
 @click.option("--skip-verify", is_flag=True, help="Skip the verification summary.")
 @click.option("--json", "as_json", is_flag=True)
@@ -231,7 +226,7 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, as_json):
         "out": out,
     }
     if not skip_verify:
-        report = verify_compiled(compiled, logical, epsilon)
+        report = verify_compiled(compiled.physical, logical, epsilon)
         summary["verification"] = {
             "mode": report.mode,
             "fidelity": report.fidelity,
@@ -337,32 +332,15 @@ def _load_side(path: str, side: str):
 @click.option("--logical", "logical_path", required=True, type=click.Path(exists=True))
 @click.option("--physical", "physical_path", required=True, type=click.Path(exists=True))
 @click.option("--epsilon", default=1e-6, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True, help="Random states checked past 8 logical qubits.")
-@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @_exit_codes
-def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
+def verify(logical_path, physical_path, epsilon, as_json):
     """Check a physical circuit against a logical one under the pair encoding:
-    exactly up to 8 logical qubits, on random states up to 12."""
+    exactly up to 8 logical qubits, on 8 fixed random states up to 12."""
     check_epsilon(epsilon)
     logical = _load_side(logical_path, "logical")
     physical = _load_side(physical_path, "physical")
-    if physical.n != 2 * logical.n:
-        raise ParseError(
-            f"physical circuit has {physical.n} qubits; expected {2 * logical.n} "
-            f"for {logical.n} logical qubits"
-        )
-    compiled = CompiledCircuit(physical=physical, encoding=Encoding(logical.n), plan=None, epsilon=epsilon)
-    report = verify_compiled(compiled, logical, epsilon, samples=samples, seed=seed)
-    payload = {
-        "mode": report.mode,
-        "fidelity": report.fidelity,
-        "leakage": report.leakage,
-        "epsilon": epsilon,
-        "passed": report.passed,
-        "target_uses": report.target_uses,
-        "flat_op_count": report.flat_op_count,
-    }
+    report = verify_compiled(physical, logical, epsilon)
 
     def render(r):
         click.echo(
@@ -370,7 +348,7 @@ def verify(logical_path, physical_path, epsilon, samples, seed, as_json):
             f"leakage={r['leakage']:.3e} epsilon={r['epsilon']:g} passed={r['passed']}"
         )
 
-    _emit(payload, as_json, render)
+    _emit(asdict(report), as_json, render)
 
     if report.passed is False:
         raise click.exceptions.Exit(EXIT_VERIFY_FAILED)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import NonlocalTriple, classify, nonlocal_from_pp, pp_params
-from .circuits import Circuit, CircuitOp, RepeatedSegment, describe_op
+from .circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment, describe_op
 from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
@@ -84,12 +84,16 @@ from .gates import (
 from .statevector import UNITARY_QUBIT_CAP, propagate
 
 # Largest repetition count searched per logical CZ; near-rational ZZ
-# strengths can need millions.
-DEFAULT_R_MAX = 10_000_000
+# strengths can need millions.  A schedule's repeat group holds r - 1 uses,
+# so r never passes the repeat cap.
+DEFAULT_R_MAX = REPEAT_CAP
 LOGICAL_QUBIT_CAP = 16
 # Logical ops, with repeat groups expanded, that one compile writes out; the
 # lowered body of a group is appended once per repetition.
 LOGICAL_FLAT_OP_CAP = 100_000
+# Random states that verify checks past the exact mode's size, and their seed.
+VERIFY_SAMPLES = 8
+VERIFY_SEED = 7
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
 
@@ -339,20 +343,20 @@ def _lower(kind: str, op: CircuitOp, cz) -> list[tuple[str, tuple[int, ...], lis
     return spans
 
 
+def count_target_uses(circuit: Circuit) -> int:
+    """Ops tagged "target", with repeat groups expanded."""
+    return sum(count * sum(op.tag == "target" for op in ops) for ops, count in circuit.walk())
+
+
 @dataclass
 class CompiledCircuit:
     physical: Circuit
-    encoding: Encoding
     plan: EntanglerPlan | None
-    epsilon: float
     provenance: list[dict] = field(default_factory=list)
 
     @property
     def target_uses(self) -> int:
-        return sum(
-            count * sum(op.tag == "target" for op in ops)
-            for ops, count in self.physical.walk()
-        )
+        return count_target_uses(self.physical)
 
 
 def _check_flat_count(logical: Circuit) -> None:
@@ -421,7 +425,7 @@ def compile_circuit(
 
     plan = None
     if n_cz:
-        eps_angle = max(min(math.sqrt(epsilon) / (2.0 * n_cz), _QUARTER_PI / 2), 1e-13)
+        eps_angle = min(math.sqrt(epsilon) / (2.0 * n_cz), _QUARTER_PI / 2)
         plan = plan_entangler(strip.core, eps_angle, r_max=r_max)
         (t1, t2), (t3, t4) = strip.left, strip.right
         sl = assemble_pp(phase_rz(-t1), phase_rz(-t2))
@@ -438,8 +442,7 @@ def compile_circuit(
             entries.append(RepeatedSegment((CircuitOp(link, pair, name="g_link"), use), plan.repetitions - 1))
         return entries + [CircuitOp(leave, pair, name="g_leave")]
 
-    enc = Encoding(logical.n)
-    phys = Circuit(enc.physical_count)
+    phys = Circuit(2 * logical.n)
     provenance: list[dict] = []
     flat = 0
     for ops, count, kinds in checked:
@@ -459,13 +462,7 @@ def compile_circuit(
             "epsilon": epsilon,
         }
     )
-    return CompiledCircuit(
-        physical=phys,
-        encoding=enc,
-        plan=plan,
-        epsilon=epsilon,
-        provenance=provenance,
-    )
+    return CompiledCircuit(physical=phys, plan=plan, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +475,10 @@ class VerificationReport:
     mode: str
     fidelity: float
     leakage: float
-    logical_qubits: int
-    physical_qubits: int
-    flat_op_count: int
-    target_uses: int
     epsilon: float | None
     passed: bool | None
-    details: dict = field(default_factory=dict)
+    target_uses: int
+    flat_op_count: int
 
 
 def spectral_norm(block: np.ndarray) -> float:
@@ -494,14 +488,8 @@ def spectral_norm(block: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(block.conj().T @ block)[-1], 0.0)))
 
 
-def verify(
-    compiled: CompiledCircuit,
-    logical: Circuit,
-    epsilon: float | None = None,
-    samples: int = 8,
-    seed: int = 7,
-) -> VerificationReport:
-    """Compare the compiled circuit, restricted to the encoded subspace,
+def verify(physical: Circuit, logical: Circuit, epsilon: float | None = None) -> VerificationReport:
+    """Compare the physical circuit, restricted to the encoded subspace,
     against the logical circuit (up to global phase).
 
     Logical columns Psi are scattered onto the encoded rows and pushed
@@ -509,27 +497,28 @@ def verify(
     the logical circuit applied to Psi; rows outside are leakage (spectral
     norm).  While the 2^(2L) x 2^L block fits in 4^UNITARY_QUBIT_CAP
     amplitudes (L <= 8), Psi = I and the check is exact.  Past that,
-    ``samples`` random states are pushed one at a time and the worst is
-    reported.  TooLarge is raised when one state exceeds the cap (L > 12).
-    No op is checked: both circuits hold only admitted ops (see
-    ``matchgates.circuits``).  ``passed`` needs |1 - fidelity| <= epsilon:
-    a fidelity above 1 is the drift of a folded power, not a better
-    circuit.
+    VERIFY_SAMPLES random states drawn with VERIFY_SEED are pushed one at a
+    time and the worst is reported.  ParseError is raised unless the
+    physical circuit has 2L qubits, and TooLarge when one state exceeds the
+    cap (L > 12).  No op is checked: both circuits hold only admitted ops
+    (see ``matchgates.circuits``).  ``passed`` is None without ``epsilon``
+    and otherwise needs |1 - fidelity| <= epsilon: a fidelity above 1 is
+    the drift of a folded power, not a better circuit.
     """
-    enc = compiled.encoding
-    if enc.logical_count != logical.n:
-        raise TooLarge(
-            f"compiled circuit encodes {enc.logical_count} logical qubits, "
-            f"logical circuit has {logical.n}"
-        )
     # Qubit counts are compared before any 2**n: at thousands of qubits the
     # amplitude count alone has thousands of digits.
+    if physical.n != 2 * logical.n:
+        raise ParseError(
+            f"physical circuit has {physical.n} qubits; expected {2 * logical.n} "
+            f"for {logical.n} logical qubits"
+        )
     if logical.n > UNITARY_QUBIT_CAP:
         raise TooLarge(
             f"verifying {logical.n} logical qubits needs 4^{logical.n} amplitudes per state, "
             f"over the cap of 4^{UNITARY_QUBIT_CAP}; compile with --skip-verify"
         )
-    cap, dim = 4**UNITARY_QUBIT_CAP, 2**enc.physical_count
+    enc = Encoding(logical.n)
+    cap, dim = 4**UNITARY_QUBIT_CAP, 2**physical.n
     code_rows = [enc.encode_index(x) for x in range(2**logical.n)]
 
     def encode(psi: np.ndarray) -> np.ndarray:
@@ -541,7 +530,7 @@ def verify(
         """Fidelity and leakage of the logical columns ``psi``."""
         ideal = propagate(logical, psi)
         # No local keeps the encoded block, so propagate can free it.
-        out = propagate(compiled.physical, encode(psi))
+        out = propagate(physical, encode(psi))
         in_code = out[code_rows]
         out[code_rows] = 0.0
         overlap = np.vdot(ideal, in_code) / np.vdot(psi, psi)
@@ -549,26 +538,21 @@ def verify(
 
     if dim * 2**logical.n <= cap:
         fidelity, leakage = compare(np.eye(2**logical.n, dtype=complex))
-        mode, details = "exact", {"provenance_entries": len(compiled.provenance)}
+        mode = "exact"
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(VERIFY_SEED)
         results = []
-        for _ in range(samples):
+        for _ in range(VERIFY_SAMPLES):
             psi = rng.normal(size=2**logical.n) + 1j * rng.normal(size=2**logical.n)
             results.append(compare((psi / np.linalg.norm(psi))[:, None]))
         fidelities, leakages = zip(*results)
         fidelity, leakage, mode = min(fidelities), max(leakages), "sampled"
-        details = {"samples": samples, "mean_fidelity": float(np.mean(fidelities))}
-    eps = compiled.epsilon if epsilon is None else epsilon
     return VerificationReport(
         mode=mode,
         fidelity=fidelity,
         leakage=leakage,
-        logical_qubits=logical.n,
-        physical_qubits=enc.physical_count,
-        flat_op_count=compiled.physical.flat_count(),
-        target_uses=compiled.target_uses,
-        epsilon=eps,
-        passed=None if eps is None else abs(1.0 - fidelity) <= eps,
-        details=details,
+        epsilon=epsilon,
+        passed=None if epsilon is None else abs(1.0 - fidelity) <= epsilon,
+        target_uses=count_target_uses(physical),
+        flat_op_count=physical.flat_count(),
     )

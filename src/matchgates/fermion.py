@@ -13,17 +13,17 @@ the literature varies in signs):
 
 R is read off by conjugation.  The Jordan-Wigner string in front of the
 pair commutes with G, so only the pair's local Majoranas XI, YI, ZX, ZY
-enter: R_{uv} = Re tr(G^dag c_u G c_v) / 4.  A one-qubit Z rotation gives
-the 2x2 block of its own qubit's (X, Y) the same way.  Nonmatchgate
+enter: R_{uv} = Re tr(G^dag c_u G c_v) / 4.  A one-qubit Z rotation g is
+read as kron(g, I): the top-left 2x2 of that block is g's on its own
+qubit's (X, Y), and the qubit need not have a right neighbour.  Nonmatchgate
 parity-preserving gates have a Z x Z term in their log (quartic in fermion
 operators) and map Majoranas out of their span, so they are refused.
 
-The traces of a stack of gates are one matrix product: for a d x d gate g
-and k local Majoranas, the constant K_{(b,a,c,e),(u,v)} = (c_u)_bc (c_v)_ea
-gives R_uv = Re[(conj(vec g) (x) vec g) K]_{(u,v)} / d.  A matchgate has
-nonzero entries only in its parity blocks, 8 of 16 on a pair and the
-diagonal of a one-qubit gate, so K keeps only the rows of those entries and
-N pair gates take one (N, 64) x (64, 16) product.
+The traces of a stack of gates are one matrix product: for a 4 x 4 gate g,
+the constant K_{(b,a,c,e),(u,v)} = (c_u)_bc (c_v)_ea / 4 gives
+R_uv = Re[(conj(vec g) (x) vec g) K]_{(u,v)}.  A matchgate has nonzero
+entries only in its parity blocks, 8 of 16, so K keeps only the rows of
+those entries and N gates take one (N, 64) x (64, 16) product.
 
 ``run_covariance`` works in the Heisenberg picture and on stacks: it takes
 the circuit OP_CHUNK ops at a time in walk order, tests the chunk's gates
@@ -50,15 +50,13 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import Classification, classify, classify_stack
-from .circuits import Circuit, describe_op
+from .circuits import Circuit, basis_index, check_shots, describe_op
 from .errors import (
     BackendRefusal,
-    BadSampleCount,
     BadTargets,
     NotMatchgate,
     TooLarge,
@@ -172,52 +170,40 @@ def matchgate_generator_coefficients(g: Mat4) -> dict[str, float]:
     }
 
 
-# Majoranas local to a qubit pair (XI, YI, ZX, ZY) and to one qubit (X, Y).
+# Majoranas local to a qubit pair: XI, YI, ZX, ZY.
 _PAIR_MAJORANAS = np.array([kron(X, I2), kron(Y, I2), kron(Z, X), kron(Z, Y)])
-_QUBIT_MAJORANAS = np.array([X, Y])
 
 # Basis order that conjugates a gate on the reversed pair (s+1, s) by the
 # index swap, putting it on (s, s+1).
 _SWAP_ORDER = [0, 2, 1, 3]
 
 
-# Row-major entries of a gate that can be nonzero in a matchgate: the eight
-# of G(A, B) on a pair, the diagonal of a one-qubit gate.
+# Row-major entries of a pair gate that can be nonzero in a matchgate G(A, B).
 _PAIR_ENTRIES = np.array([0, 3, 5, 6, 9, 10, 12, 15])
-_QUBIT_ENTRIES = np.array([0, 3])
 
 
-class _Kernel(NamedTuple):
-    """Entries of vec g that a conjugation reads, and its (e^2, k^2) constant."""
-
-    entries: np.ndarray
-    matrix: np.ndarray
-
-
-def _trace_kernel(majoranas: np.ndarray, entries: np.ndarray) -> _Kernel:
+def _trace_kernel(majoranas: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """K with rows (b, a, c, e) and columns (u, v): (c_u)_bc (c_v)_ea / d, so
     that tr(g^dag c_u g c_v) / d = (conj(vec g) (x) vec g) . K[:, (u, v)].
     Only the rows whose entries (b, a) and (c, e) are both in ``entries``
     are kept."""
     k, d = len(majoranas), majoranas.shape[-1]
     full = np.einsum("ubc,vea->baceuv", majoranas, majoranas).reshape(d * d, d * d, k * k) / d
-    return _Kernel(entries, full[np.ix_(entries, entries)].reshape(len(entries) ** 2, k * k))
+    return full[np.ix_(entries, entries)].reshape(len(entries) ** 2, k * k)
 
 
 _PAIR_KERNEL = _trace_kernel(_PAIR_MAJORANAS, _PAIR_ENTRIES)
-_QUBIT_KERNEL = _trace_kernel(_QUBIT_MAJORANAS, _QUBIT_ENTRIES)
 
 
-def _conjugation_block(g: np.ndarray, kernel: _Kernel) -> np.ndarray:
-    """R with g^dag c_u g = sum_v R_uv c_v over the Majoranas of ``kernel``
-    (``_PAIR_KERNEL`` or ``_QUBIT_KERNEL``), for each g of an (N, d, d)
-    stack of matchgates: R_uv = Re tr(g^dag c_u g c_v) / d, shape (N, k, k).
-    Only the kernel's entries of g are read; the others are taken as 0."""
-    count, d = len(g), g.shape[-1]
-    k = math.isqrt(kernel.matrix.shape[1])
-    flat = g.reshape(count, d * d)[:, kernel.entries]
-    outer = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(count, len(kernel.matrix))
-    return (outer @ kernel.matrix).real.reshape(count, k, k)
+def _conjugation_block(g: np.ndarray) -> np.ndarray:
+    """R with g^dag c_u g = sum_v R_uv c_v over the pair's Majoranas, for
+    each g of an (N, 4, 4) stack of matchgates: R_uv = Re tr(g^dag c_u g
+    c_v) / 4, shape (N, 4, 4).  Only the parity-block entries of g are read;
+    the others are taken as 0.  For g = kron(h, I) the top-left 2 x 2 is the
+    block of the one-qubit h on its own (X, Y)."""
+    flat = g.reshape(len(g), 16)[:, _PAIR_ENTRIES]
+    outer = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(len(g), len(_PAIR_KERNEL))
+    return (outer @ _PAIR_KERNEL).real.reshape(len(g), 4, 4)
 
 
 def matchgate_to_rotation(g: Mat4, site: int, n: int) -> MajoranaRotation:
@@ -225,7 +211,7 @@ def matchgate_to_rotation(g: Mat4, site: int, n: int) -> MajoranaRotation:
     if not 0 <= site < n - 1:
         raise BadTargets(f"site {site} has no right neighbor in n={n}")
     _require_matchgate(g)
-    block = _conjugation_block(np.asarray(g, dtype=complex)[None], _PAIR_KERNEL)[0]
+    block = _conjugation_block(np.asarray(g, dtype=complex)[None])[0]
     return MajoranaRotation(n=n, site=site, block=block)
 
 
@@ -233,18 +219,10 @@ def init_covariance(n: int, bits: int | str = 0) -> CovarianceState:
     """Covariance matrix of a computational basis state."""
     if n < 1 or n > QUBIT_CAP:
         raise TooLarge(f"n={n} outside supported range 1..{QUBIT_CAP}")
-    if isinstance(bits, str):
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise BadTargets(f"bad basis label {bits!r} for n={n}")
-        values = [int(ch) for ch in bits]
-    else:
-        index = int(bits)
-        if not 0 <= index < 2**n:
-            raise BadTargets(f"basis index {index} out of range for n={n}")
-        values = [(index >> (n - 1 - k)) & 1 for k in range(n)]
+    index = basis_index(n, bits)
     m = np.zeros((2 * n, 2 * n))
-    for k, bit in enumerate(values):
-        sign = 1.0 - 2.0 * bit
+    for k in range(n):
+        sign = 1.0 - 2.0 * ((index >> (n - 1 - k)) & 1)
         m[2 * k, 2 * k + 1] = sign
         m[2 * k + 1, 2 * k] = -sign
     return CovarianceState(n, m)
@@ -284,16 +262,14 @@ def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
     last = np.array([op.targets[-1] for op in ops])
     reverse = ~single & (first == last + 1)
     nearest = single | (last == first + 1) | reverse
-    singles = np.array([op.gate for op in ops if len(op.targets) == 1], dtype=complex)
-    pairs = np.array([op.gate for op in ops if len(op.targets) == 2], dtype=complex)
-    singles, pairs = singles.reshape(-1, 2, 2), pairs.reshape(-1, 4, 4)
-    flip = reverse[~single]
-    pairs[flip] = pairs[flip][:, _SWAP_ORDER][:, :, _SWAP_ORDER]
-    # A one-qubit op is checked as kron(g, I); an op that is not
-    # nearest-neighbour is refused before its gate is looked at.
+    singles = np.array([op.gate for op in ops if len(op.targets) == 1], dtype=complex).reshape(-1, 2, 2)
+    pairs = np.array([op.gate for op in ops if len(op.targets) == 2], dtype=complex).reshape(-1, 4, 4)
+    # A one-qubit op is checked and converted as kron(g, I); an op that is
+    # not nearest-neighbour is refused before its gate is looked at.
     checks = np.empty((len(ops), 4, 4), dtype=complex)
     checks[single] = np.einsum("kab,ij->kaibj", singles, I2).reshape(-1, 4, 4)
     checks[~single] = pairs
+    checks[reverse] = checks[reverse][:, _SWAP_ORDER][:, :, _SWAP_ORDER]
     checks[~nearest] = np.eye(4)
     pp, matchgate = classify_stack(checks)
     for k in np.flatnonzero(~(nearest & matchgate)):
@@ -304,9 +280,8 @@ def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
             raise BackendRefusal(f"{name} is not nearest-neighbor")
         exc = _not_matchgate(checks[k], pp[k])
         raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
-    single_blocks = iter(_conjugation_block(singles, _QUBIT_KERNEL))
-    pair_blocks = iter(_conjugation_block(pairs, _PAIR_KERNEL))
-    blocks = [next(single_blocks if one else pair_blocks) for one in single.tolist()]
+    # A one-qubit op's block is the top-left 2 x 2 of kron(g, I)'s.
+    blocks = [b[:2, :2] if one else b for b, one in zip(_conjugation_block(checks), single.tolist())]
     return np.minimum(first, last).tolist(), blocks, np.concatenate([first, last])
 
 
@@ -414,8 +389,7 @@ def sample_covariance(state: CovarianceState, shots: int, seed: int) -> dict[int
     O(shots n w^2); w is 2n on a dense M and about the light cone's width
     on a shallow circuit.  Keys are Python ints, exact for any n.
     """
-    if not isinstance(shots, (int, np.integer)) or not 1 <= shots < 2**63:
-        raise BadSampleCount(f"shots must be an integer in [1, 2**63), got {shots!r}")
+    check_shots(shots)
     n, full = state.n, state.m
     rng = np.random.default_rng(seed)
     level_budget = SAMPLER_BUDGET_BYTES // n

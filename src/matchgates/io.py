@@ -31,8 +31,9 @@ runs the per-entry helpers (:func:`matrix_in`,
 :func:`~matchgates.gates.is_unitary`, ``Circuit._check_targets``), to give
 the refusal a per-entry parse gives: the first structural, numeric or
 unitarity fault in document order ("gates[3]: matrix is not unitary within
-1e-09", or "even block A" / "odd block B" for a 'g' entry); a target out of
-range or repeated only after the whole document has parsed.
+1e-09", or "even block A" / "odd block B" for a 'g' entry, or TooLarge for
+a 'repeat' count past ``circuits.REPEAT_CAP``); a target out of range or
+repeated only after the whole document has parsed.
 
 Output is stacked too: :func:`emit_circuit_document` converts all of a
 circuit's ops in one pass.  All four commands write their JSON through
@@ -53,8 +54,8 @@ from typing import Any
 import numpy as np
 
 from .analysis import PPParams, reconstruct_pp
-from .circuits import Circuit, CircuitOp, RepeatedSegment
-from .errors import BadArity, BadTargets, ParseError, UnknownGate
+from .circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment
+from .errors import BadArity, BadTargets, ParseError, TooLarge, UnknownGate
 from .gates import (
     TOL_UNITARY,
     assemble_pp,
@@ -205,6 +206,8 @@ class _DocumentParser:
                 count = entry["repeat"]
                 if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                     raise ParseError(f"{spot}: 'repeat' must be a positive integer")
+                if count > REPEAT_CAP:
+                    raise TooLarge(f"{spot}: 'repeat' count {count} is past the cap of {REPEAT_CAP}")
                 body = self.walk(entry.get("gates", []), f"{spot}.gates")
                 if any(type(op) is tuple for op in body):
                     raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
@@ -317,7 +320,7 @@ def parse_circuit_document(doc: dict) -> Circuit:
     parser = _DocumentParser()
     try:
         entries = parser.walk(doc.get("gates", []), "gates")
-    except ParseError:
+    except (ParseError, TooLarge):
         # A fault in a queued entry before this one is the first refusal.
         parser.flush()
         raise

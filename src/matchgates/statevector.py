@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
-from .errors import BadSampleCount, BadTargets, TooLarge
+from .circuits import Circuit, basis_index, check_shots
+from .errors import BadTargets, TooLarge
 
 QUBIT_CAP = 20
 UNITARY_QUBIT_CAP = 12
@@ -41,16 +41,8 @@ class StateVector:
         bitstring like "0110" (qubit 0 first)."""
         if n < 1 or n > QUBIT_CAP:
             raise TooLarge(f"n={n} outside supported range 1..{QUBIT_CAP}")
-        if isinstance(label, str):
-            if len(label) != n or set(label) - {"0", "1"}:
-                raise BadTargets(f"bad basis label {label!r} for n={n}")
-            index = int(label, 2)
-        else:
-            index = int(label)
-        if not 0 <= index < 2**n:
-            raise BadTargets(f"basis index {index} out of range for n={n}")
         amps = np.zeros(2**n, dtype=complex)
-        amps[index] = 1.0
+        amps[basis_index(n, label)] = 1.0
         return cls(n, amps)
 
     def norm(self) -> float:
@@ -151,8 +143,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     """Computational-basis histogram {basis index: count}."""
-    if not isinstance(shots, (int, np.integer)) or not 1 <= shots < 2**63:
-        raise BadSampleCount(f"shots must be an integer in [1, 2**63), got {shots!r}")
+    check_shots(shots)
     probs = state.probabilities()
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

@@ -24,6 +24,7 @@ from matchgates.analysis import (
 )
 from matchgates.circuits import Circuit
 from matchgates.compiler import (
+    Encoding,
     build_entangler_block,
     compile_circuit,
     effective_diagonal,
@@ -134,7 +135,7 @@ def test_criterion_3_tau_family_law():
         ep = entangling_power_closed(kak(diag).core)
         assert abs(ep - np.cos(tau) ** 2) < 1e-9
         compiled = compile_circuit(logical, gate, 1e-6)
-        assert verify(compiled, logical).fidelity >= 1 - 1e-6
+        assert verify(compiled.physical, logical).fidelity >= 1 - 1e-6
     iswap = build_pp(I2, np.exp(1j * PI / 2) * X)
     assert classify(iswap).is_matchgate
     with pytest.raises(TargetIsMatchgate):
@@ -159,7 +160,7 @@ def test_criterion_4_theorem_dichotomy():
         target = random_nonmatchgate_pp(rng)
         logical = random_two_qubit_logical(rng)
         compiled = compile_circuit(logical, target, 1e-6)
-        rep = verify(compiled, logical)
+        rep = verify(compiled.physical, logical, 1e-6)
         assert rep.passed
         min_fidelity = min(min_fidelity, rep.fidelity)
     elapsed = time.perf_counter() - start
@@ -180,7 +181,7 @@ def test_criterion_5_cz_construction_exact():
     from matchgates.statevector import circuit_unitary
 
     u = circuit_unitary(compiled.physical)
-    v = isometry(compiled.encoding)
+    v = isometry(Encoding(2))
     u_sub = v.conj().T @ u @ v
     assert equal_up_to_global_phase(u_sub, CZ, 1e-12)
     report("criterion 5: G(H,H) G(X,X) SWAP G(H,H) gives logical CZ at 1e-12")
@@ -316,7 +317,7 @@ def test_criterion_10_structure_properties():
         triple = nonlocal_from_pp(pp_params(target))
         assert abs(triple.b) < 1e-9
         compiled = compile_circuit(logical, target, 1e-6)
-        assert verify(compiled, logical).passed
+        assert verify(compiled.physical, logical, 1e-6).passed
         compiled_count += 1
     assert compiled_count == 20
     report(

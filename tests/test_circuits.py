@@ -1,13 +1,16 @@
 """Circuit admission: ``Circuit.add``, and so ``append`` and
 ``append_segment``, refuses an op with bad targets, a gate of the wrong
 shape or a gate that is not unitary, names it, and leaves the circuit as
-it was."""
+it was.  Also the basis-state and shot-count rules that both simulators
+share."""
 
 import numpy as np
 import pytest
 
-from matchgates.circuits import Circuit, CircuitOp
-from matchgates.errors import BadTargets, NonUnitaryInput
+from matchgates.circuits import Circuit, CircuitOp, basis_index, check_shots
+from matchgates.errors import BadSampleCount, BadTargets, NonUnitaryInput
+from matchgates.fermion import init_covariance, sample_covariance
+from matchgates.statevector import StateVector, sample
 from matchgates.gates import H, I2, gate_library
 
 CZ = gate_library("CZ")
@@ -65,3 +68,31 @@ def test_the_threshold_is_on_max_abs_of_u_dag_u_minus_i():
     with pytest.raises(NonUnitaryInput):
         circuit.append((1 + 1e-9) * I2, (0,))
     assert len(circuit.ops) == 1
+
+
+@pytest.mark.parametrize("label,index", [("0", 0), ("1", 1), (1, 1), ("011", 3), (5, 5), ("1" * 70, 2**70 - 1)])
+def test_basis_index(label, index):
+    n = len(label) if isinstance(label, str) else 3
+    assert basis_index(n, label) == index
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [("01", "bad basis label '01' for n=3"), ("0a1", "bad basis label '0a1' for n=3"),
+     (8, "basis index 8 out of range for n=3"), (-1, "basis index -1 out of range for n=3")],
+)
+def test_both_backends_refuse_a_bad_basis_label_in_one_text(label, message):
+    for start in (basis_index, StateVector.basis, init_covariance):
+        with pytest.raises(BadTargets) as info:
+            start(3, label)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("shots", [0, -1, 2**63, 2.0, "3"])
+def test_both_samplers_refuse_a_bad_shot_count_in_one_text(shots):
+    message = f"shots must be an integer in [1, 2**63), got {shots!r}"
+    for check in (check_shots, lambda s: sample(StateVector.basis(2), s, 0),
+                  lambda s: sample_covariance(init_covariance(2), s, 0)):
+        with pytest.raises(BadSampleCount) as info:
+            check(shots)
+        assert str(info.value) == message

@@ -25,6 +25,7 @@ from matchgates.compiler import (
 )
 from matchgates.errors import (
     NonUnitaryInput,
+    ParseError,
     SynthesisError,
     TargetIsMatchgate,
     TargetNotPP,
@@ -250,8 +251,7 @@ class TestCompile:
         logical.append(CZ, (0, 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
         u = circuit_unitary(comp.physical)
-        enc = comp.encoding
-        v = isometry(enc)
+        v = isometry(Encoding(2))
         assert np.max(np.abs(v.conj().T @ u @ v - CZ)) < 1e-12
 
     def test_bell_circuit_with_swap_target(self):
@@ -275,6 +275,15 @@ class TestCompile:
             with pytest.raises(SynthesisError, match=f"<= {r_max} "):
                 compile_circuit(logical, target, 1e-6, r_max=r_max)
         assert compile_circuit(logical, target, 1e-6, r_max=699).plan.repetitions == 699
+
+    def test_angle_budget_has_no_floor(self):
+        # At epsilon 1e-30 the budget is 5e-16; r = 3 lands 5e-14 from pi/4,
+        # a hundred times over it, and no r <= r_max does better.
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        target = nl(0.2, 0.1, (PI / 4 + 5e-14) / 3)
+        with pytest.raises(SynthesisError, match=r"tolerance 5\.000e-16; best residual 5\.0\d\de-14 at r=3$"):
+            compile_circuit(logical, target, 1e-30)
 
     def test_iswap_target_refused(self):
         logical = Circuit(2)
@@ -304,7 +313,7 @@ class TestCompile:
             target = random_nonmatchgate_pp(rng)
             logical = random_logical_circuit(rng, 2, 10)
             comp = compile_circuit(logical, target, 1e-6)
-            rep = verify(comp, logical)
+            rep = verify(comp.physical, logical)
             assert rep.mode == "exact"
             assert rep.fidelity >= 1 - 1e-6
             assert rep.leakage <= 1e-9
@@ -331,7 +340,7 @@ class TestCompile:
         logical = Circuit(2)
         logical.append(gate_library("SWAP"), (0, 1))
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        rep = verify(comp, logical)
+        rep = verify(comp.physical, logical)
         assert rep.fidelity >= 1 - 1e-9
 
     def test_non_adjacent_cz_routed(self):
@@ -341,7 +350,7 @@ class TestCompile:
         logical.append(CZ, (0, 2), name="cz")
         logical.append(haar_unitary(rng, 2), (2,))
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        rep = verify(comp, logical)
+        rep = verify(comp.physical, logical)
         assert rep.mode == "exact"
         assert rep.fidelity >= 1 - 1e-9
         assert rep.leakage <= 1e-9
@@ -350,7 +359,7 @@ class TestCompile:
         logical = Circuit(2)
         logical.append(gate_library("SWAP"), (0, 1), name="swap")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        rep = verify(comp, logical)
+        rep = verify(comp.physical, logical)
         assert rep.fidelity >= 1 - 1e-9
 
     def test_provenance_covers_all_ops(self):
@@ -390,7 +399,7 @@ class TestCompile:
         assert doc == document(expanded)
         assert [p["logical_op"] for p in doc["metadata"]["provenance"]][-1] == 13
         comp = compile_circuit(grouped, target, 1e-6)
-        assert verify(comp, grouped).fidelity >= 1 - 1e-6
+        assert verify(comp.physical, grouped).fidelity >= 1 - 1e-6
 
     def test_non_unitary_two_qubit_op_is_refused_as_not_unitary(self):
         # Where it enters the circuit, so neither as an unsupported gate nor
@@ -460,7 +469,7 @@ class TestRouting:
                 if p["kind"] == "swap":
                     start, end = p["physical_ops"]
                     assert [op.name for op in comp.physical.ops[start:end]] == ["g_fswap"] * 4
-            rep = verify(comp, logical)
+            rep = verify(comp.physical, logical)
             assert rep.mode == "exact"
             assert rep.fidelity >= 1 - 1e-6
             assert rep.leakage <= 1e-9
@@ -470,7 +479,7 @@ class TestRouting:
         lone.append(gate_library("SWAP"), (2, 0), name="swap")
         comp = compile_circuit(lone, nl(0.2, 0.1, 0.35), 1e-6)
         assert comp.target_uses == 0 and comp.plan is None
-        assert verify(comp, lone).fidelity == pytest.approx(1.0, abs=1e-12)
+        assert verify(comp.physical, lone).fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_routed_documents_hold_only_g_entries_and_repeat_groups(self):
         rng = np.random.default_rng(93)
@@ -506,7 +515,7 @@ class TestRouting:
             comp = compile_circuit(logical, target, 1e-6)
             assert comp.target_uses == uses
             assert comp.physical.flat_count() == flat
-            rep = verify(comp, logical)
+            rep = verify(comp.physical, logical)
             assert rep.mode == "exact"
             assert rep.fidelity >= 1 - 1e-6
             assert rep.leakage <= 1e-9
@@ -553,7 +562,7 @@ class TestVerify:
         logical = Circuit(2)
         logical.append(I2, (0,))
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        rep = verify(comp, logical)
+        rep = verify(comp.physical, logical)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
         assert rep.leakage == pytest.approx(0.0, abs=1e-12)
 
@@ -561,10 +570,10 @@ class TestVerify:
         logical = Circuit(2)
         logical.append(CZ, (0, 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        good = verify(comp, logical).fidelity
+        good = verify(comp.physical, logical).fidelity
         # Perturb one emitted gate by an 0.1-radian Z rotation.
         comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (0, 1))
-        bad = verify(comp, logical).fidelity
+        bad = verify(comp.physical, logical).fidelity
         assert good - bad > 1e-3
 
     def test_fidelity_above_one_by_more_than_epsilon_fails(self):
@@ -575,10 +584,10 @@ class TestVerify:
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
         # Not unitary, so it cannot be appended; it goes straight into ops.
         comp.physical.ops.append(CircuitOp((1 + 1e-4) * np.eye(4, dtype=complex), (0, 1)))
-        rep = verify(comp, logical)
+        rep = verify(comp.physical, logical, 1e-6)
         assert rep.fidelity == pytest.approx(1 + 2e-4, abs=1e-7)
         assert rep.passed is False
-        assert verify(comp, logical, epsilon=3e-4).passed is True
+        assert verify(comp.physical, logical, epsilon=3e-4).passed is True
 
     def test_sampled_mode_agrees_with_exact(self):
         # Past 8 logical qubits the exact block no longer fits; the SWAP
@@ -587,9 +596,8 @@ class TestVerify:
         rng = np.random.default_rng(78)
         logical = random_logical_circuit(rng, 9, 4)
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        sampled = verify(comp, logical, samples=4, seed=11)
+        sampled = verify(comp.physical, logical)
         assert sampled.mode == "sampled"
-        assert sampled.details["samples"] == 4
         assert sampled.fidelity >= 1 - 1e-9
         assert sampled.leakage <= 1e-9
 
@@ -597,14 +605,34 @@ class TestVerify:
         logical = Circuit(9)
         logical.append(CZ, (0, 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        rep = verify(comp, logical, samples=3, seed=5)
+        rep = verify(comp.physical, logical)
         assert rep.mode == "sampled"
         assert rep.fidelity >= 1 - 1e-9
         assert rep.leakage <= 1e-9
         comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (0, 1))
-        bad = verify(comp, logical, samples=3, seed=5)
+        bad = verify(comp.physical, logical)
         assert bad.mode == "sampled"
         assert rep.fidelity - bad.fidelity > 1e-3
+
+    @pytest.mark.parametrize("physical_qubits", [2, 3, 8])
+    def test_physical_without_two_qubits_per_logical_is_refused(self, physical_qubits):
+        # The one qubit-count rule, in the words mgc verify prints.
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        with pytest.raises(ParseError) as info:
+            verify(Circuit(physical_qubits), logical, 1e-6)
+        assert str(info.value) == f"physical circuit has {physical_qubits} qubits; expected 4 for 2 logical qubits"
+
+    def test_report_holds_the_printed_fields(self):
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+        comp = compile_circuit(logical, nl(0.3, 0.1, 0.1), 1e-6)
+        rep = verify(comp.physical, logical)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "mode", "fidelity", "leakage", "epsilon", "passed", "target_uses", "flat_op_count"
+        ]
+        assert rep.epsilon is None and rep.passed is None
+        assert (rep.target_uses, rep.flat_op_count) == (comp.target_uses, comp.physical.flat_count())
 
     def test_exact_mode_at_six_logical_qubits_with_generic_target(self):
         # Three CZs of 2333 folded repetitions each on 12 physical
@@ -617,7 +645,7 @@ class TestVerify:
             logical.append(CZ, (q, q + 1), name="cz")
         logical.append(haar_unitary(rng, 2), (3,))
         comp = compile_circuit(logical, random_nonmatchgate_pp(rng), 1e-6)
-        rep = verify(comp, logical)
+        rep = verify(comp.physical, logical)
         assert rep.mode == "exact"
         assert rep.target_uses == 3 * comp.plan.repetitions
         assert rep.fidelity >= 1 - 1e-6
@@ -646,7 +674,7 @@ class TestSpectralNorm:
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
         if leak:
             comp.physical.append(gate_library("RX", (leak,)), (0,))
-        enc = comp.encoding
+        enc = Encoding(6)
         code_rows = [enc.encode_index(x) for x in range(2**6)]
         cols = np.zeros((2**enc.physical_count, 2**6), dtype=complex)
         cols[code_rows] = np.eye(2**6)
@@ -654,7 +682,7 @@ class TestSpectralNorm:
         out[code_rows] = 0.0
         want = np.linalg.norm(out, 2)
         assert spectral_norm(out) == pytest.approx(want, rel=1e-12, abs=0)
-        rep = verify(comp, logical)
+        rep = verify(comp.physical, logical)
         assert rep.mode == "exact" and rep.leakage == spectral_norm(out)
         if leak:
             assert rep.leakage == pytest.approx(np.sin(leak / 2), rel=1e-12)

@@ -13,7 +13,7 @@ from scipy.stats import chi2
 import matchgates.analysis
 import matchgates.fermion
 import matchgates.gates
-from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
+from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment
 from matchgates.errors import (
     BackendRefusal,
     BadSampleCount,
@@ -24,10 +24,7 @@ from matchgates.errors import (
     TooLarge,
 )
 from matchgates.fermion import (
-    _PAIR_KERNEL,
     _PAIR_MAJORANAS,
-    _QUBIT_KERNEL,
-    _QUBIT_MAJORANAS,
     _SWAP_ORDER,
     _conjugation_block,
     _reach,
@@ -222,14 +219,19 @@ class TestConjugationKernel:
         rng = np.random.default_rng(55)
         g = np.array([random_matchgate(rng) for _ in range(300)] + EDGE_MATCHGATES)
         assert_allclose(
-            _conjugation_block(g, _PAIR_KERNEL), batched_conjugation_block(g, _PAIR_MAJORANAS), atol=1e-14
+            _conjugation_block(g), batched_conjugation_block(g, _PAIR_MAJORANAS), atol=1e-14
         )
 
     def test_one_qubit_z_rotations(self):
+        # A one-qubit g is converted as kron(g, I); its block is the top-left
+        # 2 x 2, the rotation of its own qubit's (X, Y).
         thetas = np.random.default_rng(56).uniform(-4 * PI, 4 * PI, 200)
         g = np.array([phase_rz(t) for t in thetas] + [Z, gate_library("S"), gate_library("T"), I2])
-        blocks = _conjugation_block(g, _QUBIT_KERNEL)
-        assert_allclose(blocks, batched_conjugation_block(g, _QUBIT_MAJORANAS), atol=1e-14)
+        full = _conjugation_block(np.array([kron(h, I2) for h in g]))
+        blocks = full[:, :2, :2]
+        assert_allclose(blocks, batched_conjugation_block(g, np.array([X, Y])), atol=1e-14)
+        assert_allclose(full[:, 2:, 2:], np.broadcast_to(np.eye(2), (len(g), 2, 2)), atol=1e-14)
+        assert_allclose(full[:, :2, 2:], 0, atol=1e-14)
         # diag(e^{it}, e^{-it}) turns the (X, Y) plane by 2t.
         c, s = np.cos(2 * thetas), np.sin(2 * thetas)
         assert_allclose(blocks[:200], np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], 1), atol=1e-12)
@@ -238,16 +240,15 @@ class TestConjugationKernel:
         rng = np.random.default_rng(57)
         g = np.array([random_matchgate(rng) for _ in range(100)])[:, _SWAP_ORDER][:, :, _SWAP_ORDER]
         assert_allclose(
-            _conjugation_block(g, _PAIR_KERNEL), batched_conjugation_block(g, _PAIR_MAJORANAS), atol=1e-14
+            _conjugation_block(g), batched_conjugation_block(g, _PAIR_MAJORANAS), atol=1e-14
         )
 
     def test_branch_cut_gate_gives_minus_identity(self):
-        block = _conjugation_block(nl(0, 0, PI / 2)[None], _PAIR_KERNEL)[0]
+        block = _conjugation_block(nl(0, 0, PI / 2)[None])[0]
         assert_allclose(block, -np.eye(4), atol=1e-14)
 
-    @pytest.mark.parametrize("kernel,d,k", [(_PAIR_KERNEL, 4, 4), (_QUBIT_KERNEL, 2, 2)])
-    def test_empty_stack(self, kernel, d, k):
-        assert _conjugation_block(np.zeros((0, d, d), dtype=complex), kernel).shape == (0, k, k)
+    def test_empty_stack(self):
+        assert _conjugation_block(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)
 
 
 class TestCovariance:
@@ -383,13 +384,13 @@ class TestCovariance:
 
 class TestRepeatGroups:
     def test_huge_count_matches_one_application(self):
-        # Order-2 gates: 10**9 + 1 applications equal one.
+        # Order-2 gates: REPEAT_CAP - 1 applications equal one.
         prefix = random_matchgate_circuit(np.random.default_rng(59), 4, 8)
         for gate in (gate_library("FSWAP"), build_pp(H, H)):
             once = Circuit(4, ops=list(prefix.ops))
             once.append(gate, (1, 2))
             folded = Circuit(4, ops=list(prefix.ops))
-            folded.append_segment(once.ops[-1:], 10**9 + 1)
+            folded.append_segment(once.ops[-1:], REPEAT_CAP - 1)
             diff = run_covariance(folded, 5).m - run_covariance(once, 5).m
             assert np.max(np.abs(diff)) < 1e-6
 

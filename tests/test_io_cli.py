@@ -14,10 +14,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from matchgates.circuits import Circuit, RepeatedSegment
+from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment
 from matchgates.cli import main
 from matchgates.compiler import LOGICAL_FLAT_OP_CAP, compile_circuit
-from matchgates.errors import MatchgatesError, NonUnitaryInput, ParseError
+from matchgates.errors import MatchgatesError, NonUnitaryInput, ParseError, TooLarge
 from matchgates.gates import H, I2, X, build_pp, gate_library
 from matchgates.io import (
     _complex_stack,
@@ -449,7 +449,7 @@ class TestSimulateCommand:
         payloads = []
         for gates in (
             [ghh],
-            [{"repeat": 10**9, "gates": []}, {"repeat": 10**9 + 1, "gates": [ghh]}],
+            [{"repeat": REPEAT_CAP, "gates": []}, {"repeat": REPEAT_CAP - 1, "gates": [ghh]}],
         ):
             doc = {"format_version": 1, "qubits": 2, "gates": gates}
             path = write_doc(tmp_path, doc, name=f"{len(gates)}.json")
@@ -467,7 +467,7 @@ class TestSimulateCommand:
         ghh = {"name": "g", "targets": [0, 1], "blocks": {"a": h, "b": h}}
         body = [{"name": "fswap", "targets": t} for t in ([0, 1], [1, 2], [0, 1])]
         payloads = []
-        for gates in ([ghh, *body], [ghh, {"repeat": 10**9 + 1, "gates": body}]):
+        for gates in ([ghh, *body], [ghh, {"repeat": REPEAT_CAP - 1, "gates": body}]):
             doc = {"format_version": 1, "qubits": 3, "gates": gates}
             path = write_doc(tmp_path, doc, name=f"{len(gates)}.json")
             result = runner.invoke(main, ["simulate", "--input", path, "--backend", backend, "--json"])
@@ -477,10 +477,10 @@ class TestSimulateCommand:
 
     def test_sv_refuses_a_wide_repeat_past_the_expansion_cap(self, runner, tmp_path):
         body = [{"name": "h", "targets": [q]} for q in range(7)]
-        doc = {"format_version": 1, "qubits": 7, "gates": [{"repeat": 10**9, "gates": body}]}
+        doc = {"format_version": 1, "qubits": 7, "gates": [{"repeat": REPEAT_CAP, "gates": body}]}
         result = runner.invoke(main, ["simulate", "--input", write_doc(tmp_path, doc), "--backend", "sv"])
         assert result.exit_code == 5
-        assert "entry 0 repeats 7 op(s) on 7 qubits 1000000000 times" in result.output
+        assert "entry 0 repeats 7 op(s) on 7 qubits 10000000 times" in result.output
 
     @pytest.mark.parametrize("gate", [{"name": "z"}, {"name": "s"}, {"name": "rz", "params": [0.7]}])
     @pytest.mark.parametrize("initial", ["0", "1"])
@@ -645,16 +645,10 @@ class TestVerifyCommand:
         assert f_good - f_bad > 1e-3
         assert corrupted.exit_code == 8  # failed verification
 
-    def test_zero_samples_is_a_usage_error(self, runner, tmp_path):
-        logical = write_logical_cz(tmp_path)
-        out = str(tmp_path / "compiled.json")
-        compiled = runner.invoke(main, ["compile", "--input", logical, "--target", "SWAP", "--out", out])
-        assert compiled.exit_code == 0, compiled.output
-        args = ["verify", "--logical", logical, "--physical", out]
-        assert runner.invoke(main, args).exit_code == 0
-        result = runner.invoke(main, args + ["--samples", "0"])
-        assert result.exit_code == 2
-        assert "--samples" in result.output
+    def test_help_lists_no_sampling_options(self, runner):
+        result = runner.invoke(main, ["verify", "--help"])
+        assert result.exit_code == 0
+        assert "--samples" not in result.output and "--seed" not in result.output
 
     @pytest.mark.parametrize("side", ["physical", "logical"])
     def test_non_unitary_op_is_a_usage_error_naming_the_op(self, runner, tmp_path, side):
@@ -698,6 +692,7 @@ class TestVerifyCommand:
             main, ["verify", "--logical", logical, "--physical", logical]
         )
         assert result.exit_code == 2
+        assert result.output == "error: physical circuit has 2 qubits; expected 4 for 2 logical qubits\n"
 
     @pytest.mark.parametrize("logical_qubits", [13, 8000])
     def test_past_twelve_logical_qubits_is_too_large_in_a_short_message(self, runner, tmp_path, logical_qubits):
@@ -710,6 +705,68 @@ class TestVerifyCommand:
         assert len(result.output) < 300
         assert f"needs 4^{logical_qubits} amplitudes" in result.output
         assert "--skip-verify" in result.output
+
+
+class TestRepeatCap:
+    """A 'repeat' count past REPEAT_CAP is refused at parse, with one text
+    for every command and exit 5; at the cap a group still folds exactly."""
+
+    H_ROWS = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
+    REFUSAL = f"gates[1]: 'repeat' count {REPEAT_CAP + 1} is past the cap of {REPEAT_CAP}"
+
+    def test_every_command_refuses_one_past_the_cap(self, runner, tmp_path):
+        gates = [{"name": "h", "targets": [0]}, {"repeat": REPEAT_CAP + 1, "gates": [{"name": "cz", "targets": [0, 1]}]}]
+        logical = write_doc(tmp_path, {"format_version": 1, "qubits": 2, "gates": gates}, "logical.json")
+        physical = write_doc(tmp_path, {"format_version": 1, "qubits": 4, "gates": []}, "physical.json")
+        commands = {
+            "sv": ["simulate", "--input", logical, "--backend", "sv"],
+            "ff": ["simulate", "--input", logical, "--backend", "ff"],
+            "compile": ["compile", "--input", logical, "--target", "SWAP"],
+            "verify": ["verify", "--logical", logical, "--physical", physical],
+        }
+        for name, args in commands.items():
+            result = runner.invoke(main, args)
+            assert result.exit_code == 5, (name, result.output)
+            side = "logical circuit: " if name == "verify" else ""
+            assert result.output == f"error: {side}{self.REFUSAL}\n", name
+
+    def test_an_earlier_fault_in_a_queued_entry_is_refused_first(self):
+        bad = {"name": "matrix", "targets": [0], "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}
+        doc = {"format_version": 1, "qubits": 1, "gates": [bad, {"repeat": REPEAT_CAP + 1, "gates": []}]}
+        with pytest.raises(ParseError, match=r"^gates\[0\]: matrix is not unitary"):
+            parse_circuit_document(doc)
+        doc["gates"][0] = {"name": "h", "targets": [0]}
+        with pytest.raises(TooLarge, match=r"^gates\[1\]: 'repeat' count 10000001 is past the cap of 10000000$"):
+            parse_circuit_document(doc)
+
+    def test_repeated_segment_refuses_one_past_the_cap(self):
+        op = CircuitOp(H, (0,))
+        assert RepeatedSegment((op,), REPEAT_CAP).count == REPEAT_CAP
+        with pytest.raises(TooLarge, match="'repeat' count 10000001 is past the cap of 10000000"):
+            RepeatedSegment((op,), REPEAT_CAP + 1)
+
+    def test_r_max_past_the_cap_is_a_usage_error(self, runner, tmp_path):
+        args = ["compile", "--input", write_logical_cz(tmp_path), "--target", "SWAP", "--r-max"]
+        assert runner.invoke(main, args + [str(REPEAT_CAP)]).exit_code == 0
+        result = runner.invoke(main, args + [str(REPEAT_CAP + 1)])
+        assert result.exit_code == 2, result.output
+        assert "--r-max" in result.output
+
+    @pytest.mark.parametrize("count", [REPEAT_CAP, REPEAT_CAP - 1])
+    @pytest.mark.parametrize("backend,gate,key", [
+        ("sv", {"name": "h", "targets": [0]}, "state"),
+        ("ff", {"name": "g", "targets": [0, 1], "blocks": {"a": H_ROWS, "b": H_ROWS}}, "z_expectations"),
+    ])
+    def test_a_group_at_the_cap_matches_its_parity(self, runner, tmp_path, count, backend, gate, key):
+        # H and G(H, H) are involutions: the group is one gate or none.
+        payloads = []
+        for name, gates in (("plain", [gate] * (count % 2)), ("group", [{"repeat": count, "gates": [gate]}])):
+            doc = {"format_version": 1, "qubits": 2, "gates": gates}
+            path = write_doc(tmp_path, doc, f"{name}.json")
+            result = runner.invoke(main, ["simulate", "--input", path, "--backend", backend, "--json"])
+            assert result.exit_code == 0, result.output
+            payloads.append(np.array(json.loads(result.output)[key]))
+        assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-8
 
 
 def write_doc(tmp_path, doc, name="doc.json"):

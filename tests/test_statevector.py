@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
+from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment
 from matchgates.errors import BadTargets, NonUnitaryInput, TooLarge
 from matchgates.gates import H, I2, X, build_pp, gate_library, kron
 from matchgates.statevector import (
@@ -165,13 +165,13 @@ class TestRepeatGroups:
         "gate,targets", [(gate_library("FSWAP"), (1, 2)), (build_pp(H, H), (2, 1))]
     )
     def test_huge_count_matches_one_application(self, gate, targets):
-        # Order-2 gates: 10**9 + 1 applications equal one.  Repeated
-        # squaring drifts by about 2e-7 at this count.
+        # Order-2 gates: REPEAT_CAP - 1 applications equal one.  Repeated
+        # squaring drifts by about 2e-9 at this count.
         prefix = random_matchgate_circuit(np.random.default_rng(46), 3, 6)
         once = Circuit(3, ops=list(prefix.ops))
         once.append(gate, targets)
         folded = Circuit(3, ops=list(prefix.ops))
-        folded.append_segment(once.ops[-1:], 10**9 + 1)
+        folded.append_segment(once.ops[-1:], REPEAT_CAP - 1)
         assert np.max(np.abs(run(folded, 3).amps - run(once, 3).amps)) < 1e-6
 
     def test_two_qubit_body_folds_like_its_expansion(self):
@@ -196,15 +196,15 @@ class TestRepeatGroups:
         flat = Circuit(width + 1, ops=body * 7)
         assert_allclose(circuit_unitary(seg), circuit_unitary(flat), atol=1e-12)
 
-    def test_three_qubit_body_at_a_billion_repetitions(self):
-        # FSWAP(0,1) FSWAP(1,2) FSWAP(0,1) is an involution, so 10**9 + 1
-        # repetitions equal one; expanded, they would take hours.
+    def test_three_qubit_body_at_the_repeat_cap(self):
+        # FSWAP(0,1) FSWAP(1,2) FSWAP(0,1) is an involution, so REPEAT_CAP - 1
+        # repetitions equal one; expanded, they would take minutes.
         fswap = gate_library("FSWAP")
         body = [CircuitOp(fswap, (0, 1)), CircuitOp(fswap, (1, 2)), CircuitOp(fswap, (0, 1))]
         prefix = random_matchgate_circuit(np.random.default_rng(53), 4, 6)
         once = Circuit(4, ops=list(prefix.ops) + body)
         folded = Circuit(4, ops=list(prefix.ops))
-        folded.append_segment(body, 10**9 + 1)
+        folded.append_segment(body, REPEAT_CAP - 1)
         assert np.max(np.abs(run(folded, 5).amps - run(once, 5).amps)) < 1e-6
 
     def test_wider_group_expands_up_to_the_cap_and_is_refused_past_it(self):
