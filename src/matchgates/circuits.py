@@ -1,24 +1,39 @@
 """Circuit container shared by the simulators and the compiler.
 
-A circuit is an ordered list of gate applications on an n-qubit line.  Ops
-are either a single :class:`CircuitOp` or a :class:`RepeatedSegment`, a
-short op body repeated ``count`` times, which keeps compiled circuits with
-thousands of identical entangler blocks compact.  Consumers read a circuit
-through :meth:`Circuit.walk`, one ``(ops, count)`` per top-level entry, and
-fold each group once in their own representation.
+A circuit is an ordered list of gate applications on an n-qubit line,
+stored by columns.  Each op is a row, in walk order:
+
+* ``stacks`` holds one read-only gate stack per matrix size, (N2, 2, 2) and
+  (N4, 4, 4) complex; ``sizes`` and ``slots`` give each row's matrix size
+  and its index in that stack;
+* ``targets`` is an (N, 2) integer array; a one-qubit row holds its qubit
+  twice;
+* ``names``, ``params`` and ``tags`` are lists with one item per row.
+
+A repetition group is a (start, stop, count) span over the rows in
+``groups``: its body is rows start..stop-1, applied ``count`` times.  Every
+row outside a group is a top-level entry of its own.  :class:`CircuitOp`
+and :class:`RepeatedSegment` are views of rows, made on demand: by
+:meth:`Circuit.walk`, one ``(ops, count)`` per top-level entry, by
+``Circuit.ops``, the entries as a list-like view, and by
+:meth:`Circuit.describe`, which names a row in a refusal.  The simulators
+and the emitter read the columns themselves (:attr:`Circuit.columns`).
 
 A circuit holds only admitted ops: one or two distinct targets in range, a
 gate of matching shape, unitary within ``gates.TOL_UNITARY``.  An op is
 checked once, where it enters: by :meth:`Circuit.add` (so ``append`` and
-``append_segment``) or, for a document, by the parser in ``matchgates.io``.
-The simulators, the compiler and the verifier trust their circuits; code
-that fills ``ops`` directly, as the compiler does with the matchgates it
-builds, vouches for them itself.
+``append_segment``) or, for a document, by the parser in ``matchgates.io``,
+which writes the columns directly (:meth:`Circuit.from_columns`).  The
+simulators, the compiler and the verifier trust their circuits; code that
+fills ``ops`` directly, as the compiler does with the matchgates it builds,
+vouches for them itself.  An op added on its own is written into the
+columns at once; their arrays grow by doubling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import MutableSequence
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -73,9 +88,25 @@ def basis_index(n: int, label: int | str) -> int:
 
 
 def check_shots(shots) -> None:
-    """Refuse a shot count that is not an integer in [1, 2**63)."""
-    if not isinstance(shots, (int, np.integer)) or not 1 <= shots < 2**63:
+    """Refuse a shot count that is not an integer in [1, 2**63); a bool is
+    not a count."""
+    if (
+        not isinstance(shots, (int, np.integer))
+        or isinstance(shots, (bool, np.bool_))
+        or not 1 <= shots < 2**63
+    ):
         raise BadSampleCount(f"shots must be an integer in [1, 2**63), got {shots!r}")
+
+
+def check_targets(n: int, targets: tuple[int, ...]) -> None:
+    """BadTargets unless ``targets`` are one or two distinct qubits of n."""
+    k = len(targets)
+    if k not in (1, 2):
+        raise BadTargets(f"gates act on 1 or 2 qubits, got {k} targets")
+    if len(set(targets)) != k:
+        raise BadTargets(f"repeated target in {targets}")
+    if any(t < 0 or t >= n for t in targets):
+        raise BadTargets(f"targets {targets} out of range for n={n}")
 
 
 def describe_op(ops: tuple[CircuitOp, ...], count: int, entry: int, position: int) -> str:
@@ -86,20 +117,156 @@ def describe_op(ops: tuple[CircuitOp, ...], count: int, entry: int, position: in
     return f"op {where} ({op.name or 'gate'} on {op.targets})"
 
 
-@dataclass
+def entry_spans(groups: list, rows: int) -> Iterator[tuple[int, int, int, bool]]:
+    """(start, stop, count, grouped) of each top-level entry over ``rows``
+    rows with repetition ``groups``: a row outside the groups is (r, r + 1,
+    1, False)."""
+    row = 0
+    for start, stop, count in groups:
+        for r in range(row, start):
+            yield r, r + 1, 1, False
+        yield start, stop, count, True
+        row = stop
+    for r in range(row, rows):
+        yield r, r + 1, 1, False
+
+
+def index_array(values: list) -> np.ndarray:
+    """Qubit indices as an int64 array, or an object array when one is
+    past int64."""
+    wide = values and max(values) >= 2**63
+    return np.array(values, dtype=object if wide else np.int64)
+
+
+class Columns(NamedTuple):
+    """A circuit's rows, one per op in walk order (module docstring)."""
+
+    stacks: dict[int, np.ndarray]
+    sizes: np.ndarray
+    slots: np.ndarray
+    targets: np.ndarray
+    names: list
+    params: list
+    tags: list
+
+    def ops(self, start: int, stop: int) -> tuple[CircuitOp, ...]:
+        """CircuitOp views of rows start..stop-1."""
+        rows = zip(self.sizes[start:stop].tolist(), self.slots[start:stop].tolist(),
+                   self.targets[start:stop].tolist(), self.names[start:stop],
+                   self.params[start:stop], self.tags[start:stop])
+        return tuple(
+            CircuitOp(self.stacks[size][slot], (a,) if a == b else (a, b), name, params, tag)
+            for size, slot, (a, b), name, params, tag in rows
+        )
+
+
+def _grown(a: np.ndarray, used: int) -> np.ndarray:
+    """A copy of the first ``used`` rows of ``a`` with room for twice as
+    many."""
+    grown = np.empty((max(2 * used, 16),) + a.shape[1:], dtype=a.dtype)
+    grown[:used] = a[:used]
+    return grown
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class Circuit:
-    n: int
-    ops: list[CircuitOp | RepeatedSegment] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    """An n-qubit circuit stored by columns (module docstring)."""
+
+    def __init__(self, n: int, ops: Iterable[CircuitOp | RepeatedSegment] = (), metadata: dict | None = None):
+        self.n = n
+        self.metadata = {} if metadata is None else metadata
+        self._reset()
+        self.ops.extend(ops)
+
+    @classmethod
+    def from_columns(cls, n: int, columns: Columns, groups: list, metadata: dict | None = None) -> "Circuit":
+        """A circuit of admitted rows in ``columns`` with repetition
+        ``groups``, as (start, stop, count) spans in order."""
+        circuit = cls(n, metadata=metadata)
+        circuit._stacks = dict(columns.stacks)
+        circuit._used = {size: len(stack) for size, stack in columns.stacks.items()}
+        circuit._sizes, circuit._slots, circuit._targets = columns.sizes, columns.slots, columns.targets
+        circuit._names, circuit._params, circuit._tags = columns.names, columns.params, columns.tags
+        circuit.groups = list(groups)
+        circuit._entries = len(columns.names) - sum(stop - start - 1 for start, stop, _ in groups)
+        return circuit
+
+    def _reset(self) -> None:
+        # Growable arrays: only the first rows (or _used[size] gates) hold ops.
+        self._stacks = {size: np.empty((0, size, size), dtype=complex) for size in (2, 4)}
+        self._used = {2: 0, 4: 0}
+        self._sizes = np.empty(0, dtype=np.uint8)
+        self._slots = np.empty(0, dtype=np.int64)
+        self._targets = np.empty((0, 2), dtype=np.int64)
+        self._names: list = []
+        self._params: list = []
+        self._tags: list = []
+        self.groups: list[tuple[int, int, int]] = []
+        self._entries = 0
+        self._view: Columns | None = None
+
+    @property
+    def columns(self) -> Columns:
+        """The rows as read-only arrays and lists."""
+        if self._view is None:
+            rows = self.rows
+            self._view = Columns(
+                {size: _read_only(stack[: self._used[size]]) for size, stack in self._stacks.items()},
+                _read_only(self._sizes[:rows]),
+                _read_only(self._slots[:rows]),
+                _read_only(self._targets[:rows]),
+                self._names,
+                self._params,
+                self._tags,
+            )
+        return self._view
+
+    @property
+    def rows(self) -> int:
+        return len(self._names)
+
+    @property
+    def ops(self) -> "Entries":
+        """The top-level entries as a list-like view (see :class:`Entries`)."""
+        return Entries(self)
+
+    def _push_op(self, op: CircuitOp) -> None:
+        """Write ``op`` as the next row, unchecked."""
+        row, size, first, last = self.rows, len(op.gate), op.targets[0], op.targets[-1]
+        slot = self._used[size]
+        if slot == len(self._stacks[size]):
+            self._stacks[size] = _grown(self._stacks[size], slot)
+        self._stacks[size][slot] = op.gate
+        self._used[size] += 1
+        if max(first, last) >= 2**63 and self._targets.dtype != object:
+            self._targets = self._targets.astype(object)
+        if row == len(self._sizes):
+            self._sizes, self._slots, self._targets = (_grown(a, row) for a in (self._sizes, self._slots, self._targets))
+        self._sizes[row], self._slots[row], self._targets[row] = size, slot, (first, last)
+        self._names.append(op.name)
+        self._params.append(op.params)
+        self._tags.append(op.tag)
+        self._view = None
+
+    def _push(self, entry: CircuitOp | RepeatedSegment) -> None:
+        """Add an entry without checking it."""
+        if isinstance(entry, RepeatedSegment):
+            start = self.rows
+            for op in entry.body:
+                self._push_op(op)
+            self.groups.append((start, self.rows, entry.count))
+        else:
+            self._push_op(entry)
+        self._entries += 1
 
     def _check_targets(self, gate: np.ndarray, targets: tuple[int, ...]):
+        check_targets(self.n, targets)
         k = len(targets)
-        if k not in (1, 2):
-            raise BadTargets(f"gates act on 1 or 2 qubits, got {k} targets")
-        if len(set(targets)) != k:
-            raise BadTargets(f"repeated target in {targets}")
-        if any(t < 0 or t >= self.n for t in targets):
-            raise BadTargets(f"targets {targets} out of range for n={self.n}")
         if gate.shape != (2**k, 2**k):
             raise BadTargets(
                 f"gate shape {gate.shape} does not match {k} target qubit(s)"
@@ -133,18 +300,83 @@ class Circuit:
         for j, op in enumerate(ops):
             self._check_targets(op.gate, op.targets)
             if not is_unitary(op.gate):
-                where = describe_op(ops, count, len(self.ops), j)
+                where = describe_op(ops, count, self._entries, j)
                 raise NonUnitaryInput(f"{where} is not unitary within {TOL_UNITARY:g}")
-        self.ops.append(entry)
+        self._push(entry)
+
+    def spans(self) -> list[tuple[int, int, int]]:
+        """(start, stop, count) of each top-level entry in walk order; a
+        single op is (r, r + 1, 1)."""
+        return [(start, stop, count) for start, stop, count, _ in entry_spans(self.groups, self.rows)]
 
     def walk(self) -> Iterator[tuple[tuple[CircuitOp, ...], int]]:
         """Yield each top-level entry as ``(ops, count)``: a single op as
         ``((op,), 1)`` and a repetition group as ``(body, count)``."""
-        for entry in self.ops:
-            if isinstance(entry, RepeatedSegment):
-                yield entry.body, entry.count
-            else:
-                yield (entry,), 1
+        # Views are made a window of at least 256 rows at a time.
+        columns, views, first = self.columns, (), 0
+        for start, stop, count, _ in entry_spans(self.groups, self.rows):
+            if stop > first + len(views):
+                first, views = start, columns.ops(start, max(stop, start + 256))
+            yield views[start - first : stop - first], count
 
     def flat_count(self) -> int:
-        return sum(count * len(ops) for ops, count in self.walk())
+        return self.rows + sum((count - 1) * (stop - start) for start, stop, count in self.groups)
+
+    def describe(self, row: int) -> str:
+        """:func:`describe_op`'s name of the op at ``row``."""
+        for entry, (start, stop, count) in enumerate(self.spans()):
+            if start <= row < stop:
+                return describe_op(self.columns.ops(start, stop), count, entry, row - start)
+        raise IndexError(f"row {row} out of range")
+
+
+class Entries(MutableSequence):
+    """``Circuit.ops``: the circuit's top-level entries, each a CircuitOp or
+    a RepeatedSegment view made on demand.  ``append`` and ``extend`` add
+    entries unchecked, as code that builds admitted ops does; any other
+    change rebuilds the circuit from its entries."""
+
+    def __init__(self, circuit: Circuit):
+        self._circuit = circuit
+
+    def __len__(self) -> int:
+        return self._circuit._entries
+
+    def __iter__(self) -> Iterator[CircuitOp | RepeatedSegment]:
+        circuit = self._circuit
+        columns = circuit.columns
+        for start, stop, count, grouped in entry_spans(circuit.groups, circuit.rows):
+            body = columns.ops(start, stop)
+            yield RepeatedSegment(body, count) if grouped else body[0]
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __setitem__(self, index, value) -> None:
+        entries = list(self)
+        entries[index] = value
+        self._rebuild(entries)
+
+    def __delitem__(self, index) -> None:
+        entries = list(self)
+        del entries[index]
+        self._rebuild(entries)
+
+    def insert(self, index: int, value) -> None:
+        entries = list(self)
+        entries.insert(index, value)
+        self._rebuild(entries)
+
+    def append(self, entry: CircuitOp | RepeatedSegment) -> None:
+        self._circuit._push(entry)
+
+    def extend(self, entries: Iterable[CircuitOp | RepeatedSegment]) -> None:
+        for entry in list(entries):
+            self._circuit._push(entry)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, tuple, Entries)) and list(self) == list(other)
+
+    def _rebuild(self, entries: list) -> None:
+        self._circuit._reset()
+        self.extend(entries)

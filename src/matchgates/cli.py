@@ -226,7 +226,10 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, as_json):
         "out": out,
     }
     if not skip_verify:
-        report = verify_compiled(compiled.physical, logical, epsilon)
+        try:
+            report = verify_compiled(compiled.physical, logical, epsilon)
+        except TooLarge as exc:
+            raise TooLarge(f"{exc}; compile with --skip-verify") from exc
         summary["verification"] = {
             "mode": report.mode,
             "fidelity": report.fidelity,
@@ -316,7 +319,8 @@ def simulate(input_path, backend, shots, seed, initial, strict, out, as_json):
                 click.echo(f"<Z_{k}> = {z:+.9f}")
         else:
             for i, (re, im) in enumerate(payload["state"]):
-                if abs(re) > 1e-12 or abs(im) > 1e-12:
+                # A row shows only what its 9 decimals can tell from zero.
+                if round(re, 9) or round(im, 9):
                     click.echo(f"|{format(i, f'0{circuit.n}b')}>  {re:+.9f}{im:+.9f}i")
 
 

@@ -345,7 +345,10 @@ def _lower(kind: str, op: CircuitOp, cz) -> list[tuple[str, tuple[int, ...], lis
 
 def count_target_uses(circuit: Circuit) -> int:
     """Ops tagged "target", with repeat groups expanded."""
-    return sum(count * sum(op.tag == "target" for op in ops) for ops, count in circuit.walk())
+    tags = circuit.columns.tags
+    return tags.count("target") + sum(
+        (count - 1) * tags[start:stop].count("target") for start, stop, count in circuit.groups
+    )
 
 
 @dataclass
@@ -365,12 +368,13 @@ def _check_flat_count(logical: Circuit) -> None:
     total = logical.flat_count()
     if total <= LOGICAL_FLAT_OP_CAP:
         return
-    sizes = [count * len(ops) if count > 1 else 0 for ops, count in logical.walk()]
+    spans = logical.spans()
+    sizes = [count * (stop - start) if count > 1 else 0 for start, stop, count in spans]
     what = f"the logical circuit expands to {total} ops"
     if any(sizes):
         i = int(np.argmax(sizes))
-        group = logical.ops[i]
-        what += f" (entry {i} repeats {len(group.body)} op(s) {group.count} times)"
+        start, stop, count = spans[i]
+        what += f" (entry {i} repeats {stop - start} op(s) {count} times)"
     raise TooLarge(
         f"{what}, past the cap of {LOGICAL_FLAT_OP_CAP}: the compiler expands repeat "
         "groups op by op, and folding them waits for ROADMAP item 1"
@@ -515,7 +519,7 @@ def verify(physical: Circuit, logical: Circuit, epsilon: float | None = None) ->
     if logical.n > UNITARY_QUBIT_CAP:
         raise TooLarge(
             f"verifying {logical.n} logical qubits needs 4^{logical.n} amplitudes per state, "
-            f"over the cap of 4^{UNITARY_QUBIT_CAP}; compile with --skip-verify"
+            f"over the cap of 4^{UNITARY_QUBIT_CAP}"
         )
     enc = Encoding(logical.n)
     cap, dim = 4**UNITARY_QUBIT_CAP, 2**physical.n

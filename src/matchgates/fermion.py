@@ -25,13 +25,14 @@ R_uv = Re[(conj(vec g) (x) vec g) K]_{(u,v)}.  A matchgate has nonzero
 entries only in its parity blocks, 8 of 16, so K keeps only the rows of
 those entries and N gates take one (N, 64) x (64, 16) product.
 
-``run_covariance`` works in the Heisenberg picture and on stacks: it takes
-the circuit OP_CHUNK ops at a time in walk order, tests the chunk's gates
-for parity and det A = det B with one ``classify_stack`` call (a one-qubit
-gate as kron(g, I), a reversed pair conjugated by the index swap; unitarity
-was checked when the ops were admitted), reads every block off one
-conjugation product, and then folds them in order into the rows of
-P = R_L ... R_1.
+``run_covariance`` works in the Heisenberg picture and on the circuit's
+columns (see :mod:`matchgates.circuits`): it takes OP_CHUNK rows at a time
+in walk order, gathers their gates from the gate stacks, embeds the
+one-qubit ones as kron(g, I) and conjugates reversed pairs by the index
+swap, all stacked, tests them for parity and det A = det B with one
+``classify_stack`` call (unitarity was checked when the ops were admitted),
+reads every block off one conjugation product, and then folds them in
+order into the rows of P = R_L ... R_1.
 The per-gate work left is the O(n) update of the block's rows of P.  M is
 formed once at the end, on the Majorana pairs the circuit touched.
 
@@ -47,14 +48,13 @@ not the register's; on a dense M it is the whole unmeasured register.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import Classification, classify, classify_stack
-from .circuits import Circuit, basis_index, check_shots, describe_op
+from .circuits import Circuit, Columns, basis_index, check_shots
 from .errors import (
     BackendRefusal,
     BadTargets,
@@ -250,46 +250,41 @@ def _condition(m: np.ndarray, parent: np.ndarray, sign: np.ndarray, out: np.ndar
     out += np.stack([col_v, -col_u], axis=2) @ np.stack([col_u, col_v], axis=1)
 
 
-def _chunk_blocks(chunk: list) -> tuple[list, list, np.ndarray]:
-    """(sites, blocks, qubits) of the ops in ``chunk``, items (entry,
-    position, ops, count) in walk order: each op's lowest qubit and Majorana
-    block, and the qubits the chunk acts on.  All ops are checked in one
-    stacked call; the first that fails is refused, named by its entry and
-    position."""
-    ops = [body[position] for _, position, body, _ in chunk]
-    single = np.array([len(op.targets) == 1 for op in ops], dtype=bool)
-    first = np.array([op.targets[0] for op in ops])
-    last = np.array([op.targets[-1] for op in ops])
-    reverse = ~single & (first == last + 1)
+def _chunk_blocks(circuit: Circuit, columns: Columns, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4, 4) Majorana blocks of rows start..stop-1, each
+    on its op's lowest qubit and the next.  The rows are checked in one
+    stacked call; the first that fails is refused, named by
+    :meth:`Circuit.describe`."""
+    first, last = columns.targets[start:stop].T
+    single = first == last
+    reverse = first == last + 1
     nearest = single | (last == first + 1) | reverse
-    singles = np.array([op.gate for op in ops if len(op.targets) == 1], dtype=complex).reshape(-1, 2, 2)
-    pairs = np.array([op.gate for op in ops if len(op.targets) == 2], dtype=complex).reshape(-1, 4, 4)
+    slots = columns.slots[start:stop]
     # A one-qubit op is checked and converted as kron(g, I); an op that is
     # not nearest-neighbour is refused before its gate is looked at.
-    checks = np.empty((len(ops), 4, 4), dtype=complex)
-    checks[single] = np.einsum("kab,ij->kaibj", singles, I2).reshape(-1, 4, 4)
-    checks[~single] = pairs
-    checks[reverse] = checks[reverse][:, _SWAP_ORDER][:, :, _SWAP_ORDER]
+    checks = np.empty((stop - start, 4, 4), dtype=complex)
+    checks[~single] = columns.stacks[4][slots[~single]]
+    if single.any():
+        checks[single] = np.einsum("kab,ij->kaibj", columns.stacks[2][slots[single]], I2).reshape(-1, 4, 4)
+    if reverse.any():
+        checks[reverse] = checks[reverse][:, _SWAP_ORDER][:, :, _SWAP_ORDER]
     checks[~nearest] = np.eye(4)
     pp, matchgate = classify_stack(checks)
     for k in np.flatnonzero(~(nearest & matchgate)):
         # The first failure is refused, in the words of the per-op check.
-        entry, position, body, count = chunk[k]
-        name = describe_op(body, count, entry, position)
+        name = circuit.describe(start + int(k))
         if not nearest[k]:
             raise BackendRefusal(f"{name} is not nearest-neighbor")
         exc = _not_matchgate(checks[k], pp[k])
         raise BackendRefusal(f"{name} is not a matchgate: {exc}") from exc
-    # A one-qubit op's block is the top-left 2 x 2 of kron(g, I)'s.
-    blocks = [b[:2, :2] if one else b for b, one in zip(_conjugation_block(checks), single.tolist())]
-    return np.minimum(first, last).tolist(), blocks, np.concatenate([first, last])
+    return _conjugation_block(checks)
 
 
 def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
     """Covariance after the circuit acts on a basis state.
 
-    Ops are checked and converted to Majorana blocks OP_CHUNK at a time, in
-    walk order, so the first op that fails is the one refused and memory
+    Rows are checked and converted to Majorana blocks OP_CHUNK at a time,
+    in walk order, so the first op that fails is the one refused and memory
     stays bounded whatever the circuit's length.  Every op is checked once;
     a repetition group is applied as one folded rotation on the Majorana
     span of its body.
@@ -306,31 +301,49 @@ def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
     m = state.m
     signs = m[0::2, 1::2].diagonal().copy()  # M0[2k, 2k+1] = <Z_k>
     touched = np.zeros(circuit.n, dtype=bool)
-    items = (
-        (i, j, ops, count)
-        for i, (ops, count) in enumerate(circuit.walk())
-        for j in range(len(ops))
-    )
-    while chunk := list(itertools.islice(items, OP_CHUNK)):
-        sites, blocks, qubits = _chunk_blocks(chunk)
+    columns = circuit.columns
+    rows = len(columns.names)
+    targets = columns.targets
+    # Runs of rows (start, stop, count) in walk order: a group of count > 1
+    # is folded, every other row applied on its own.
+    runs, row = [], 0
+    for start, stop, count in circuit.groups:
+        if count > 1 and stop > start:
+            runs += [(row, start, 1), (start, stop, count)]
+            row = stop
+    runs.append((row, rows, 1))
+    lows = (2 * targets.min(axis=1)).tolist()
+    widths = np.where(targets[:, 0] == targets[:, 1], 2, 4).tolist()
+    runs = iter(runs)
+    start, stop, count = next(runs)
+    for c0 in range(0, rows, OP_CHUNK):
+        c1 = min(c0 + OP_CHUNK, rows)
+        blocks = _chunk_blocks(circuit, columns, c0, c1)
+        qubits = targets[c0:c1].ravel()
         fresh = qubits[~touched[qubits]]
-        rows = np.concatenate([2 * fresh, 2 * fresh + 1])
-        m[rows] = 0.0
-        m[rows, rows] = 1.0
+        rows_fresh = np.concatenate([2 * fresh, 2 * fresh + 1])
+        m[rows_fresh] = 0.0
+        m[rows_fresh, rows_fresh] = 1.0
         touched[fresh] = True
-        for (_, j, ops, count), site, block in zip(chunk, sites, blocks):
-            if count == 1:
-                sl = slice(2 * site, 2 * site + len(block))
-                m[sl] = block @ m[sl]
-                continue
-            if j == 0:
-                lo = min(min(op.targets) for op in ops)
-                group = np.eye(2 * (max(max(op.targets) for op in ops) - lo + 1))
-            sl = slice(2 * (site - lo), 2 * (site - lo) + len(block))
-            group[sl, :] = block @ group[sl, :]
-            if j == len(ops) - 1:
-                span = slice(2 * lo, 2 * lo + len(group))
+        r = c0
+        while r < c1:
+            while stop <= r:
+                start, stop, count = next(runs)
+            end = min(stop, c1)
+            if count > 1 and r == start:
+                base = 2 * int(targets[start:stop].min())
+                group = np.eye(2 * int(targets[start:stop].max()) + 2 - base)
+            # A folded group's rows update its own rotation, offset to its span.
+            dest, offset = (m, 0) if count == 1 else (group, base)
+            for block, lo, w in zip(blocks[r - c0 : end - c0], lows[r:end], widths[r:end]):
+                if w == 2:  # a one-qubit op's block: the top-left 2 x 2 of kron(g, I)'s
+                    block = block[:2, :2]
+                lo -= offset
+                dest[lo : lo + w] = block @ dest[lo : lo + w]
+            if count > 1 and end == stop:
+                span = slice(base, base + len(group))
                 m[span] = np.linalg.matrix_power(group, count) @ m[span]
+            r = end
     # M_TT = P_TT M0_TT P_TT^T, with P_TT M0_TT taken pair by pair: M0's
     # block on qubit k is [[0, s_k], [-s_k, 0]].
     t = np.flatnonzero(np.repeat(touched, 2))

@@ -18,25 +18,27 @@ Circuit document (format_version 1)::
 Complex entries are [re, im] pairs, row-major.  Angle parameters accept
 numbers or pi-literals ("pi/4", "3pi/8", "-pi/2") to avoid decimal drift.
 
-Parsing is stacked.  One pass over the gate entries, repeat bodies
-included, checks each entry's structure and builds library gates.  The
-numbers of 'g' and 'matrix' entries are converted and checked PARSE_CHUNK
-such entries at a time: one conversion (row shapes, number types,
-finiteness) and one unitarity check per matrix size, and one G(A, B)
-assembly; the ops hold read-only views into the chunk's gate arrays.  Every
-'g' block and every 'matrix' entry is checked, so a parsed circuit holds
-only admitted ops (see :mod:`matchgates.circuits`).  The targets of all
-entries are checked once the document has parsed.  Only a failed check
-runs the per-entry helpers (:func:`matrix_in`,
-:func:`~matchgates.gates.is_unitary`, ``Circuit._check_targets``), to give
+Parsing writes the circuit's columns (see :mod:`matchgates.circuits`)
+directly.  One pass over the gate entries, repeat bodies included, checks
+each entry's structure and records it as a row: its targets, name, params
+and tag, a library gate built at once, the matrices of a 'g' or 'matrix'
+entry as written.  Those are then converted and checked PARSE_CHUNK
+entries of a kind at a time: one conversion (row shapes, number types,
+finiteness), one unitarity check and, for 'g', one G(A, B) assembly per
+chunk, written straight into the circuit's read-only gate stack of their
+size.  No per-entry op object is built.  Every 'g' block and every 'matrix'
+entry is checked, so a parsed circuit holds only admitted ops.  The targets
+of all entries are checked once the document has parsed.  Only a failed
+check runs the per-entry helpers (:func:`matrix_in`,
+:func:`~matchgates.gates.is_unitary`, ``circuits.check_targets``), to give
 the refusal a per-entry parse gives: the first structural, numeric or
 unitarity fault in document order ("gates[3]: matrix is not unitary within
 1e-09", or "even block A" / "odd block B" for a 'g' entry, or TooLarge for
 a 'repeat' count past ``circuits.REPEAT_CAP``); a target out of range or
 repeated only after the whole document has parsed.
 
-Output is stacked too: :func:`emit_circuit_document` converts all of a
-circuit's ops in one pass.  All four commands write their JSON through
+Output is stacked too: :func:`emit_circuit_document` reads the circuit's
+columns and converts all of its rows in one pass.  All four commands write their JSON through
 :func:`dumps_document`, keys sorted: each top-level key on its own line, a
 list of objects (a document's gate entries) one element per line, every
 other value compact, by the C encoder.  ``json.loads`` of the text equals
@@ -54,7 +56,7 @@ from typing import Any
 import numpy as np
 
 from .analysis import PPParams, reconstruct_pp
-from .circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment
+from .circuits import REPEAT_CAP, Circuit, Columns, check_targets, entry_spans, index_array
 from .errors import BadArity, BadTargets, ParseError, TooLarge, UnknownGate
 from .gates import (
     TOL_UNITARY,
@@ -69,8 +71,8 @@ from .gates import (
 
 FORMAT_VERSION = 1
 
-# 'g' and 'matrix' entries per stacked conversion and check; it bounds the
-# queued rows, the chunk's arrays and their temporaries.
+# 'g' or 'matrix' entries of one kind per stacked conversion and check; it
+# bounds the chunk's arrays and their temporaries.
 PARSE_CHUNK = 256
 
 _PI_RE = re.compile(
@@ -176,112 +178,135 @@ def _complex_stack(mats: list, dim: int) -> np.ndarray | None:
     return values.view(complex).reshape(-1, dim, dim)
 
 
-class _DocumentParser:
-    """One pass over a document's gate entries that checks their structure,
-    with the matrices of PARSE_CHUNK 'g' or 'matrix' entries at a time
-    converted and checked in stacks.
+_INT = {int}
+_BLOCK_KEYS = {"a", "b"}
 
-    Such an entry leaves a placeholder in its op list and is queued;
-    :meth:`flush` converts the queue and checks it for unitarity in one
-    stacked call each per kind, and places the ops.  A repeat group is a
-    plain (count, body) tuple, unlike a CircuitOp, until parsed.
+
+class _DocumentParser:
+    """One pass over a document's gate entries, in document order, that
+    checks their structure and records each gate entry as a row of the
+    circuit's columns; :meth:`convert` then fills the gate stacks.
+
+    A library gate is built as its entry is read.  The matrices of a 'g' or
+    'matrix' entry are kept as written, by kind, with the entry's row, and
+    :meth:`convert` turns them into gates PARSE_CHUNK entries at a time.
     """
 
-    def __init__(self):
-        # (ops, slot, where, kind, targets, tag, mats) of each queued entry:
-        # it fills ops[slot]; kind is (op name, matrix size) and mats holds
-        # the raw rows of its matrices, the a and b blocks of a 'g' entry.
-        self.queue: list = []
-        self.targets: list = []
+    # (op name, matrix size) of the entries whose matrices are converted in
+    # stacks, and the number of matrices each entry holds.
+    KINDS = {("g", 4): 2, ("matrix", 2): 1, ("matrix", 4): 1}
 
-    def walk(self, entries, where: str) -> list:
+    def __init__(self, entries: list):
+        self.entries = entries
+        self.targets: list = []
+        self.names: list = []
+        self.params: list = []
+        self.tags: list = []
+        self.groups: list = []
+        # Per kind: the rows of its entries and their raw matrices in order.
+        self.rows = {kind: [] for kind in self.KINDS}
+        self.raw = {kind: [] for kind in self.KINDS}
+        self.library_rows: list = []
+        self.library_gates: list = []
+
+    def walk(self, entries, where: str) -> None:
         if not isinstance(entries, list):
             raise ParseError(f"{where}: expected a list of gate entries")
-        ops: list = []
         for i, entry in enumerate(entries):
-            spot = f"{where}[{i}]"
             if not isinstance(entry, dict):
-                raise ParseError(f"{spot}: gate entries must be objects")
+                raise ParseError(f"{where}[{i}]: gate entries must be objects")
             if "repeat" in entry:
+                spot = f"{where}[{i}]"
                 count = entry["repeat"]
                 if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                     raise ParseError(f"{spot}: 'repeat' must be a positive integer")
                 if count > REPEAT_CAP:
                     raise TooLarge(f"{spot}: 'repeat' count {count} is past the cap of {REPEAT_CAP}")
-                body = self.walk(entry.get("gates", []), f"{spot}.gates")
-                if any(type(op) is tuple for op in body):
+                start, groups = len(self.names), len(self.groups)
+                self.walk(entry.get("gates", []), f"{spot}.gates")
+                if len(self.groups) > groups:
                     raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
-                ops.append((count, body))
+                self.groups.append((start, len(self.names), count))
                 continue
-            ops.append(self.gate(entry, spot, ops))
-            if len(self.queue) == PARSE_CHUNK:
-                self.flush()
-        return ops
+            self.gate(entry, where, i)
 
-    def gate(self, entry: dict, where: str, ops: list) -> CircuitOp | None:
-        """The op of a library-gate entry.  A 'g' or 'matrix' entry is queued
-        to fill ``ops[len(ops)]`` and gives None."""
+    def gate(self, entry: dict, where: str, i: int) -> None:
+        """Check a gate entry's structure and record its row."""
         targets = entry.get("targets")
         if not isinstance(targets, list) or not targets:
-            raise ParseError(f"{where}: missing or empty 'targets'")
-        for t in targets:
-            if not isinstance(t, int) or isinstance(t, bool):
-                raise ParseError(f"{where}: 'targets' must be qubit indices, got {targets!r}")
+            raise ParseError(f"{where}[{i}]: missing or empty 'targets'")
+        if not _INT.issuperset(map(type, targets)):
+            for t in targets:
+                if not isinstance(t, int) or isinstance(t, bool):
+                    raise ParseError(f"{where}[{i}]: 'targets' must be qubit indices, got {targets!r}")
         if len(targets) > 2:
-            raise ParseError(f"{where}: gates act on 1 or 2 qubits, got {len(targets)} targets")
-        targets = tuple(targets)
+            raise ParseError(f"{where}[{i}]: gates act on 1 or 2 qubits, got {len(targets)} targets")
         name = entry.get("name")
         if not isinstance(name, str):
-            raise ParseError(f"{where}: missing gate 'name'")
+            raise ParseError(f"{where}[{i}]: missing gate 'name'")
         tag = entry.get("tag")
         if tag is not None and not isinstance(tag, str):
-            raise ParseError(f"{where}: 'tag' must be a string")
-        self.targets.append(targets)
+            raise ParseError(f"{where}[{i}]: 'tag' must be a string")
         key = name.lower()
-        dim = 2 ** len(targets)
-        if key == "matrix":
-            kind = ("matrix", dim)
-            self.queue.append((ops, len(ops), where, kind, targets, tag, (entry.get("matrix"),)))
-            return None
+        params = ()
         if key == "g":
             blocks = entry.get("blocks")
-            if not isinstance(blocks, dict) or blocks.keys() != {"a", "b"}:
-                raise ParseError(f"{where}: gate 'g' needs blocks {{a, b}}")
+            if not isinstance(blocks, dict) or blocks.keys() != _BLOCK_KEYS:
+                raise ParseError(f"{where}[{i}]: gate 'g' needs blocks {{a, b}}")
             if len(targets) != 2:
-                raise ParseError(f"{where}: gate 'g' acts on two qubits")
-            kind = ("g", 2)
-            self.queue.append((ops, len(ops), where, kind, targets, tag, (blocks["a"], blocks["b"])))
-            return None
-        params = _angle_list(entry.get("params", []), where)
-        gate = _library_gate(key, params, f"{where}: ")
-        if gate.shape != (dim, dim):
-            raise ParseError(
-                f"{where}: gate {name!r} is a {gate.shape[0] // 2}-qubit gate but got "
-                f"{len(targets)} target(s)"
-            )
-        return CircuitOp(gate, targets, name=key, params=params, tag=tag)
+                raise ParseError(f"{where}[{i}]: gate 'g' acts on two qubits")
+            kind = ("g", 4)
+            self.raw[kind] += (blocks["a"], blocks["b"])
+        elif key == "matrix":
+            kind = ("matrix", 2 ** len(targets))
+            self.raw[kind].append(entry.get("matrix"))
+        else:
+            kind = None
+            params = _angle_list(entry.get("params", []), f"{where}[{i}]")
+            gate = _library_gate(key, params, f"{where}[{i}]: ")
+            dim = 2 ** len(targets)
+            if gate.shape != (dim, dim):
+                raise ParseError(
+                    f"{where}[{i}]: gate {name!r} is a {gate.shape[0] // 2}-qubit gate but got "
+                    f"{len(targets)} target(s)"
+                )
+            self.library_rows.append(len(self.names))
+            self.library_gates.append(gate)
+        if kind is not None:
+            self.rows[kind].append(len(self.names))
+            key = kind[0]  # one shared string, not one per entry
+        self.targets.append(targets)
+        self.names.append(key)
+        self.params.append(params)
+        self.tags.append(tag)
 
-    def flush(self) -> None:
-        """Convert, check and place the queued entries; empties the queue."""
-        queue, self.queue = self.queue, []
-        kinds: dict = {}
-        for k, item in enumerate(queue):
-            kinds.setdefault(item[3], []).append(k)
-        stacks = {
-            kind: _complex_stack([m for k in ks for m in queue[k][6]], kind[1])
-            for kind, ks in kinds.items()
-        }
-        if any(stack is None for stack in stacks.values()) or not all(
-            np.all(unitarity_defect(stack) <= TOL_UNITARY) for stack in stacks.values()
-        ):
-            _refuse_first_fault(queue)
-        for kind, ks in kinds.items():
-            mats = stacks[kind].reshape(len(ks), -1, kind[1], kind[1])
-            gates = assemble_pp(mats[:, 0], mats[:, 1]) if kind[0] == "g" else mats[:, 0]
-            gates.flags.writeable = False
-            for k, gate in zip(ks, gates):
-                ops, slot, _, _, targets, tag, _ = queue[k]
-                ops[slot] = CircuitOp(gate, targets, kind[0], (), tag)
+    def convert(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """(stacks, sizes, slots) of the recorded rows.  Each kind's matrices
+        are converted and checked for unitarity PARSE_CHUNK entries at a
+        time, one stacked call each, and written into the stacks; a failed
+        check refuses the first fault in document order."""
+        arity = np.fromiter(map(len, self.targets), dtype=np.uint8, count=len(self.targets))
+        sizes = 2**arity
+        slots = np.empty(len(sizes), dtype=np.int64)
+        stacks = {}
+        for size in (2, 4):
+            mine = sizes == size
+            slots[mine] = np.arange(np.count_nonzero(mine))
+            stacks[size] = np.empty((np.count_nonzero(mine), size, size), dtype=complex)
+        for (name, size), per in self.KINDS.items():
+            rows, raw = self.rows[(name, size)], self.raw[(name, size)]
+            for c in range(0, len(rows), PARSE_CHUNK):
+                stack = _complex_stack(raw[per * c : per * (c + PARSE_CHUNK)], 2 if name == "g" else size)
+                if stack is None or not np.all(unitarity_defect(stack) <= TOL_UNITARY):
+                    _refuse_first_fault(self.entries, "gates")
+                mats = stack.reshape(-1, per, *stack.shape[1:])
+                gates = assemble_pp(mats[:, 0], mats[:, 1]) if name == "g" else mats[:, 0]
+                stacks[size][slots[rows[c : c + PARSE_CHUNK]]] = gates
+        for gate, row in zip(self.library_gates, self.library_rows):
+            stacks[len(gate)][slots[row]] = gate
+        for stack in stacks.values():
+            stack.flags.writeable = False
+        return stacks, sizes, slots
 
 
 # (matrix_in's name, the unitarity refusal's name) of each matrix of an entry.
@@ -291,17 +316,27 @@ _PARTS = {
 }
 
 
-def _refuse_first_fault(queue: list) -> None:
-    """Refuse the queue's first entry that is not well formed, as
-    :func:`matrix_in` words it, or not unitary.  Called only when a stacked
-    conversion or check of the queue failed, so some entry has a fault."""
-    for _, _, where, (name, dim), _, _, mats in queue:
-        parts = _PARTS[name]
-        converted = [matrix_in(m, dim, f"{where}: {part}") for m, (part, _) in zip(mats, parts)]
-        for m, (_, label) in zip(converted, parts):
+def _refuse_first_fault(entries: list, where: str) -> None:
+    """Refuse the first 'g' or 'matrix' entry, in document order, that is
+    not well formed, as :func:`matrix_in` words it, or not unitary.  Called
+    only when a stacked conversion or check failed, so such an entry comes
+    before any entry with a structural fault."""
+    for i, entry in enumerate(entries):
+        spot = f"{where}[{i}]"
+        if "repeat" in entry:
+            _refuse_first_fault(entry.get("gates", []), f"{spot}.gates")
+            continue
+        name = entry["name"].lower()
+        if name not in _PARTS:
+            continue
+        mats = (entry["blocks"]["a"], entry["blocks"]["b"]) if name == "g" else (entry.get("matrix"),)
+        dim = 2 if name == "g" else 2 ** len(entry["targets"])
+        converted = [matrix_in(m, dim, f"{spot}: {part}") for m, (part, _) in zip(mats, _PARTS[name])]
+        for m, (_, label) in zip(converted, _PARTS[name]):
             if not is_unitary(m):
-                raise ParseError(f"{where}: {label} is not unitary within {TOL_UNITARY:g}")
-    raise AssertionError("a stacked check refused matrices that the per-entry check accepts")
+                raise ParseError(f"{spot}: {label} is not unitary within {TOL_UNITARY:g}")
+    if where == "gates":
+        raise AssertionError("a stacked check refused matrices that the per-entry check accepts")
 
 
 def parse_circuit_document(doc: dict) -> Circuit:
@@ -316,74 +351,80 @@ def parse_circuit_document(doc: dict) -> Circuit:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("'metadata' must be an object")
-    circuit = Circuit(n, metadata=dict(metadata))
-    parser = _DocumentParser()
+    entries = doc.get("gates", [])
+    parser = _DocumentParser(entries)
     try:
-        entries = parser.walk(doc.get("gates", []), "gates")
+        parser.walk(entries, "gates")
     except (ParseError, TooLarge):
-        # A fault in a queued entry before this one is the first refusal.
-        parser.flush()
+        # A fault in a matrix before this one is the first refusal.
+        parser.convert()
         raise
-    parser.flush()
-    ops = [RepeatedSegment(tuple(e[1]), e[0]) if type(e) is tuple else e for e in entries]
+    stacks, sizes, slots = parser.convert()
     # Every entry's targets in one check for range and repeats.
     flat = list(itertools.chain.from_iterable(parser.targets))
-    if not flat or (
-        min(flat) >= 0 and max(flat) < n and not any(len(t) == 2 and t[0] == t[1] for t in parser.targets)
-    ):
-        circuit.ops = ops
-        return circuit
-    # The per-op check words the first failing op; unitarity is not checked again.
-    for i, entry in enumerate(ops):
-        for op in entry.body if isinstance(entry, RepeatedSegment) else (entry,):
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        _refuse_targets(parser, n)
+    # Each row's (first, last) target; a one-qubit row's qubit twice.
+    arity = sizes.astype(np.intp) // 2
+    ends = np.cumsum(arity)
+    targets = index_array(flat)[np.stack([ends - arity, ends - 1], axis=1)]
+    if np.any((sizes == 4) & (targets[:, 0] == targets[:, 1])):
+        _refuse_targets(parser, n)
+    columns = Columns(stacks, sizes, slots, targets, parser.names, parser.params, parser.tags)
+    return Circuit.from_columns(n, columns, parser.groups, metadata=dict(metadata))
+
+
+def _refuse_targets(parser: _DocumentParser, n: int) -> None:
+    """Refuse the first row whose targets are out of range or repeated,
+    named by its top-level entry."""
+    for i, (start, stop, _, _) in enumerate(entry_spans(parser.groups, len(parser.targets))):
+        for targets in parser.targets[start:stop]:
             try:
-                circuit._check_targets(op.gate, op.targets)
+                check_targets(n, tuple(targets))
             except BadTargets as exc:
                 raise ParseError(f"gates[{i}]: {exc}") from exc
     raise AssertionError("the stacked target check refused targets that the per-op check accepts")
 
 
 def emit_circuit_document(circuit: Circuit, metadata: dict | None = None) -> dict:
-    """The document of ``circuit``, its ops emitted in one stacked pass.  An
+    """The document of ``circuit``, its rows emitted in one stacked pass.  An
     op is written by name when the library reproduces its matrix exactly
     (one lookup per distinct name and params), as 'g' blocks when it is 4x4
     with off-block weight under 1e-12, and as a 'matrix' otherwise."""
-    ops = [op for body, _ in circuit.walk() for op in body]
-    entries = [{"targets": list(op.targets)} for op in ops]
+    col = circuit.columns
+    entries = [{"targets": [a] if a == b else [a, b]} for a, b in col.targets.tolist()]
+    sizes, slots = col.sizes.tolist(), col.slots
     named: dict = {}
-    for k, op in enumerate(ops):
-        if op.tag:
-            entries[k]["tag"] = op.tag
-        if op.name not in (None, "matrix", "g"):
-            named.setdefault((op.name, op.params), []).append(k)
+    for k, (name, params, tag) in enumerate(zip(col.names, col.params, col.tags)):
+        if tag:
+            entries[k]["tag"] = tag
+        if name not in (None, "matrix", "g"):
+            named.setdefault((name, params), []).append(k)
     for (name, params), ks in named.items():
         try:
             lib = gate_library(name, params)
         except (UnknownGate, BadArity):
             continue
-        ks = [k for k in ks if ops[k].gate.shape == lib.shape]
-        stack = np.reshape([ops[k].gate for k in ks], (len(ks),) + lib.shape)
+        ks = [k for k in ks if sizes[k] == len(lib)]
+        stack = col.stacks[len(lib)][slots[ks]]
         for k in itertools.compress(ks, np.all(stack == lib, axis=(-2, -1))):
             entries[k]["name"] = name
-            if ops[k].params:
-                entries[k]["params"] = [float(p) for p in ops[k].params]
-    by_shape: dict = {}
+            if params:
+                entries[k]["params"] = [float(p) for p in params]
+    by_size: dict = {}
     for k in (k for k, entry in enumerate(entries) if "name" not in entry):
-        by_shape.setdefault(ops[k].gate.shape, []).append(k)
-    for shape, ks in by_shape.items():
-        mats = np.array([ops[k].gate for k in ks], dtype=complex)
-        is_g = off_block_weight(mats) < 1e-12 if shape == (4, 4) else np.zeros(len(ks), dtype=bool)
+        by_size.setdefault(sizes[k], []).append(k)
+    for size, ks in by_size.items():
+        mats = col.stacks[size][slots[ks]]
+        is_g = off_block_weight(mats) < 1e-12 if size == 4 else np.zeros(len(ks), dtype=bool)
         for k, rows in zip(itertools.compress(ks, ~is_g), matrix_out(mats[~is_g])):
             entries[k].update(name="matrix", matrix=rows)
         blocks = matrix_out(np.stack(extract_blocks(mats[is_g]), axis=1))
         for k, (a, b) in zip(itertools.compress(ks, is_g), blocks):
             entries[k].update(name="g", blocks={"a": a, "b": b})
-    emitted = iter(entries)
     gates = [
-        {"repeat": entry.count, "gates": [next(emitted) for _ in entry.body]}
-        if isinstance(entry, RepeatedSegment)
-        else next(emitted)
-        for entry in circuit.ops
+        {"repeat": count, "gates": entries[start:stop]} if grouped else entries[start]
+        for start, stop, count, grouped in entry_spans(circuit.groups, circuit.rows)
     ]
     meta = dict(circuit.metadata)
     if metadata:

@@ -88,7 +88,7 @@ def test_both_backends_refuse_a_bad_basis_label_in_one_text(label, message):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("shots", [0, -1, 2**63, 2.0, "3"])
+@pytest.mark.parametrize("shots", [0, -1, 2**63, 2.0, "3", True, False, np.bool_(True)])
 def test_both_samplers_refuse_a_bad_shot_count_in_one_text(shots):
     message = f"shots must be an integer in [1, 2**63), got {shots!r}"
     for check in (check_shots, lambda s: sample(StateVector.basis(2), s, 0),

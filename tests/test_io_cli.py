@@ -564,6 +564,31 @@ class TestSimulateCommand:
             p1 = probs.reshape([2] * 5).take(1, axis=k).sum()
             assert z[k] == pytest.approx(1 - 2 * p1, abs=1e-9)
 
+    def test_sv_text_lists_no_amplitude_that_rounds_to_zero(self, runner, tmp_path):
+        # 10**7 repeats of G(H, H) leave |11> at about -1.1e-10: its 9
+        # decimals are zero, so it has no row; --json keeps every amplitude.
+        h = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
+        ghh = {"name": "g", "targets": [0, 1], "blocks": {"a": h, "b": h}}
+        doc = {"format_version": 1, "qubits": 2, "gates": [{"repeat": REPEAT_CAP, "gates": [ghh]}]}
+        path = write_doc(tmp_path, doc)
+        result = runner.invoke(main, ["simulate", "--input", path, "--backend", "sv"])
+        assert result.exit_code == 0, result.output
+        (line,) = result.output.splitlines()
+        assert line.startswith("|00>  +")
+        result = runner.invoke(main, ["simulate", "--input", path, "--backend", "sv", "--json"])
+        state = json.loads(result.output)["state"]
+        assert len(state) == 4 and 0 < abs(state[3][0]) < 5e-10
+
+    def test_ff_refuses_a_non_matchgate_in_a_later_chunk_by_its_op(self, runner, tmp_path):
+        # Op 300 is in the parser's second chunk and the backend's second.
+        rng = np.random.default_rng(133)
+        gates = [g_entry([q % 3, q % 3 + 1], *_matchgate_blocks(rng)) for q in range(400)]
+        gates[300] = g_entry([1, 2], ((1, 0), (0, -1)))
+        doc = {"format_version": 1, "qubits": 4, "gates": gates}
+        result = runner.invoke(main, ["simulate", "--input", write_doc(tmp_path, doc), "--backend", "ff"])
+        assert result.exit_code == 6
+        assert result.output.startswith("error: op 300 (g on (1, 2)) is not a matchgate: det(A)/det(B) = -1.000000")
+
     def test_deterministic_output(self, runner, tmp_path):
         bell = write_bell(tmp_path)
         args = ["simulate", "--input", bell, "--shots", "100", "--seed", "5", "--json"]
@@ -704,7 +729,8 @@ class TestVerifyCommand:
         assert result.exit_code == 5, result.output
         assert len(result.output) < 300
         assert f"needs 4^{logical_qubits} amplitudes" in result.output
-        assert "--skip-verify" in result.output
+        # Skipping verification is advice for compile, not for verify.
+        assert "--skip-verify" not in result.output
 
 
 class TestRepeatCap:
@@ -767,6 +793,12 @@ class TestRepeatCap:
             assert result.exit_code == 0, result.output
             payloads.append(np.array(json.loads(result.output)[key]))
         assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-8
+
+
+def _matchgate_blocks(rng):
+    """The blocks (A, B) of a random matchgate."""
+    g = random_matchgate(rng)
+    return g[np.ix_([0, 3], [0, 3])], g[np.ix_([1, 2], [1, 2])]
 
 
 def write_doc(tmp_path, doc, name="doc.json"):

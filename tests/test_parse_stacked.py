@@ -320,7 +320,7 @@ def test_non_unitary_matrix_entries_are_refused_in_document_order(faults, messag
     assert outcome(parse_circuit_document, doc) == want
 
 
-def test_gates_are_read_only_views_into_their_chunk():
+def test_gates_are_read_only_views_into_one_stack():
     rng = np.random.default_rng(3)
     gates = [random_matchgate(rng) for _ in range(PARSE_CHUNK + 5)]
     circuit = parse_circuit_document(doc_of([g_entry_of(g, [0, 1]) for g in gates]))
@@ -328,8 +328,11 @@ def test_gates_are_read_only_views_into_their_chunk():
         assert not op.gate.flags.writeable
         a, b = g[np.ix_([0, 3], [0, 3])], g[np.ix_([1, 2], [1, 2])]
         assert np.array_equal(op.gate, assemble_pp(a, b))
-    assert circuit.ops[0].gate.base is circuit.ops[1].gate.base
-    assert circuit.ops[0].gate.base is not circuit.ops[PARSE_CHUNK].gate.base
+    # Every chunk is written into the circuit's one 4 x 4 stack.
+    stack = circuit.columns.stacks[4]
+    assert stack.shape == (PARSE_CHUNK + 5, 4, 4)
+    assert np.shares_memory(circuit.ops[0].gate, stack)
+    assert np.shares_memory(circuit.ops[PARSE_CHUNK].gate, stack)
 
 
 @pytest.mark.parametrize(
@@ -378,3 +381,29 @@ def test_parse_peak_memory_over_the_decoded_document_is_bounded():
         tracemalloc.stop()
     assert len(circuit.ops) == 2000
     assert peak <= 1.25 * 2**20, peak / 2**20
+
+
+def test_a_parsed_circuit_holds_only_its_columns():
+    """An ff_deep-sized document, 2000 'g' entries on 60 qubits: once the
+    decoded document is dropped, the circuit holds its 2000 x 4 x 4 gate
+    stack (0.49 MB) and its small columns, within 0.75 MB.  One CircuitOp
+    per entry held about 1.13 MB."""
+    rng = np.random.default_rng(4)
+    palette = [random_matchgate(rng) for _ in range(64)]
+    entries = [
+        g_entry_of(palette[pick], [int(site), int(site) + 1])
+        for site, pick in zip(rng.integers(0, 59, size=2000), rng.integers(0, 64, size=2000))
+    ]
+    text = json.dumps(doc_of(entries, 60))
+    parse_circuit_document(json.loads(text))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        doc = json.loads(text)
+        circuit = parse_circuit_document(doc)
+        del doc
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert circuit.rows == 2000
+    assert held <= 0.75 * 2**20, held / 2**20

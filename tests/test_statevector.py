@@ -110,7 +110,7 @@ class TestRun:
         rng = np.random.default_rng(43)
         c1 = random_matchgate_circuit(rng, 4, 10)
         c2 = random_matchgate_circuit(rng, 4, 10)
-        combined = Circuit(4, ops=c1.ops + c2.ops)
+        combined = Circuit(4, ops=[*c1.ops, *c2.ops])
         state = run(c1, 5)
         for op in flat(c2):
             state = apply(state, op.gate, op.targets)
@@ -182,7 +182,7 @@ class TestRepeatGroups:
         body_circ.append(haar_unitary(rng, 4), (1, 3))
         seg = Circuit(4)
         seg.append_segment(body_circ.ops, 7)
-        flat = Circuit(4, ops=body_circ.ops * 7)
+        flat = Circuit(4, ops=list(body_circ.ops) * 7)
         assert_allclose(circuit_unitary(seg), circuit_unitary(flat), atol=1e-12)
         assert_allclose(run(seg, 6).amps, run(flat, 6).amps, atol=1e-12)
 
