@@ -5,7 +5,8 @@ stored by columns.  Each op is a row, in walk order:
 
 * ``stacks`` holds one read-only gate stack per matrix size, (N2, 2, 2) and
   (N4, 4, 4) complex; ``sizes`` and ``slots`` give each row's matrix size
-  and its index in that stack;
+  and its index in that stack.  Rows may share a slot: a gate applied many
+  times can be stored once;
 * ``targets`` is an (N, 2) integer array; a one-qubit row holds its qubit
   twice;
 * ``names``, ``params`` and ``tags`` are lists with one item per row.
@@ -15,30 +16,30 @@ A repetition group is a (start, stop, count) span over the rows in
 row outside a group is a top-level entry of its own.  :class:`CircuitOp`
 and :class:`RepeatedSegment` are views of rows, made on demand: by
 :meth:`Circuit.walk`, one ``(ops, count)`` per top-level entry, by
-``Circuit.ops``, the entries as a list-like view, and by
-:meth:`Circuit.describe`, which names a row in a refusal.  The simulators
-and the emitter read the columns themselves (:attr:`Circuit.columns`).
+``Circuit.ops``, the entries as a tuple, and by :meth:`Circuit.describe`,
+which names a row in a refusal.  The simulators and the emitter read the
+columns themselves (:attr:`Circuit.columns`).
 
-A circuit holds only admitted ops: one or two distinct targets in range, a
-gate of matching shape, unitary within ``gates.TOL_UNITARY``.  An op is
-checked once, where it enters: by :meth:`Circuit.add` (so ``append`` and
-``append_segment``) or, for a document, by the parser in ``matchgates.io``,
-which writes the columns directly (:meth:`Circuit.from_columns`).  The
-simulators, the compiler and the verifier trust their circuits; code that
-fills ``ops`` directly, as the compiler does with the matchgates it builds,
-vouches for them itself.  An op added on its own is written into the
-columns at once; their arrays grow by doubling.
+A circuit holds only admitted ops: one or two distinct integer targets in
+range, a gate of matching shape, unitary within ``gates.TOL_UNITARY``.  A
+circuit has two writers.  :meth:`Circuit.add` admits one op or repetition
+group at a time and writes it into the columns at once, their arrays
+growing by doubling; the constructor, ``append`` and ``append_segment`` go
+through it.  :meth:`Circuit.from_columns` takes whole columns whose rows
+its caller has admitted: the parser in ``matchgates.io`` checks every entry
+of a document, and the compiler writes only its checked target and the
+matchgates it assembles.  The simulators, the compiler and the verifier
+trust their circuits.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableSequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import BadSampleCount, BadTargets, NonUnitaryInput, TooLarge
+from .errors import BadSampleCount, BadTargets, NonUnitaryInput, ParseError, TooLarge
 from .gates import TOL_UNITARY, is_unitary
 
 # Largest count of a repetition group.  Folding a body into a matrix power
@@ -68,6 +69,8 @@ class RepeatedSegment:
     count: int
 
     def __post_init__(self):
+        if any(isinstance(op, RepeatedSegment) for op in self.body):
+            raise ParseError("nested 'repeat' groups are not supported")
         if self.count < 1:
             raise ValueError("repetition count must be >= 1")
         if self.count > REPEAT_CAP:
@@ -99,10 +102,13 @@ def check_shots(shots) -> None:
 
 
 def check_targets(n: int, targets: tuple[int, ...]) -> None:
-    """BadTargets unless ``targets`` are one or two distinct qubits of n."""
+    """BadTargets unless ``targets`` are one or two distinct qubits of n,
+    each an int or numpy integer (not a bool)."""
     k = len(targets)
     if k not in (1, 2):
         raise BadTargets(f"gates act on 1 or 2 qubits, got {k} targets")
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in targets):
+        raise BadTargets(f"targets must be qubit indices, got {targets!r}")
     if len(set(targets)) != k:
         raise BadTargets(f"repeated target in {targets}")
     if any(t < 0 or t >= n for t in targets):
@@ -180,8 +186,19 @@ class Circuit:
     def __init__(self, n: int, ops: Iterable[CircuitOp | RepeatedSegment] = (), metadata: dict | None = None):
         self.n = n
         self.metadata = {} if metadata is None else metadata
-        self._reset()
-        self.ops.extend(ops)
+        # Growable arrays: only the first rows (or _used[size] gates) hold ops.
+        self._stacks = {size: np.empty((0, size, size), dtype=complex) for size in (2, 4)}
+        self._used = {2: 0, 4: 0}
+        self._sizes = np.empty(0, dtype=np.uint8)
+        self._slots = np.empty(0, dtype=np.int64)
+        self._targets = np.empty((0, 2), dtype=np.int64)
+        self._names: list = []
+        self._params: list = []
+        self._tags: list = []
+        self.groups: list[tuple[int, int, int]] = []
+        self._view: Columns | None = None
+        for entry in ops:
+            self.add(entry)
 
     @classmethod
     def from_columns(cls, n: int, columns: Columns, groups: list, metadata: dict | None = None) -> "Circuit":
@@ -193,22 +210,7 @@ class Circuit:
         circuit._sizes, circuit._slots, circuit._targets = columns.sizes, columns.slots, columns.targets
         circuit._names, circuit._params, circuit._tags = columns.names, columns.params, columns.tags
         circuit.groups = list(groups)
-        circuit._entries = len(columns.names) - sum(stop - start - 1 for start, stop, _ in groups)
         return circuit
-
-    def _reset(self) -> None:
-        # Growable arrays: only the first rows (or _used[size] gates) hold ops.
-        self._stacks = {size: np.empty((0, size, size), dtype=complex) for size in (2, 4)}
-        self._used = {2: 0, 4: 0}
-        self._sizes = np.empty(0, dtype=np.uint8)
-        self._slots = np.empty(0, dtype=np.int64)
-        self._targets = np.empty((0, 2), dtype=np.int64)
-        self._names: list = []
-        self._params: list = []
-        self._tags: list = []
-        self.groups: list[tuple[int, int, int]] = []
-        self._entries = 0
-        self._view: Columns | None = None
 
     @property
     def columns(self) -> Columns:
@@ -231,9 +233,14 @@ class Circuit:
         return len(self._names)
 
     @property
-    def ops(self) -> "Entries":
-        """The top-level entries as a list-like view (see :class:`Entries`)."""
-        return Entries(self)
+    def ops(self) -> tuple[CircuitOp | RepeatedSegment, ...]:
+        """The top-level entries: a CircuitOp view per single op, a
+        RepeatedSegment view per repetition group."""
+        views = self.columns.ops(0, self.rows)
+        return tuple(
+            RepeatedSegment(views[start:stop], count) if grouped else views[start]
+            for start, stop, count, grouped in entry_spans(self.groups, self.rows)
+        )
 
     def _push_op(self, op: CircuitOp) -> None:
         """Write ``op`` as the next row, unchecked."""
@@ -253,25 +260,6 @@ class Circuit:
         self._tags.append(op.tag)
         self._view = None
 
-    def _push(self, entry: CircuitOp | RepeatedSegment) -> None:
-        """Add an entry without checking it."""
-        if isinstance(entry, RepeatedSegment):
-            start = self.rows
-            for op in entry.body:
-                self._push_op(op)
-            self.groups.append((start, self.rows, entry.count))
-        else:
-            self._push_op(entry)
-        self._entries += 1
-
-    def _check_targets(self, gate: np.ndarray, targets: tuple[int, ...]):
-        check_targets(self.n, targets)
-        k = len(targets)
-        if gate.shape != (2**k, 2**k):
-            raise BadTargets(
-                f"gate shape {gate.shape} does not match {k} target qubit(s)"
-            )
-
     def append(
         self,
         gate: np.ndarray,
@@ -280,9 +268,7 @@ class Circuit:
         params: Iterable[float] = (),
         tag: str | None = None,
     ) -> CircuitOp:
-        gate = np.asarray(gate, dtype=complex)
-        targets = tuple(int(t) for t in targets)
-        op = CircuitOp(gate, targets, name, tuple(params), tag)
+        op = CircuitOp(np.asarray(gate, dtype=complex), tuple(targets), name, tuple(params), tag)
         self.add(op)
         return op
 
@@ -295,14 +281,21 @@ class Circuit:
         """Admit a built op or repetition group: BadTargets for bad targets
         or shape, NonUnitaryInput for a gate that is not unitary, named by
         :func:`describe_op`; the op's gate must already be a complex
-        ndarray."""
+        ndarray.  Nothing is written unless every op is admitted."""
         ops, count = (entry.body, entry.count) if isinstance(entry, RepeatedSegment) else ((entry,), 1)
         for j, op in enumerate(ops):
-            self._check_targets(op.gate, op.targets)
+            check_targets(self.n, op.targets)
+            k = len(op.targets)
+            if op.gate.shape != (2**k, 2**k):
+                raise BadTargets(f"gate shape {op.gate.shape} does not match {k} target qubit(s)")
             if not is_unitary(op.gate):
-                where = describe_op(ops, count, self._entries, j)
+                where = describe_op(ops, count, len(self.spans()), j)
                 raise NonUnitaryInput(f"{where} is not unitary within {TOL_UNITARY:g}")
-        self._push(entry)
+        start = self.rows
+        for op in ops:
+            self._push_op(op)
+        if isinstance(entry, RepeatedSegment):
+            self.groups.append((start, self.rows, count))
 
     def spans(self) -> list[tuple[int, int, int]]:
         """(start, stop, count) of each top-level entry in walk order; a
@@ -328,55 +321,3 @@ class Circuit:
             if start <= row < stop:
                 return describe_op(self.columns.ops(start, stop), count, entry, row - start)
         raise IndexError(f"row {row} out of range")
-
-
-class Entries(MutableSequence):
-    """``Circuit.ops``: the circuit's top-level entries, each a CircuitOp or
-    a RepeatedSegment view made on demand.  ``append`` and ``extend`` add
-    entries unchecked, as code that builds admitted ops does; any other
-    change rebuilds the circuit from its entries."""
-
-    def __init__(self, circuit: Circuit):
-        self._circuit = circuit
-
-    def __len__(self) -> int:
-        return self._circuit._entries
-
-    def __iter__(self) -> Iterator[CircuitOp | RepeatedSegment]:
-        circuit = self._circuit
-        columns = circuit.columns
-        for start, stop, count, grouped in entry_spans(circuit.groups, circuit.rows):
-            body = columns.ops(start, stop)
-            yield RepeatedSegment(body, count) if grouped else body[0]
-
-    def __getitem__(self, index):
-        return list(self)[index]
-
-    def __setitem__(self, index, value) -> None:
-        entries = list(self)
-        entries[index] = value
-        self._rebuild(entries)
-
-    def __delitem__(self, index) -> None:
-        entries = list(self)
-        del entries[index]
-        self._rebuild(entries)
-
-    def insert(self, index: int, value) -> None:
-        entries = list(self)
-        entries.insert(index, value)
-        self._rebuild(entries)
-
-    def append(self, entry: CircuitOp | RepeatedSegment) -> None:
-        self._circuit._push(entry)
-
-    def extend(self, entries: Iterable[CircuitOp | RepeatedSegment]) -> None:
-        for entry in list(entries):
-            self._circuit._push(entry)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (list, tuple, Entries)) and list(self) == list(other)
-
-    def _rebuild(self, entries: list) -> None:
-        self._circuit._reset()
-        self.extend(entries)

@@ -38,9 +38,12 @@ qubit next to the lower one by such SWAPs, acts, and moves it back; every
 logical CZ or CNOT therefore costs one entangler schedule whatever its
 distance, and every SWAP costs none.
 
+The physical circuit is written as columns (see ``matchgates.circuits``):
+one 4 x 4 gate stack holds the target, the FSWAP, R, W, L' and each
+lowered G(A, A) once, and every row is a slot in it and a first qubit.
 Each body op of a logical repeat group is lowered once, to spans (kind,
-logical qubits, physical ops), and appended once per repetition with one
-provenance entry per span.
+logical qubits, rows), and its rows are written once per repetition, with
+one provenance entry per span; repetitions reuse the same slots.
 
 Error budget: each logical CZ or CNOT contributes a residual
 exp(i delta ZZ) with |delta| <= eps_angle, and the FSWAP routing adds none.
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import NonlocalTriple, classify, nonlocal_from_pp, pp_params
-from .circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment, describe_op
+from .circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, describe_op
 from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
@@ -316,29 +319,40 @@ def _check_logical(logical: Circuit) -> list[tuple[tuple[CircuitOp, ...], int, l
 
 
 _FSWAP = assemble_pp(Z, X)
+# Slots in the compiler's gate stack; the last three are filled when the
+# logical circuit has a CZ or CNOT.
+_TARGET_SLOT, _FSWAP_SLOT, _ENTER_SLOT, _LINK_SLOT, _LEAVE_SLOT = range(5)
 
 
-def _swap_ops(lo: int) -> list[CircuitOp]:
-    """FSWAPs that exchange logical qubits lo and lo + 1 exactly on the code."""
+def _swap_rows(lo: int) -> list[tuple]:
+    """Rows (slot, first qubit, name, tag) of the FSWAPs that exchange
+    logical qubits lo and lo + 1 exactly on the code."""
     base = 2 * lo
-    return [CircuitOp(_FSWAP, (base + k, base + k + 1), name="g_fswap") for k in (1, 0, 2, 1)]
+    return [(_FSWAP_SLOT, base + k, "g_fswap", None) for k in (1, 0, 2, 1)]
 
 
-def _lower(kind: str, op: CircuitOp, cz) -> list[tuple[str, tuple[int, ...], list]]:
-    """Spans (kind, logical qubits, physical entries) of one checked logical
-    op.  A one-qubit gate A is G(A, A).  A CZ, CNOT or SWAP is the FSWAP
-    chain that moves the higher qubit next to the lower one, the act, and
-    the chain back; the act of a CZ or CNOT is ``cz(lo)``, and a CNOT is
-    wrapped in H on its second qubit."""
+def _lower(kind: str, op: CircuitOp, cz, gates: list) -> list[tuple]:
+    """Spans (kind, logical qubits, rows, group) of one checked logical op.
+    Each row is (slot, first qubit, name, tag) of a nearest-neighbour gate
+    in the stack ``gates``; ``group`` is None or a (start, stop, count)
+    repetition span over the rows.  A one-qubit gate A is G(A, A), added to
+    ``gates``.  A CZ, CNOT or SWAP is the FSWAP chain that moves the higher
+    qubit next to the lower one, the act, and the chain back; the act of a
+    CZ or CNOT is ``cz(lo)``'s (rows, group), and a CNOT is wrapped in H on
+    its second qubit."""
+
+    def one_qubit(a: Mat2, q: int) -> tuple:
+        gates.append(assemble_pp(a, a))
+        return "1q", (q,), [(len(gates) - 1, 2 * q, "g_aa", None)], None
+
     if kind == "1q":
-        pair = (2 * op.targets[0], 2 * op.targets[0] + 1)
-        return [("1q", op.targets, [CircuitOp(assemble_pp(op.gate, op.gate), pair, name="g_aa")])]
+        return [one_qubit(op.gate, op.targets[0])]
     lo, hi = sorted(op.targets)
-    chain = [("swap", (k, k + 1), _swap_ops(k)) for k in range(hi - 1, lo, -1)]
-    act = ("swap", (lo, lo + 1), _swap_ops(lo)) if kind == "swap" else ("cz", (lo, lo + 1), cz(lo))
+    chain = [("swap", (k, k + 1), _swap_rows(k), None) for k in range(hi - 1, lo, -1)]
+    act = ("swap", (lo, lo + 1), _swap_rows(lo), None) if kind == "swap" else ("cz", (lo, lo + 1), *cz(lo))
     spans = [*chain, act, *reversed(chain)]
     if kind == "cnot":
-        (h,) = _lower("1q", CircuitOp(H, op.targets[1:]), cz)
+        h = one_qubit(H, op.targets[1])
         spans = [h, *spans, h]
     return spans
 
@@ -427,6 +441,8 @@ def compile_circuit(
     checked = _check_logical(logical)
     n_cz = sum(count * sum(k in ("cz", "cnot") for k in kinds) for _, count, kinds in checked)
 
+    # Every distinct gate once; rows name theirs by slot.
+    gates = [target, _FSWAP]
     plan = None
     if n_cz:
         eps_angle = min(math.sqrt(epsilon) / (2.0 * n_cz), _QUARTER_PI / 2)
@@ -436,36 +452,49 @@ def compile_circuit(
         sr = assemble_pp(phase_rz(-t3), phase_rz(-t4))
         ghh, gxx = assemble_pp(H, H), assemble_pp(X, X)
         corrections = np.kron(*(phase_rz(chi) for chi in plan.local_corrections))
-        enter, link, leave = sr @ ghh, sr @ gxx @ sl, corrections @ ghh @ gxx @ sl
+        gates += [sr @ ghh, sr @ gxx @ sl, corrections @ ghh @ gxx @ sl]
 
-    def cz(lo: int) -> list:
-        pair = (2 * lo + 1, 2 * lo + 2)
-        use = CircuitOp(target, pair, name="target", tag="target")
-        entries = [CircuitOp(enter, pair, name="g_enter"), use]
-        if plan.repetitions > 1:
-            entries.append(RepeatedSegment((CircuitOp(link, pair, name="g_link"), use), plan.repetitions - 1))
-        return entries + [CircuitOp(leave, pair, name="g_leave")]
+    def cz(lo: int) -> tuple[list, tuple | None]:
+        q = 2 * lo + 1
+        use = (_TARGET_SLOT, q, "target", "target")
+        schedule = [(_ENTER_SLOT, q, "g_enter", None), use, (_LINK_SLOT, q, "g_link", None), use,
+                    (_LEAVE_SLOT, q, "g_leave", None)]
+        if plan.repetitions == 1:
+            return [schedule[0], use, schedule[-1]], None
+        return schedule, (2, 4, plan.repetitions - 1)
 
-    phys = Circuit(2 * logical.n)
+    rows: list[tuple] = []
+    groups: list[tuple[int, int, int]] = []
     provenance: list[dict] = []
-    flat = 0
+    flat = entries = 0
     for ops, count, kinds in checked:
-        spans = [(j, span) for j, (op, kind) in enumerate(zip(ops, kinds)) for span in _lower(kind, op, cz)]
+        spans = [(j, span) for j, (op, kind) in enumerate(zip(ops, kinds)) for span in _lower(kind, op, cz, gates)]
         for _ in range(count):
-            for j, (kind, qubits, entries) in spans:
-                start = len(phys.ops)
-                phys.ops.extend(entries)
+            for j, (kind, qubits, span_rows, group) in spans:
+                span_entries = len(span_rows)
+                if group is not None:
+                    start, stop, reps = group
+                    groups.append((len(rows) + start, len(rows) + stop, reps))
+                    span_entries -= stop - start - 1
                 provenance.append({"logical_op": flat + j, "kind": kind, "qubits": list(qubits),
-                                   "physical_ops": [start, len(phys.ops)]})
+                                   "physical_ops": [entries, entries + span_entries]})
+                rows += span_rows
+                entries += span_entries
             flat += len(ops)
 
-    phys.metadata.update(
-        {
-            "encoding": "pair-even-parity",
-            "logical_qubits": logical.n,
-            "epsilon": epsilon,
-        }
+    # Every row is a nearest-neighbour pair (first, first + 1).
+    slots, firsts, names, tags = map(list, zip(*rows)) if rows else ([], [], [], [])
+    columns = Columns(
+        {2: np.empty((0, 2, 2), dtype=complex), 4: np.array(gates, dtype=complex)},
+        np.full(len(rows), 4, dtype=np.uint8),
+        np.array(slots, dtype=np.int64),
+        np.array(firsts, dtype=np.int64)[:, None] + np.arange(2),
+        names,
+        [()] * len(rows),
+        tags,
     )
+    metadata = {"encoding": "pair-even-parity", "logical_qubits": logical.n, "epsilon": epsilon}
+    phys = Circuit.from_columns(2 * logical.n, columns, groups, metadata)
     return CompiledCircuit(physical=phys, plan=plan, provenance=provenance)
 
 

@@ -37,10 +37,6 @@ class TooLarge(MatchgatesError):
     """Problem size exceeds the configured cap for the requested mode."""
 
 
-class DimensionMismatch(MatchgatesError):
-    """Operands have incompatible dimensions."""
-
-
 class DecompositionFailure(MatchgatesError):
     """A decomposition's reconstruction residual exceeded tolerance.
 

@@ -1,5 +1,5 @@
-"""Circuit admission: ``Circuit.add``, and so ``append`` and
-``append_segment``, refuses an op with bad targets, a gate of the wrong
+"""Circuit admission: ``Circuit.add``, and so the constructor, ``append``
+and ``append_segment``, refuses an op with bad targets, a gate of the wrong
 shape or a gate that is not unitary, names it, and leaves the circuit as
 it was.  Also the basis-state and shot-count rules that both simulators
 share."""
@@ -7,8 +7,8 @@ share."""
 import numpy as np
 import pytest
 
-from matchgates.circuits import Circuit, CircuitOp, basis_index, check_shots
-from matchgates.errors import BadSampleCount, BadTargets, NonUnitaryInput
+from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment, basis_index, check_shots
+from matchgates.errors import BadSampleCount, BadTargets, NonUnitaryInput, ParseError
 from matchgates.fermion import init_covariance, sample_covariance
 from matchgates.statevector import StateVector, sample
 from matchgates.gates import H, I2, gate_library
@@ -58,7 +58,71 @@ def test_targets_and_shape_are_refused_before_unitarity():
             circuit.append(2 * CZ, targets)
     with pytest.raises(BadTargets, match="out of range"):
         circuit.append_segment([CircuitOp(H, (0,)), CircuitOp(2 * CZ, (0, 5))], 2)
-    assert circuit.ops == []
+    assert circuit.ops == ()
+
+
+FIRST = CircuitOp(H, (0,))
+BEFORE = CircuitOp(H, (2,))
+
+
+# Each writer is given FIRST, then ``op`` on its own or, with ``grouped``,
+# as op 1 of a group after BEFORE.
+def construct(op, grouped):
+    return Circuit(3, [FIRST, RepeatedSegment((BEFORE, op), 2) if grouped else op])
+
+
+def add(op, grouped):
+    circuit = Circuit(3)
+    circuit.add(FIRST)
+    circuit.add(RepeatedSegment((BEFORE, op), 2) if grouped else op)
+    return circuit
+
+
+def append(op, grouped):
+    circuit = Circuit(3)
+    circuit.append(FIRST.gate, FIRST.targets)
+    if grouped:
+        circuit.append_segment([BEFORE, op], 2)
+    else:
+        circuit.append(op.gate, op.targets)
+    return circuit
+
+
+WRITERS = pytest.mark.parametrize("writer", [construct, add, append], ids=["constructor", "add", "append"])
+
+
+@WRITERS
+@pytest.mark.parametrize("grouped", [False, True], ids=["single", "grouped"])
+@pytest.mark.parametrize(
+    "bad,error,message",
+    [
+        (CircuitOp(2 * CZ, (0, 1)), NonUnitaryInput, r"^op 1{where} \(gate on \(0, 1\)\) is not unitary within 1e-09$"),
+        (CircuitOp(CZ, (0, 5)), BadTargets, r"^targets \(0, 5\) out of range for n=3$"),
+        (CircuitOp(CZ, (1,)), BadTargets, r"^gate shape \(4, 4\) does not match 1 target qubit\(s\)$"),
+        (CircuitOp(H, (0.5,)), BadTargets, r"^targets must be qubit indices, got \(0\.5,\)$"),
+        (CircuitOp(H, (True,)), BadTargets, r"^targets must be qubit indices, got \(True,\)$"),
+        (CircuitOp(CZ, (np.float64(1.0), 2)), BadTargets, r"^targets must be qubit indices, got "),
+    ],
+    ids=["non-unitary", "out-of-range", "wrong-shape", "float", "bool", "numpy-float"],
+)
+def test_every_writer_refuses_the_same_op_in_the_same_text(writer, grouped, bad, error, message):
+    with pytest.raises(error, match=message.format(where=".1" if grouped else "")):
+        writer(bad, grouped)
+
+
+@WRITERS
+def test_numpy_integer_targets_are_admitted(writer):
+    circuit = writer(CircuitOp(CZ, (np.int64(2), np.int32(1))), False)
+    assert circuit.columns.targets.tolist() == [[0, 0], [2, 1]]
+    assert circuit.ops[1].targets == (2, 1)
+
+
+def test_a_nested_repetition_group_is_refused_as_the_parser_refuses_it():
+    inner = RepeatedSegment((CircuitOp(H, (0,)),), 2)
+    with pytest.raises(ParseError, match=r"^nested 'repeat' groups are not supported$"):
+        Circuit(2).append_segment([inner], 2)
+    with pytest.raises(ParseError, match=r"^nested 'repeat' groups are not supported$"):
+        Circuit(2, [RepeatedSegment((inner,), 2)])
 
 
 def test_the_threshold_is_on_max_abs_of_u_dag_u_minus_i():

@@ -10,10 +10,9 @@ from numpy.testing import assert_allclose
 import matchgates.compiler
 import matchgates.gates
 from matchgates.analysis import classify, entangling_power_closed, kak, pp_params
-from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
+from matchgates.circuits import Circuit, CircuitOp, Columns, RepeatedSegment
 from matchgates.compiler import (
     Encoding,
-    _swap_ops,
     build_entangler_block,
     compile_circuit,
     effective_diagonal,
@@ -42,7 +41,7 @@ from matchgates.gates import (
     rz,
     ry,
 )
-from matchgates.io import emit_circuit_document
+from matchgates.io import emit_circuit_document, parse_circuit_document
 from matchgates.statevector import circuit_unitary, propagate, run as sv_run
 from matchgates.analysis import NonlocalTriple
 from util import equal_up_to_global_phase, haar_unitary, isometry, random_matchgate, random_nonmatchgate_pp, random_pp
@@ -109,8 +108,7 @@ class TestLogicalSingleQubit:
         assert op.targets == (0, 1)
 
     def test_hadamard_makes_logical_plus(self):
-        circ = Circuit(2)
-        circ.ops.extend(logical_single_qubit(H, 0))
+        circ = Circuit(2, logical_single_qubit(H, 0))
         out = sv_run(circ, 0)
         expected = np.zeros(4)
         expected[0b00] = expected[0b11] = 1 / np.sqrt(2)
@@ -118,8 +116,7 @@ class TestLogicalSingleQubit:
 
     def test_composite_gate_acts_as_itself(self):
         a = rz(-0.7) @ ry(1.1) @ rz(0.3)
-        circ = Circuit(2)
-        circ.ops.extend(logical_single_qubit(a, 0))
+        circ = Circuit(2, logical_single_qubit(a, 0))
         u = circuit_unitary(circ)
         enc = Encoding(1)
         v = isometry(enc)
@@ -386,8 +383,8 @@ class TestCompile:
         for circ in (grouped, expanded):
             circ.append(H, (1,))
         grouped.append_segment(group, 3)
-        for _ in range(3):
-            expanded.ops.extend(group)
+        for op in group * 3:
+            expanded.add(op)
         for circ in (grouped, expanded):
             circ.append(CZ, (4, 1), name="cz")
 
@@ -400,6 +397,17 @@ class TestCompile:
         assert [p["logical_op"] for p in doc["metadata"]["provenance"]][-1] == 13
         comp = compile_circuit(grouped, target, 1e-6)
         assert verify(comp.physical, grouped).fidelity >= 1 - 1e-6
+
+    def test_repetitions_of_a_logical_group_reuse_the_gate_stack(self):
+        doc = {"format_version": 1, "qubits": 2, "gates": [{"repeat": 1, "gates": [
+            {"name": "h", "targets": [0]}, {"name": "cz", "targets": [0, 1]}]}]}
+        compiled = []
+        for count in (1, 1000):
+            doc["gates"][0]["repeat"] = count
+            compiled.append(compile_circuit(parse_circuit_document(doc), gate_library("SWAP"), 1e-6).physical)
+        once, many = compiled
+        assert many.rows == 1000 * once.rows
+        assert len(many.columns.stacks[4]) <= len(once.columns.stacks[4])
 
     def test_non_unitary_two_qubit_op_is_refused_as_not_unitary(self):
         # Where it enters the circuit, so neither as an unsupported gate nor
@@ -431,13 +439,15 @@ class TestCompile:
 class TestRouting:
     @pytest.mark.parametrize("n_logical,lo", [(2, 0), (3, 1), (4, 1)])
     def test_fswap_primitive_is_swap_on_the_code(self, n_logical, lo):
-        phys = Circuit(2 * n_logical)
-        for op in _swap_ops(lo):
-            assert op.name == "g_fswap" and op.tag is None
-            assert classify(op.gate).is_matchgate
-            phys.add(op)
         logical = Circuit(n_logical)
         logical.append(gate_library("SWAP"), (lo, lo + 1))
+        phys = compile_circuit(logical, nl(0.2, 0.1, 0.35), 1e-6).physical
+        assert len(phys.ops) == 4
+        for op in phys.ops:
+            assert op.name == "g_fswap" and op.tag is None
+            assert classify(op.gate).is_matchgate
+        # One FSWAP in the gate stack serves all four rows.
+        assert len(set(phys.columns.slots.tolist())) == 1
         v = isometry(Encoding(n_logical))
         out = circuit_unitary(phys) @ v
         assert np.array_equal(v.conj().T @ out, circuit_unitary(logical))
@@ -582,12 +592,26 @@ class TestVerify:
         logical = Circuit(2)
         logical.append(CZ, (0, 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        # Not unitary, so it cannot be appended; it goes straight into ops.
-        comp.physical.ops.append(CircuitOp((1 + 1e-4) * np.eye(4, dtype=complex), (0, 1)))
-        rep = verify(comp.physical, logical, 1e-6)
+        # Not unitary, so it cannot be appended; it is written as a row.
+        col = comp.physical.columns
+        scaled = (1 + 1e-4) * np.eye(4, dtype=complex)
+        physical = Circuit.from_columns(
+            comp.physical.n,
+            Columns(
+                {2: col.stacks[2], 4: np.concatenate([col.stacks[4], scaled[None]])},
+                np.append(col.sizes, 4),
+                np.append(col.slots, len(col.stacks[4])),
+                np.vstack([col.targets, [0, 1]]),
+                col.names + [None],
+                col.params + [()],
+                col.tags + [None],
+            ),
+            comp.physical.groups,
+        )
+        rep = verify(physical, logical, 1e-6)
         assert rep.fidelity == pytest.approx(1 + 2e-4, abs=1e-7)
         assert rep.passed is False
-        assert verify(comp.physical, logical, epsilon=3e-4).passed is True
+        assert verify(physical, logical, epsilon=3e-4).passed is True
 
     def test_sampled_mode_agrees_with_exact(self):
         # Past 8 logical qubits the exact block no longer fits; the SWAP

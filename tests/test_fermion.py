@@ -18,7 +18,6 @@ from matchgates.errors import (
     BackendRefusal,
     BadSampleCount,
     BadTargets,
-    DimensionMismatch,
     NonUnitaryInput,
     NotMatchgate,
     TooLarge,
@@ -42,6 +41,7 @@ from matchgates.gates import H, I2, X, Y, Z, build_pp, gate_library, kron, nl, p
 from matchgates.io import emit_circuit_document, parse_circuit_document
 from matchgates.statevector import StateVector, apply as sv_apply, expectation_z, run as sv_run, sample as sv_sample
 from util import (
+    DimensionMismatch,
     antisymmetry_defect,
     batched_conjugation_block,
     embed,
@@ -487,7 +487,7 @@ def random_bulk_circuit(rng: np.random.Generator, n: int, entries: int) -> Circu
         if rng.random() < 0.1:
             circuit.append_segment([random_bulk_op(rng, n) for _ in range(rng.integers(1, 6))], int(rng.integers(1, 4)))
         else:
-            circuit.ops.append(random_bulk_op(rng, n))
+            circuit.add(random_bulk_op(rng, n))
     return circuit
 
 
@@ -566,7 +566,7 @@ class TestBulkPath:
             if group:
                 wide.append_segment(moved, entry.count)
             else:
-                wide.ops.extend(moved)
+                wide.add(*moved)
         bits = "".join(str(b) for b in rng.integers(0, 2, n))
         m, m0 = run_covariance(wide, bits).m, init_covariance(n, bits).m
         inside = np.zeros((2 * n, 2 * n), dtype=bool)
@@ -633,7 +633,7 @@ class TestBulkPath:
         n, palette = 60, [random_matchgate(rng) for _ in range(64)]
         circuit = Circuit(n)
         for site, pick in zip(rng.integers(0, n - 1, 2000), rng.integers(0, 64, 2000)):
-            circuit.ops.append(CircuitOp(palette[pick], (int(site), int(site) + 1)))
+            circuit.append(palette[pick], (int(site), int(site) + 1))
         run_covariance(circuit, 0)  # first-call caches are not counted
         tracemalloc.start()
         try:
@@ -650,7 +650,7 @@ class TestBulkPath:
         n, palette = 60, [random_matchgate(rng) for _ in range(64)]
         circuit = Circuit(n)
         for site, pick in zip(rng.integers(0, n - 1, 20000), rng.integers(0, 64, 20000)):
-            circuit.ops.append(CircuitOp(palette[pick], (int(site), int(site) + 1)))
+            circuit.append(palette[pick], (int(site), int(site) + 1))
         tracemalloc.start()
         try:
             state = run_covariance(circuit, 0)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import matchgates
 import numpy as np
@@ -317,7 +318,7 @@ class TestCompileCommand:
         summary = json.loads(result.output)
         assert summary["verification"]["passed"] is True
         assert summary["verification"]["fidelity"] >= 1 - 1e-6
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         circ = parse_circuit_document(doc)
         assert circ.n == 4
 
@@ -386,7 +387,7 @@ class TestCompileCommand:
         summary = json.loads(result.output)
         assert summary["verification"]["passed"] is False
         assert summary["out"] == out
-        assert parse_circuit_document(json.loads(open(out).read())).n == 4
+        assert parse_circuit_document(json.loads(Path(out).read_text())).n == 4
 
     def test_matchgate_target_exit_code(self, runner, tmp_path):
         bell = write_bell(tmp_path)
@@ -437,7 +438,7 @@ class TestCompileCommand:
                 ["compile", "--input", logical, "--target", "NL(0.2,0.1,0.35)", "--out", out],
             )
             assert result.exit_code == 0
-            outputs.append(open(out, "rb").read())
+            outputs.append(Path(out).read_bytes())
         assert outputs[0] == outputs[1]
 
 
@@ -610,7 +611,7 @@ def test_compile_and_verify_refuse_an_epsilon_that_is_not_finite_and_positive(ru
         result = runner.invoke(main, args + ["--epsilon", epsilon, "--json"])
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error:") and "--epsilon" in result.output
-    cz = parse_circuit_document(json.loads(open(logical).read()))
+    cz = parse_circuit_document(json.loads(Path(logical).read_text()))
     with pytest.raises(ParseError, match="--epsilon"):
         compile_circuit(cz, gate_library("SWAP"), float(epsilon))
 
@@ -650,7 +651,7 @@ class TestVerifyCommand:
 
     def test_corrupted_circuit_detected(self, runner, tmp_path):
         logical_path = write_logical_cz(tmp_path)
-        logical = parse_circuit_document(json.loads(open(logical_path).read()))
+        logical = parse_circuit_document(json.loads(Path(logical_path).read_text()))
         comp = compile_circuit(logical, gate_library("NL", (0.2, 0.1, 0.3)), 1e-6)
         doc = emit_circuit_document(comp.physical)
         good = tmp_path / "good.json"

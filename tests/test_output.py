@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import matchgates.cli
-from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
+from matchgates.circuits import Circuit, CircuitOp
 from matchgates.cli import main
 from matchgates.gates import gate_library, rz
 from matchgates.io import dumps_document, emit_circuit_document
@@ -30,12 +30,12 @@ ANGLES = (0.0, -0.0, 0.3, -np.pi / 4, 2, 5e-324, 1e300)
 
 
 def random_op(rng: np.random.Generator, n: int) -> CircuitOp:
-    """An op of any form the emitter tells apart: library ops with and
-    without params (int, float, signed zero and subnormal angles); library
-    names on another matrix, of the same size or not, or with params that
-    do not fit; other names and no name on P.P. and non-P.P. 4x4 gates, 2x2 gates,
-    near-P.P. gates either side of the 1e-12 cut, real and NaN matrices;
-    pairs in either order; and tags."""
+    """An admitted op of any form the emitter tells apart: library ops with
+    and without params (int, float, signed zero and subnormal angles);
+    library names on another matrix, of the same size or not, or with
+    params that do not fit; other names and no name on P.P. and non-P.P.
+    4x4 gates, 2x2 gates, near-P.P. gates either side of the 1e-12 cut and
+    real matrices; pairs in either order; and tags."""
     k = 1 + int(rng.random() < 0.5)
     q = int(rng.integers(n - 1))
     targets = (q,) if k == 1 else ((q, q + 1) if rng.random() < 0.7 else (q + 1, q))
@@ -47,6 +47,8 @@ def random_op(rng: np.random.Generator, n: int) -> CircuitOp:
         gate = gate_library(name, params)
         if kind == 1:  # the library's name on another matrix, of either size
             gate = (gate * np.exp(1e-15j), haar_unitary(rng, 2**k), haar_unitary(rng, 6 - 2**k))[rng.integers(3)]
+            if len(gate) != 2**k:
+                targets = (q, q + 1) if k == 1 else (q,)
         elif kind == 2 and rng.random() < 0.5:  # params that do not fit the name
             params = params + (0.1,)
         return CircuitOp(gate, targets, name=name, params=params, tag=tag)
@@ -64,7 +66,7 @@ def random_op(rng: np.random.Generator, n: int) -> CircuitOp:
         gate = random_pp(rng)
         gate[0, 1] = (1e-13, 2e-12)[rng.integers(2)]
     else:
-        gate = (np.eye(4), 2.0 * np.eye(4) - 0.0j, np.full((4, 4), np.nan))[rng.integers(3)]
+        gate = (np.eye(4), np.eye(4) - 0.0j, np.eye(4)[[1, 0, 2, 3]])[rng.integers(3)]
     return CircuitOp(gate, targets, name=name, tag=tag)
 
 
@@ -74,9 +76,9 @@ def random_circuit(seed: int, size: int) -> Circuit:
     for _ in range(size):
         if rng.random() < 0.2:
             body = [random_op(rng, 4) for _ in range(rng.integers(4))]
-            circuit.ops.append(RepeatedSegment(tuple(body), int(rng.integers(1, 5))))
+            circuit.append_segment(body, int(rng.integers(1, 5)))
         else:
-            circuit.ops.append(random_op(rng, 4))
+            circuit.add(random_op(rng, 4))
     return circuit
 
 

@@ -214,7 +214,7 @@ class TestRepeatGroups:
         circ.append_segment(body, 2)
         assert_allclose(run(circ, 0).amps, run(Circuit(circ.n, ops=circ.ops[:1]), 0).amps, atol=1e-12)
         count = EXPANSION_CAP // len(body) + 1
-        circ.ops[1] = RepeatedSegment(body, count)
+        circ = Circuit(circ.n, [*circ.ops[:1], RepeatedSegment(body, count)])
         with pytest.raises(TooLarge, match=rf"^entry 1 repeats 7 op\(s\) on 7 qubits {count} times"):
             run(circ, 0)
 
@@ -251,7 +251,8 @@ def random_circuit(rng: np.random.Generator, n: int, entries: int) -> tuple[Circ
         if count > 1:
             circ.append_segment(ops, count)
         else:
-            circ.ops.extend(ops)
+            for op in ops:
+                circ.add(op)
         for _ in range(count):
             for op in ops:
                 expected = embed(op.gate, op.targets, n) @ expected

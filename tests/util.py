@@ -11,7 +11,6 @@ from matchgates.errors import (
     BadArity,
     BadSampleCount,
     BadTargets,
-    DimensionMismatch,
     MatchgatesError,
     NotParityPreserving,
     ParseError,
@@ -371,6 +370,10 @@ def per_op_emit(circuit: Circuit, metadata: dict | None = None) -> dict:
     if metadata:
         meta.update(metadata)
     return {"format_version": FORMAT_VERSION, "qubits": circuit.n, "gates": gates, "metadata": meta}
+
+
+class DimensionMismatch(MatchgatesError):
+    """A rotation and a state of different qubit counts."""
 
 
 def evolve(state: CovarianceState, rot: MajoranaRotation) -> CovarianceState:
