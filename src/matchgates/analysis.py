@@ -15,8 +15,12 @@ Angle conventions:
 * beta, the block-determinant phase with det(A)/det(B) = e^{4i beta}, is
   canonicalized to (-pi/4, pi/4].  A parity-preserving gate is a matchgate
   exactly when beta == 0 after canonicalization.
-* KAK cores are canonicalized componentwise into [0, pi/2) by absorbing
-  exp(i(pi/2) P x P) = i P x P factors into the left local gates.
+* KAK cores are reduced to the Weyl chamber pi/4 >= a >= b >= |c|, with
+  c >= 0 when a = pi/4, where every locally equivalent gate has one point.
+  The moves are pi/2 shifts (exp(i(pi/2) P x P) = i P x P), sign flips of
+  two strengths (conjugation by P x I) and swaps of two strengths
+  (conjugation by Q x Q, Q = (P + P')/sqrt(2)); :func:`kak` folds each into
+  the local gates and the global phase.
 """
 
 from __future__ import annotations
@@ -326,11 +330,53 @@ def _kron_factor(k: Mat4) -> tuple[complex, Mat2, Mat2]:
     return complex(g), f1, f2
 
 
+# Strength k of the core multiplies axes[k] x axes[k].
+_AXES = (PAULIS["X"], PAULIS["Y"], PAULIS["Z"])
+# A strength this close to pi/4 lies on the chamber's a = pi/4 face.
+_FACE_TOL = 1e-12
+
+
+def _chamber_moves(triple) -> tuple[list[float], list[tuple]]:
+    """The Weyl chamber point of a triple and the moves that reach it, in
+    order (module docstring).  A move is ("shift", k, n): strength k less
+    n pi/2; ("negate", k): the two strengths other than k change sign; or
+    ("swap", i, j): strengths i and j trade places."""
+    t = list(triple)
+    moves: list[tuple] = []
+    for k in range(3):
+        n = round(t[k] / _HALF_PI)
+        if n:
+            t[k] -= n * _HALF_PI
+            moves.append(("shift", k, n))
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        if abs(t[i]) < abs(t[j]):
+            t[i], t[j] = t[j], t[i]
+            moves.append(("swap", i, j))
+    if t[0] < 0 or t[1] < 0:
+        # a and b become non-negative; c flips with one of them alone.
+        keep = 2 if t[0] < 0 and t[1] < 0 else (1 if t[0] < 0 else 0)
+        t = [x if k == keep else -x for k, x in enumerate(t)]
+        moves.append(("negate", keep))
+    if t[0] > _QUARTER_PI - _FACE_TOL and t[2] < 0:
+        # (pi/4, b, c) and (pi/4, b, -c) are locally equivalent.
+        t = [_HALF_PI - t[0], t[1], -t[2]]
+        moves += [("shift", 0, 1), ("negate", 1)]
+    # + 0.0 writes a negated zero as 0.0.
+    return [x + 0.0 for x in t], moves
+
+
+def weyl_chamber(triple: NonlocalTriple) -> NonlocalTriple:
+    """The point of the Weyl chamber pi/4 >= a >= b >= |c| locally
+    equivalent to ``triple``."""
+    point, _ = _chamber_moves(triple.as_tuple())
+    return NonlocalTriple(*point)
+
+
 def kak(u: Mat4) -> KAKResult:
     """Cartan decomposition via magic-basis diagonalization of U^T U.
 
-    The returned core is canonicalized componentwise into [0, pi/2); the
-    local factors and global phase absorb every canonicalization move, so
+    The returned core is the Weyl chamber point pi/4 >= a >= b >= |c|; the
+    local factors and global phase absorb every move that reaches it, so
     ``KAKResult.reconstruct()`` reproduces the input to ~1e-10.
     """
     u = np.asarray(u, dtype=complex)
@@ -365,21 +411,24 @@ def kak(u: Mat4) -> KAKResult:
     g2, v1, v2 = _kron_factor(MAGIC @ p.T @ _MAGIC_DAG)
     phase += cmath.phase(g1) + cmath.phase(g2)
 
-    # Reduce each strength mod pi/2: exp(i(pi/2) PxP) = i PxP is local.
-    core = [a, b, c]
-    for k, pauli in ((0, "X"), (1, "Y"), (2, "Z")):
-        shifts = int(np.floor(core[k] / _HALF_PI))
-        core[k] -= shifts * _HALF_PI
-        if core[k] > _HALF_PI - 1e-12:
-            core[k] -= _HALF_PI
-            shifts += 1
-        core[k] = max(core[k], 0.0)
-        if shifts:
-            phase += shifts * _HALF_PI
-            if shifts % 2:
-                sigma = PAULIS[pauli]
-                u1 = u1 @ sigma
-                u2 = u2 @ sigma
+    # Each move takes N(old) to a product with N(new) and local gates.
+    core, moves = _chamber_moves((a, b, c))
+    for kind, *args in moves:
+        if kind == "shift":
+            # N(old) = N(new) (i P x P)^n, P x P commuting with N(new).
+            k, n = args
+            phase += n * _HALF_PI
+            if n % 2:
+                u1, u2 = u1 @ _AXES[k], u2 @ _AXES[k]
+        elif kind == "negate":
+            # N(old) = (P x I) N(new) (P x I).
+            (k,) = args
+            u1, v1 = u1 @ _AXES[k], _AXES[k] @ v1
+        else:
+            # N(old) = (Q x Q) N(new) (Q x Q), Q Hermitian and unitary.
+            i, j = args
+            q = (_AXES[i] + _AXES[j]) / math.sqrt(2.0)
+            u1, u2, v1, v2 = u1 @ q, u2 @ q, q @ v1, q @ v2
 
     result = KAKResult(
         u1=u1,

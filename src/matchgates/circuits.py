@@ -65,14 +65,21 @@ class CircuitOp(NamedTuple):
 
 @dataclass(frozen=True)
 class RepeatedSegment:
+    """``body`` applied ``count`` times.  ParseError, with the parser's
+    texts, for a nested group or a count that is not a positive int or
+    numpy integer (a float or a bool is not a count); TooLarge for a count
+    past REPEAT_CAP.  A numpy count is stored as an int."""
+
     body: tuple[CircuitOp, ...]
     count: int
 
     def __post_init__(self):
         if any(isinstance(op, RepeatedSegment) for op in self.body):
             raise ParseError("nested 'repeat' groups are not supported")
-        if self.count < 1:
-            raise ValueError("repetition count must be >= 1")
+        count = self.count
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+            raise ParseError("'repeat' must be a positive integer")
+        object.__setattr__(self, "count", int(count))
         if self.count > REPEAT_CAP:
             raise TooLarge(f"'repeat' count {self.count} is past the cap of {REPEAT_CAP}")
 
@@ -273,7 +280,7 @@ class Circuit:
         return op
 
     def append_segment(self, body: Iterable[CircuitOp], count: int) -> RepeatedSegment:
-        seg = RepeatedSegment(tuple(body), int(count))
+        seg = RepeatedSegment(tuple(body), count)
         self.add(seg)
         return seg
 

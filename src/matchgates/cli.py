@@ -40,6 +40,7 @@ from .analysis import (
     makhlin_invariants,
     nonlocal_from_pp,
     pp_params,
+    weyl_chamber,
 )
 from .circuits import REPEAT_CAP
 from .compiler import DEFAULT_R_MAX, check_epsilon, compile_circuit, verify as verify_compiled
@@ -154,7 +155,7 @@ def analyze(gate, mc_samples, seed, as_json):
             "nu": p.nu,
             "beta": p.beta,
         }
-        t = nonlocal_from_pp(p)
+        t = weyl_chamber(nonlocal_from_pp(p))
         report["pp_nonlocal_triple"] = {"a": t.a, "b": t.b, "c": t.c}
     if mc_samples:
         report["entangling_power_mc"] = entangling_power_mc(u, mc_samples, seed)

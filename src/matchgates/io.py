@@ -37,6 +37,10 @@ unitarity fault in document order ("gates[3]: matrix is not unitary within
 a 'repeat' count past ``circuits.REPEAT_CAP``); a target out of range or
 repeated only after the whole document has parsed.
 
+:func:`load_circuit` decodes and parses with the cyclic garbage collector
+paused, since nothing the decoder or the parser builds forms a cycle; it
+restores the caller's collector state on every exit.
+
 Output is stacked too: :func:`emit_circuit_document` reads the circuit's
 columns and converts all of its rows in one pass.  All four commands write their JSON through
 :func:`dumps_document`, keys sorted: each top-level key on its own line, a
@@ -47,6 +51,7 @@ that of ``json.dumps(doc, indent=2, sort_keys=True)``.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -452,13 +457,33 @@ def dumps_document(doc: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def load_circuit(path: str) -> Circuit:
+def _read_document(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read circuit {path!r}: {exc}") from exc
-    return parse_circuit_document(doc)
+
+
+def load_circuit(path: str) -> Circuit:
+    """The circuit of the document at ``path``; ParseError when it cannot be
+    read or decoded, and :func:`parse_circuit_document`'s refusals.
+
+    The cyclic garbage collector is paused while the document is decoded
+    and parsed, and the caller's collector state is restored on every exit.
+    A 2,000-entry document decodes into some 34,000 lists and dicts, none in
+    a cycle.  Creating them would set off dozens of collections, and the
+    older generations' walk the caller's whole heap.  The tree is freed by
+    reference counting before the collector resumes, so those passes would
+    have nothing to find.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_circuit_document(_read_document(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _GATE_CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")

@@ -19,6 +19,7 @@ from matchgates.analysis import (
     nonlocal_from_pp,
     pp_params,
     reconstruct_pp,
+    weyl_chamber,
 )
 from matchgates.errors import BadSampleCount, NonUnitaryInput, NotParityPreserving, TooLarge
 from matchgates.gates import (
@@ -172,13 +173,41 @@ class TestKAK:
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(29)
-        for _ in range(200):
+        for _ in range(1000):
             u = haar_unitary(rng, 4)
             res = kak(u)
-            assert np.max(np.abs(res.reconstruct() - u)) < 1e-9
-            assert all(0 <= x < PI / 2 for x in res.core.as_tuple())
+            assert np.max(np.abs(res.reconstruct() - u)) < 1e-10
+            # The core is a Weyl chamber point.
+            a, b, c = res.core.as_tuple()
+            assert PI / 4 >= a >= b >= abs(c)
+            assert a < PI / 4 - 1e-12 or c >= 0
             for f in (res.u1, res.u2, res.v1, res.v2):
                 assert np.max(np.abs(f @ f.conj().T - np.eye(2))) < 1e-9
+
+    def test_nl_core_is_its_sorted_triple(self):
+        assert_allclose(kak(nl(0.2, 0.1, 0.35)).core.as_tuple(), (0.35, 0.2, 0.1), atol=1e-12)
+        # The mirror image is another class: c keeps its sign.
+        assert_allclose(kak(nl(0.2, 0.1, -0.35)).core.as_tuple(), (0.35, 0.2, -0.1), atol=1e-12)
+        # On the a = pi/4 face, c and -c are one class, written c >= 0.
+        assert_allclose(kak(nl(0.3, -0.1, PI / 4)).core.as_tuple(), (PI / 4, 0.3, 0.1), atol=1e-12)
+
+    def test_locally_equivalent_gates_share_one_chamber_point(self):
+        rng = np.random.default_rng(2102)
+        for _ in range(100):
+            a, b, c = sorted(rng.uniform(0, PI / 4, size=3), reverse=True)
+            point = (a, b, c * rng.choice([-1.0, 1.0]))
+            left = kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            right = kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            res = kak(left @ nl(*point) @ right)
+            assert_allclose(res.core.as_tuple(), point, atol=1e-9)
+
+    def test_weyl_chamber_of_a_triple_is_the_core_of_its_gate(self):
+        rng = np.random.default_rng(2103)
+        for _ in range(200):
+            t = rng.uniform(-2.0, 2.0, size=3)
+            point = weyl_chamber(NonlocalTriple(*t))
+            assert_allclose(point.as_tuple(), kak(nl(*t)).core.as_tuple(), atol=1e-9)
+            assert locally_equivalent(point.matrix(), nl(*t))
 
     def test_degenerate_inputs(self):
         # Gates whose magic-basis eigenvalues are highly degenerate.

@@ -1,14 +1,17 @@
 """Circuit admission: ``Circuit.add``, and so the constructor, ``append``
 and ``append_segment``, refuses an op with bad targets, a gate of the wrong
 shape or a gate that is not unitary, names it, and leaves the circuit as
-it was.  Also the basis-state and shot-count rules that both simulators
-share."""
+it was; a repetition count is refused as the parser refuses it.  Also the
+basis-state and shot-count rules that both simulators share."""
+
+import json
 
 import numpy as np
 import pytest
 
-from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment, basis_index, check_shots
-from matchgates.errors import BadSampleCount, BadTargets, NonUnitaryInput, ParseError
+from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment, basis_index, check_shots
+from matchgates.errors import BadSampleCount, BadTargets, NonUnitaryInput, ParseError, TooLarge
+from matchgates.io import dumps_document, emit_circuit_document, parse_circuit_document
 from matchgates.fermion import init_covariance, sample_covariance
 from matchgates.statevector import StateVector, sample
 from matchgates.gates import H, I2, gate_library
@@ -123,6 +126,49 @@ def test_a_nested_repetition_group_is_refused_as_the_parser_refuses_it():
         Circuit(2).append_segment([inner], 2)
     with pytest.raises(ParseError, match=r"^nested 'repeat' groups are not supported$"):
         Circuit(2, [RepeatedSegment((inner,), 2)])
+
+
+def by_append_segment(count) -> Circuit:
+    circuit = Circuit(1)
+    circuit.append_segment([CircuitOp(H, (0,), name="h")], count)
+    return circuit
+
+
+def by_constructor(count) -> Circuit:
+    return Circuit(1, [RepeatedSegment((CircuitOp(H, (0,), name="h"),), count)])
+
+
+SEGMENT_WRITERS = pytest.mark.parametrize("writer", [by_append_segment, by_constructor])
+
+
+@SEGMENT_WRITERS
+@pytest.mark.parametrize("count", [2.7, 2.0, True, False, np.bool_(True), 0, -1, "3"])
+def test_a_repeat_count_that_is_not_a_positive_integer_is_refused_as_the_parser_refuses_it(writer, count):
+    with pytest.raises(ParseError, match=r"^'repeat' must be a positive integer$"):
+        writer(count)
+    if not isinstance(count, np.generic):
+        doc = {"format_version": 1, "qubits": 1, "gates": [{"repeat": count, "gates": []}]}
+        with pytest.raises(ParseError, match=r"^gates\[0\]: 'repeat' must be a positive integer$"):
+            parse_circuit_document(doc)
+
+
+@SEGMENT_WRITERS
+@pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3), 3])
+def test_an_integer_repeat_count_is_admitted_and_stored_as_an_int(writer, count):
+    circuit = writer(count)
+    assert circuit.groups == [(0, 1, 3)]
+    assert type(circuit.groups[0][2]) is int and type(circuit.ops[0].count) is int
+    # A numpy count would not survive the JSON encoder.
+    text = dumps_document(emit_circuit_document(circuit))
+    assert parse_circuit_document(json.loads(text)).groups == [(0, 1, 3)]
+
+
+@SEGMENT_WRITERS
+def test_a_repeat_count_past_the_cap_is_refused_by_either_writer(writer):
+    assert writer(REPEAT_CAP).groups == [(0, 1, REPEAT_CAP)]
+    for count in (REPEAT_CAP + 1, np.int64(REPEAT_CAP + 1)):
+        with pytest.raises(TooLarge, match=r"^'repeat' count 10000001 is past the cap of 10000000$"):
+            writer(count)
 
 
 def test_the_threshold_is_on_max_abs_of_u_dag_u_minus_i():

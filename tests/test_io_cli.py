@@ -1,5 +1,6 @@
 """Circuit document round trips, gate-spec parsing, and CLI behavior."""
 
+import gc
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from matchgates.io import (
     dumps_document,
     emit_circuit_document,
     gate_from_document,
+    load_circuit,
     matrix_out,
     parse_angle,
     parse_circuit_document,
@@ -274,6 +276,16 @@ class TestAnalyzeCommand:
         triple = report["nonlocal_triple"]
         assert_allclose([triple["a"], triple["b"], triple["c"]], [PI / 4] * 3, atol=1e-9)
         assert report["entangling_power"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_both_triples_are_weyl_chamber_points(self, runner):
+        result = runner.invoke(main, ["analyze", "--gate", "NL(0.2,0.1,0.35)", "--json"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        for key in ("nonlocal_triple", "pp_nonlocal_triple"):
+            triple = report[key]
+            assert_allclose([triple["a"], triple["b"], triple["c"]], [0.35, 0.2, 0.1], atol=1e-12)
+        text = runner.invoke(main, ["analyze", "--gate", "NL(0.2,0.1,0.35)"]).output
+        assert "nonlocal triple (canonical): a=0.350000000 b=0.200000000 c=0.100000000" in text
 
     def test_iswap(self, runner):
         result = runner.invoke(main, ["analyze", "--gate", "ISWAP", "--json"])
@@ -794,6 +806,74 @@ class TestRepeatCap:
             assert result.exit_code == 0, result.output
             payloads.append(np.array(json.loads(result.output)[key]))
         assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-8
+
+
+class TestLoadCircuitPausesTheCollector:
+    """``load_circuit`` decodes and parses with the cyclic collector paused,
+    and the caller finds the collector as it left it on every exit."""
+
+    H_ROWS = TestRepeatCap.H_ROWS
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def document(tmp_path, case):
+        gates = [{"name": "h", "targets": [0]}]
+        if case == "malformed entry":
+            gates = [{"name": "h", "targets": []}]
+        if case == "repeat past the cap":
+            gates = [{"repeat": REPEAT_CAP + 1, "gates": gates}]
+        path = write_doc(tmp_path, {"format_version": 1, "qubits": 1, "gates": gates})
+        if case == "unreadable path":
+            return str(tmp_path / "missing.json")
+        if case == "invalid JSON":
+            Path(path).write_text('{"format_version": 1, "qubits":')
+        return path
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case,refusal", [
+        ("loads", None),
+        ("malformed entry", r"^gates\[0\]: missing or empty 'targets'$"),
+        ("repeat past the cap", r"^gates\[0\]: 'repeat' count 10000001 is past the cap"),
+        ("unreadable path", r"^cannot read circuit .*missing\.json"),
+        ("invalid JSON", r"^cannot read circuit .*doc\.json"),
+    ])
+    def test_the_callers_collector_state_is_restored(self, tmp_path, collector, enabled, case, refusal):
+        path = self.document(tmp_path, case)
+        (gc.enable if enabled else gc.disable)()
+        if refusal is None:
+            assert load_circuit(path).rows == 1
+        else:
+            error = TooLarge if case == "repeat past the cap" else ParseError
+            with pytest.raises(error, match=refusal):
+                load_circuit(path)
+        assert gc.isenabled() is enabled
+
+    def test_a_2000_entry_document_loads_without_a_collection(self, tmp_path, collector):
+        gates = [
+            {"name": "g", "targets": [k % 59, k % 59 + 1], "blocks": {"a": self.H_ROWS, "b": self.H_ROWS}}
+            for k in range(2000)
+        ]
+        path = write_doc(tmp_path, {"format_version": 1, "qubits": 60, "gates": gates})
+        del gates
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            circuit = load_circuit(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert circuit.rows == 2000
+        assert started == []
 
 
 def _matchgate_blocks(rng):
