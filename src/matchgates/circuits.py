@@ -1,7 +1,7 @@
 """Circuit container shared by the simulators and the compiler.
 
 A circuit is an ordered list of gate applications on an n-qubit line,
-stored by columns.  Each op is a row, in walk order:
+stored by columns.  Each op is a row, in the order of application:
 
 * ``stacks`` holds one read-only gate stack per matrix size, (N2, 2, 2) and
   (N4, 4, 4) complex; ``sizes`` and ``slots`` give each row's matrix size
@@ -13,12 +13,13 @@ stored by columns.  Each op is a row, in walk order:
 
 A repetition group is a (start, stop, count) span over the rows in
 ``groups``: its body is rows start..stop-1, applied ``count`` times.  Every
-row outside a group is a top-level entry of its own.  :class:`CircuitOp`
-and :class:`RepeatedSegment` are views of rows, made on demand: by
-:meth:`Circuit.walk`, one ``(ops, count)`` per top-level entry, by
+row outside a group is a top-level entry of its own.  The simulators, the
+compiler, the verifier and the emitter read the columns
+(:attr:`Circuit.columns`) entry by entry over :func:`entry_spans`, or, in
+the covariance backend, group by group.  :class:`CircuitOp` and
+:class:`RepeatedSegment` are views of rows, made on demand by
 ``Circuit.ops``, the entries as a tuple, and by :meth:`Circuit.describe`,
-which names a row in a refusal.  The simulators and the emitter read the
-columns themselves (:attr:`Circuit.columns`).
+which names a row in a refusal.
 
 A circuit holds only admitted ops: one or two distinct integer targets in
 range, a gate of matching shape, unitary within ``gates.TOL_UNITARY``.  A
@@ -123,8 +124,9 @@ def check_targets(n: int, targets: tuple[int, ...]) -> None:
 
 
 def describe_op(ops: tuple[CircuitOp, ...], count: int, entry: int, position: int) -> str:
-    """Name op ``position`` of walk entry ``entry`` in a refusal: ``op i`` for
-    a single op, ``op i.j`` for op j of the repetition group at entry i."""
+    """Name op ``position`` of top-level entry ``entry`` in a refusal:
+    ``op i`` for a single op, ``op i.j`` for op j of the repetition group at
+    entry i."""
     op = ops[position]
     where = entry if len(ops) == 1 and count == 1 else f"{entry}.{position}"
     return f"op {where} ({op.name or 'gate'} on {op.targets})"
@@ -152,7 +154,7 @@ def index_array(values: list) -> np.ndarray:
 
 
 class Columns(NamedTuple):
-    """A circuit's rows, one per op in walk order (module docstring)."""
+    """A circuit's rows, one per op in order of application (module docstring)."""
 
     stacks: dict[int, np.ndarray]
     sizes: np.ndarray
@@ -296,7 +298,8 @@ class Circuit:
             if op.gate.shape != (2**k, 2**k):
                 raise BadTargets(f"gate shape {op.gate.shape} does not match {k} target qubit(s)")
             if not is_unitary(op.gate):
-                where = describe_op(ops, count, len(self.spans()), j)
+                index = sum(1 for _ in entry_spans(self.groups, self.rows))
+                where = describe_op(ops, count, index, j)
                 raise NonUnitaryInput(f"{where} is not unitary within {TOL_UNITARY:g}")
         start = self.rows
         for op in ops:
@@ -304,27 +307,12 @@ class Circuit:
         if isinstance(entry, RepeatedSegment):
             self.groups.append((start, self.rows, count))
 
-    def spans(self) -> list[tuple[int, int, int]]:
-        """(start, stop, count) of each top-level entry in walk order; a
-        single op is (r, r + 1, 1)."""
-        return [(start, stop, count) for start, stop, count, _ in entry_spans(self.groups, self.rows)]
-
-    def walk(self) -> Iterator[tuple[tuple[CircuitOp, ...], int]]:
-        """Yield each top-level entry as ``(ops, count)``: a single op as
-        ``((op,), 1)`` and a repetition group as ``(body, count)``."""
-        # Views are made a window of at least 256 rows at a time.
-        columns, views, first = self.columns, (), 0
-        for start, stop, count, _ in entry_spans(self.groups, self.rows):
-            if stop > first + len(views):
-                first, views = start, columns.ops(start, max(stop, start + 256))
-            yield views[start - first : stop - first], count
-
     def flat_count(self) -> int:
         return self.rows + sum((count - 1) * (stop - start) for start, stop, count in self.groups)
 
     def describe(self, row: int) -> str:
         """:func:`describe_op`'s name of the op at ``row``."""
-        for entry, (start, stop, count) in enumerate(self.spans()):
+        for entry, (start, stop, count, _) in enumerate(entry_spans(self.groups, self.rows)):
             if start <= row < stop:
                 return describe_op(self.columns.ops(start, stop), count, entry, row - start)
         raise IndexError(f"row {row} out of range")

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import NonlocalTriple, classify, nonlocal_from_pp, pp_params
-from .circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, describe_op
+from .circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, entry_spans
 from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
@@ -88,7 +88,7 @@ from .statevector import UNITARY_QUBIT_CAP, propagate
 
 # Largest repetition count searched per logical CZ; near-rational ZZ
 # strengths can need millions.  A schedule's repeat group holds r - 1 uses,
-# so r never passes the repeat cap.
+# so compile_circuit refuses an r_max past the repeat cap.
 DEFAULT_R_MAX = REPEAT_CAP
 LOGICAL_QUBIT_CAP = 16
 # Logical ops, with repeat groups expanded, that one compile writes out; the
@@ -288,34 +288,31 @@ def plan_entangler(
 _TWO_QUBIT_NAMES = {"cz": "cz", "cnot": "cnot", "cx": "cnot", "swap": "swap"}
 
 
-def _two_qubit_kind(op: CircuitOp, where: str) -> str:
+def _two_qubit_kind(logical: Circuit, row: int) -> str:
+    col = logical.columns
+    name = col.names[row]
     # The parser names 'matrix' and 'g' entries by their form, not their gate.
-    if op.name not in (None, "matrix", "g"):
-        kind = _TWO_QUBIT_NAMES.get(op.name.lower())
+    if name not in (None, "matrix", "g"):
+        kind = _TWO_QUBIT_NAMES.get(name.lower())
         if kind is None:
-            raise UnsupportedLogicalGate(f"{where} is not in {{CZ, CNOT, SWAP}}")
+            raise UnsupportedLogicalGate(f"logical circuit: {logical.describe(row)} is not in {{CZ, CNOT, SWAP}}")
         return kind
+    gate = col.stacks[4][col.slots[row]]
     for kind, name in (("cz", "CZ"), ("cnot", "CNOT"), ("swap", "SWAP")):
-        if np.max(np.abs(op.gate - gate_library(name))) <= 1e-9:
+        if np.max(np.abs(gate - gate_library(name))) <= 1e-9:
             return kind
     raise UnsupportedLogicalGate(
-        f"{where} does not match CZ, CNOT, or SWAP; "
+        f"logical circuit: {logical.describe(row)} does not match CZ, CNOT, or SWAP; "
         "decomposing arbitrary two-qubit unitaries is out of scope"
     )
 
 
-def _check_logical(logical: Circuit) -> list[tuple[tuple[CircuitOp, ...], int, list[str]]]:
-    """Each walk entry (ops, count) with the kind ("1q", "cz", "cnot" or
-    "swap") of each of its ops.  A two-qubit op other than CZ, CNOT or SWAP
-    is refused by its :func:`describe_op` name."""
-    checked = []
-    for i, (ops, count) in enumerate(logical.walk()):
-        kinds = [
-            "1q" if len(op.targets) == 1 else _two_qubit_kind(op, f"logical circuit: {describe_op(ops, count, i, j)}")
-            for j, op in enumerate(ops)
-        ]
-        checked.append((ops, count, kinds))
-    return checked
+def _check_logical(logical: Circuit) -> list[str]:
+    """The kind ("1q", "cz", "cnot" or "swap") of each row of ``logical``.
+    A two-qubit op other than CZ, CNOT or SWAP is refused, named by
+    :meth:`Circuit.describe`."""
+    targets = logical.columns.targets.tolist()
+    return ["1q" if a == b else _two_qubit_kind(logical, row) for row, (a, b) in enumerate(targets)]
 
 
 _FSWAP = assemble_pp(Z, X)
@@ -331,28 +328,40 @@ def _swap_rows(lo: int) -> list[tuple]:
     return [(_FSWAP_SLOT, base + k, "g_fswap", None) for k in (1, 0, 2, 1)]
 
 
-def _lower(kind: str, op: CircuitOp, cz, gates: list) -> list[tuple]:
-    """Spans (kind, logical qubits, rows, group) of one checked logical op.
-    Each row is (slot, first qubit, name, tag) of a nearest-neighbour gate
-    in the stack ``gates``; ``group`` is None or a (start, stop, count)
-    repetition span over the rows.  A one-qubit gate A is G(A, A), added to
-    ``gates``.  A CZ, CNOT or SWAP is the FSWAP chain that moves the higher
-    qubit next to the lower one, the act, and the chain back; the act of a
-    CZ or CNOT is ``cz(lo)``'s (rows, group), and a CNOT is wrapped in H on
-    its second qubit."""
+def _cz_rows(q: int, repetitions: int) -> tuple[list[tuple], tuple | None]:
+    """Rows (slot, first qubit, name, tag) and repeat group of a logical CZ
+    on physical qubits (q, q + 1): R, T, (W, T) repeated r - 1 times, L'
+    (module docstring)."""
+    enter, leave = (_ENTER_SLOT, q, "g_enter", None), (_LEAVE_SLOT, q, "g_leave", None)
+    use = (_TARGET_SLOT, q, "target", "target")
+    if repetitions == 1:
+        return [enter, use, leave], None
+    return [enter, use, (_LINK_SLOT, q, "g_link", None), use, leave], (2, 4, repetitions - 1)
+
+
+def _lower(kind: str, columns: Columns, row: int, plan: EntanglerPlan | None, gates: list) -> list[tuple]:
+    """Spans (kind, logical qubits, rows, group) of the checked logical op at
+    ``row``.  Each row is (slot, first qubit, name, tag) of a
+    nearest-neighbour gate in the stack ``gates``; ``group`` is None or a
+    (start, stop, count) repetition span over the rows.  A one-qubit gate A
+    is G(A, A), added to ``gates``.  A CZ, CNOT or SWAP is the FSWAP chain
+    that moves the higher qubit next to the lower one, the act, and the
+    chain back; the act of a CZ or CNOT is :func:`_cz_rows` with ``plan``'s
+    repetitions, and a CNOT is wrapped in H on its second qubit."""
+    first, last = columns.targets[row].tolist()
 
     def one_qubit(a: Mat2, q: int) -> tuple:
         gates.append(assemble_pp(a, a))
         return "1q", (q,), [(len(gates) - 1, 2 * q, "g_aa", None)], None
 
     if kind == "1q":
-        return [one_qubit(op.gate, op.targets[0])]
-    lo, hi = sorted(op.targets)
+        return [one_qubit(columns.stacks[2][columns.slots[row]], first)]
+    lo, hi = sorted((first, last))
     chain = [("swap", (k, k + 1), _swap_rows(k), None) for k in range(hi - 1, lo, -1)]
-    act = ("swap", (lo, lo + 1), _swap_rows(lo), None) if kind == "swap" else ("cz", (lo, lo + 1), *cz(lo))
+    act = ("swap", (lo, lo + 1), _swap_rows(lo), None) if kind == "swap" else ("cz", (lo, lo + 1), *_cz_rows(2 * lo + 1, plan.repetitions))
     spans = [*chain, act, *reversed(chain)]
     if kind == "cnot":
-        h = one_qubit(H, op.targets[1])
+        h = one_qubit(H, last)
         spans = [h, *spans, h]
     return spans
 
@@ -382,12 +391,12 @@ def _check_flat_count(logical: Circuit) -> None:
     total = logical.flat_count()
     if total <= LOGICAL_FLAT_OP_CAP:
         return
-    spans = logical.spans()
-    sizes = [count * (stop - start) if count > 1 else 0 for start, stop, count in spans]
+    spans = list(entry_spans(logical.groups, logical.rows))
+    sizes = [count * (stop - start) if count > 1 else 0 for start, stop, count, _ in spans]
     what = f"the logical circuit expands to {total} ops"
     if any(sizes):
         i = int(np.argmax(sizes))
-        start, stop, count = spans[i]
+        start, stop, count, _ = spans[i]
         what += f" (entry {i} repeats {stop - start} op(s) {count} times)"
     raise TooLarge(
         f"{what}, past the cap of {LOGICAL_FLAT_OP_CAP}: the compiler expands repeat "
@@ -417,13 +426,16 @@ def compile_circuit(
     Each body op of a repeat group is classified and lowered once, and its
     spans are appended ``count`` times; a span's ``logical_op`` is the op's
     index in the expanded logical circuit.
-    Raises ParseError when ``epsilon`` is not finite and > 0, TooLarge past
+    Raises ParseError when ``epsilon`` is not finite and > 0 or ``r_max``
+    is not an integer in [1, REPEAT_CAP], TooLarge past
     LOGICAL_QUBIT_CAP qubits or LOGICAL_FLAT_OP_CAP expanded logical ops,
     UnsupportedLogicalGate naming a refused logical op, all before planning,
     and SynthesisError when no repetition count <= ``r_max`` meets the
     angle budget.
     """
     check_epsilon(epsilon)
+    if not isinstance(r_max, (int, np.integer)) or isinstance(r_max, bool) or not 1 <= r_max <= REPEAT_CAP:
+        raise ParseError(f"r_max must be an integer in [1, {REPEAT_CAP}], got {r_max!r}")
     if logical.n > LOGICAL_QUBIT_CAP:
         raise TooLarge(f"logical qubit count capped at {LOGICAL_QUBIT_CAP}")
     _check_flat_count(logical)
@@ -438,8 +450,9 @@ def compile_circuit(
         )
 
     strip = strip_z_rotations(target)
-    checked = _check_logical(logical)
-    n_cz = sum(count * sum(k in ("cz", "cnot") for k in kinds) for _, count, kinds in checked)
+    kinds = _check_logical(logical)
+    n_cz = sum(count * sum(k in ("cz", "cnot") for k in kinds[start:stop])
+               for start, stop, count, _ in entry_spans(logical.groups, logical.rows))
 
     # Every distinct gate once; rows name theirs by slot.
     gates = [target, _FSWAP]
@@ -454,33 +467,25 @@ def compile_circuit(
         corrections = np.kron(*(phase_rz(chi) for chi in plan.local_corrections))
         gates += [sr @ ghh, sr @ gxx @ sl, corrections @ ghh @ gxx @ sl]
 
-    def cz(lo: int) -> tuple[list, tuple | None]:
-        q = 2 * lo + 1
-        use = (_TARGET_SLOT, q, "target", "target")
-        schedule = [(_ENTER_SLOT, q, "g_enter", None), use, (_LINK_SLOT, q, "g_link", None), use,
-                    (_LEAVE_SLOT, q, "g_leave", None)]
-        if plan.repetitions == 1:
-            return [schedule[0], use, schedule[-1]], None
-        return schedule, (2, 4, plan.repetitions - 1)
-
     rows: list[tuple] = []
     groups: list[tuple[int, int, int]] = []
     provenance: list[dict] = []
     flat = entries = 0
-    for ops, count, kinds in checked:
-        spans = [(j, span) for j, (op, kind) in enumerate(zip(ops, kinds)) for span in _lower(kind, op, cz, gates)]
+    for start, stop, count, _ in entry_spans(logical.groups, logical.rows):
+        spans = [(r - start, span) for r in range(start, stop)
+                 for span in _lower(kinds[r], logical.columns, r, plan, gates)]
         for _ in range(count):
             for j, (kind, qubits, span_rows, group) in spans:
                 span_entries = len(span_rows)
                 if group is not None:
-                    start, stop, reps = group
-                    groups.append((len(rows) + start, len(rows) + stop, reps))
-                    span_entries -= stop - start - 1
+                    first, last, reps = group
+                    groups.append((len(rows) + first, len(rows) + last, reps))
+                    span_entries -= last - first - 1
                 provenance.append({"logical_op": flat + j, "kind": kind, "qubits": list(qubits),
                                    "physical_ops": [entries, entries + span_entries]})
                 rows += span_rows
                 entries += span_entries
-            flat += len(ops)
+            flat += stop - start
 
     # Every row is a nearest-neighbour pair (first, first + 1).
     slots, firsts, names, tags = map(list, zip(*rows)) if rows else ([], [], [], [])

@@ -27,7 +27,7 @@ those entries and N gates take one (N, 64) x (64, 16) product.
 
 ``run_covariance`` works in the Heisenberg picture and on the circuit's
 columns (see :mod:`matchgates.circuits`): it takes OP_CHUNK rows at a time
-in walk order, gathers their gates from the gate stacks, embeds the
+in order, gathers their gates from the gate stacks, embeds the
 one-qubit ones as kron(g, I) and conjugates reversed pairs by the index
 swap, all stacked, tests them for parity and det A = det B with one
 ``classify_stack`` call (unitarity was checked when the ops were admitted),
@@ -284,7 +284,7 @@ def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
     """Covariance after the circuit acts on a basis state.
 
     Rows are checked and converted to Majorana blocks OP_CHUNK at a time,
-    in walk order, so the first op that fails is the one refused and memory
+    in order, so the first op that fails is the one refused and memory
     stays bounded whatever the circuit's length.  Every op is checked once;
     a repetition group is applied as one folded rotation on the Majorana
     span of its body.
@@ -294,17 +294,23 @@ def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
     P^T is formed once at the end on the touched Majorana pairs T only.  Rows
     of P outside T are identity rows, rows in T vanish outside T, and M0 is
     block-diagonal in qubit pairs, so M outside T x T stays M0.  P's rows in
-    T are therefore kept in M's own rows, each set to an identity row when
-    its qubit is first touched; the other rows of M never change.
+    T are therefore kept in M's own rows, set to identity rows before the
+    first op; the other rows of M never change.
     """
     state = init_covariance(circuit.n, initial)
     m = state.m
     signs = m[0::2, 1::2].diagonal().copy()  # M0[2k, 2k+1] = <Z_k>
-    touched = np.zeros(circuit.n, dtype=bool)
     columns = circuit.columns
     rows = len(columns.names)
     targets = columns.targets
-    # Runs of rows (start, stop, count) in walk order: a group of count > 1
+    # P = I before any op: the rows of every qubit that a row targets start
+    # as identity rows.
+    touched = np.zeros(circuit.n, dtype=bool)
+    touched[targets.ravel()] = True
+    t = np.flatnonzero(np.repeat(touched, 2))
+    m[t] = 0.0
+    m[t, t] = 1.0
+    # Runs of rows (start, stop, count) in order: a group of count > 1
     # is folded, every other row applied on its own.
     runs, row = [], 0
     for start, stop, count in circuit.groups:
@@ -319,12 +325,6 @@ def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
     for c0 in range(0, rows, OP_CHUNK):
         c1 = min(c0 + OP_CHUNK, rows)
         blocks = _chunk_blocks(circuit, columns, c0, c1)
-        qubits = targets[c0:c1].ravel()
-        fresh = qubits[~touched[qubits]]
-        rows_fresh = np.concatenate([2 * fresh, 2 * fresh + 1])
-        m[rows_fresh] = 0.0
-        m[rows_fresh, rows_fresh] = 1.0
-        touched[fresh] = True
         r = c0
         while r < c1:
             while stop <= r:
@@ -346,7 +346,6 @@ def run_covariance(circuit: Circuit, initial: int | str = 0) -> CovarianceState:
             r = end
     # M_TT = P_TT M0_TT P_TT^T, with P_TT M0_TT taken pair by pair: M0's
     # block on qubit k is [[0, s_k], [-s_k, 0]].
-    t = np.flatnonzero(np.repeat(touched, 2))
     p, s = m[np.ix_(t, t)], signs[touched]
     pm = np.empty_like(p)
     pm[:, 1::2] = p[:, 0::2] * s

@@ -401,7 +401,7 @@ def emit_circuit_document(circuit: Circuit, metadata: dict | None = None) -> dic
     sizes, slots = col.sizes.tolist(), col.slots
     named: dict = {}
     for k, (name, params, tag) in enumerate(zip(col.names, col.params, col.tags)):
-        if tag:
+        if tag is not None:
             entries[k]["tag"] = tag
         if name not in (None, "matrix", "g"):
             named.setdefault((name, params), []).append(k)

@@ -5,10 +5,12 @@ verifier, all three through :func:`propagate`.  Amplitude layout: basis
 index bit k is qubit k with qubit 0 the most-significant bit, matching the
 two-qubit gate convention.
 
-Every gate goes through one kernel, :class:`_Block`: the block of columns
-is a tensor with one axis per qubit, the gate's targets are gathered to the
-front only when they are not there already, and the product stays in that
-axis order until :func:`propagate` restores qubit order once at the end.
+:func:`propagate` reads a circuit's rows from its columns, one top-level
+entry at a time.  Every gate goes through one kernel, :class:`_Block`: the
+block of columns is a tensor with one axis per qubit, the gate's targets
+are gathered to the front only when they are not there already, and the
+product stays in that axis order until :func:`propagate` restores qubit
+order once at the end.
 No op is checked here: a circuit holds only admitted ops (see
 ``matchgates.circuits``).
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, basis_index, check_shots
+from .circuits import Circuit, basis_index, check_shots, entry_spans
 from .errors import BadTargets, TooLarge
 
 QUBIT_CAP = 20
@@ -105,25 +107,29 @@ def propagate(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     """
     block = _Block(columns, circuit.n)
     del columns
-    for i, (ops, count) in enumerate(circuit.walk()):
+    col = circuit.columns
+    stacks, sizes, slots = col.stacks, col.sizes.tolist(), col.slots.tolist()
+    # A row that holds its qubit twice is a one-qubit op.
+    targets = [(a,) if a == b else (a, b) for a, b in col.targets.tolist()]
+    for i, (start, stop, count, _) in enumerate(entry_spans(circuit.groups, circuit.rows)):
         if count > 1:
-            support = sorted({t for op in ops for t in op.targets})
+            support = sorted({t for row in targets[start:stop] for t in row})
             if len(support) <= FOLD_QUBIT_CAP:
                 local = {q: a for a, q in enumerate(support)}
                 body = _Block(np.eye(2 ** len(support), dtype=complex), len(support))
-                for op in ops:
-                    body.apply(op.gate, tuple(local[t] for t in op.targets))
+                for r in range(start, stop):
+                    body.apply(stacks[sizes[r]][slots[r]], tuple(local[t] for t in targets[r]))
                 block.apply(np.linalg.matrix_power(body.columns(), count), tuple(support))
                 continue
-            if count * len(ops) > EXPANSION_CAP:
+            if count * (stop - start) > EXPANSION_CAP:
                 raise TooLarge(
-                    f"entry {i} repeats {len(ops)} op(s) on {len(support)} qubits {count} times: "
+                    f"entry {i} repeats {stop - start} op(s) on {len(support)} qubits {count} times: "
                     f"a group wider than {FOLD_QUBIT_CAP} qubits is expanded, and this one "
                     f"passes the cap of {EXPANSION_CAP} ops"
                 )
         for _ in range(count):
-            for op in ops:
-                block.apply(op.gate, op.targets)
+            for r in range(start, stop):
+                block.apply(stacks[sizes[r]][slots[r]], targets[r])
     return block.columns()
 
 

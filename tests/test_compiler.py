@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import matchgates.compiler
 import matchgates.gates
 from matchgates.analysis import classify, entangling_power_closed, kak, pp_params
-from matchgates.circuits import Circuit, CircuitOp, Columns, RepeatedSegment
+from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, RepeatedSegment
 from matchgates.compiler import (
     Encoding,
     build_entangler_block,
@@ -272,6 +272,20 @@ class TestCompile:
             with pytest.raises(SynthesisError, match=f"<= {r_max} "):
                 compile_circuit(logical, target, 1e-6, r_max=r_max)
         assert compile_circuit(logical, target, 1e-6, r_max=699).plan.repetitions == 699
+
+    @pytest.mark.parametrize("r_max", [0, REPEAT_CAP + 1, 10**8, 2.5, True])
+    def test_r_max_outside_the_repeat_cap_is_refused_before_planning(self, monkeypatch, r_max):
+        # At r_max 10**8 this target plans r = 26,163,273: its (W, T) group
+        # would repeat past REPEAT_CAP, and the document could not be read back.
+        logical = Circuit(2)
+        logical.append(CZ, (0, 1), name="cz")
+
+        def plan(*args, **kwargs):
+            raise AssertionError("planned")
+
+        monkeypatch.setattr(matchgates.compiler, "plan_entangler", plan)
+        with pytest.raises(ParseError, match=rf"^r_max must be an integer in \[1, {REPEAT_CAP}\], got {r_max!r}$"):
+            compile_circuit(logical, nl(0.2, 0.1, 3e-8), 1e-6, r_max=r_max)
 
     def test_angle_budget_has_no_floor(self):
         # At epsilon 1e-30 the budget is 5e-16; r = 3 lands 5e-14 from pi/4,
@@ -553,7 +567,9 @@ class TestSchedule:
         for _ in range(4):
             target = random_nonmatchgate_pp(rng)
             comp = compile_circuit(logical, target, 1e-6)
-            assert [(tuple(op.name for op in ops), count) for ops, count in comp.physical.walk()] == schedule
+            entries = [(entry.body, entry.count) if isinstance(entry, RepeatedSegment) else ((entry,), 1)
+                       for entry in comp.physical.ops]
+            assert [(tuple(op.name for op in ops), count) for ops, count in entries] == schedule
             assert comp.physical.flat_count() == 2 * r + 1 and comp.target_uses == r
             strip = strip_z_rotations(target)
             block, _ = build_entangler_block(strip.core)

@@ -423,6 +423,29 @@ class TestRepeatGroups:
         assert m[4:6].tobytes() == m0[4:6].tobytes()
         assert m[:, 4:6].tobytes() == m0[:, 4:6].tobytes()
 
+    def test_qubit_in_a_group_span_first_touched_in_a_later_chunk(self, monkeypatch):
+        # The group spans qubits 0-4 but never acts on qubit 2, which no op
+        # touches before the second chunk.  Every touched qubit's rows of P
+        # start as identity rows, so the chunking does not change M by a bit.
+        rng = np.random.default_rng(63)
+        circuit = Circuit(5)
+        body = [
+            CircuitOp(random_matchgate(rng), (1, 0)),
+            CircuitOp(gate_library("S"), (3,)),
+            CircuitOp(random_matchgate(rng), (3, 4)),
+        ]
+        circuit.append_segment(body, 3)
+        while circuit.rows < OP_CHUNK + 10:
+            op = random_bulk_op(rng, 5)
+            if 2 not in op.targets:
+                circuit.append(op.gate, op.targets, name=op.name)
+        circuit.append(random_matchgate(rng), (2, 1))
+        circuit.append_segment([random_bulk_op(rng, 5) for _ in range(3)], 2)
+        m = run_covariance(circuit, "01101").m
+        assert_allclose(m, oracle_covariance(circuit, "01101"), atol=1e-10)
+        monkeypatch.setattr(matchgates.fermion, "OP_CHUNK", circuit.rows)
+        assert run_covariance(circuit, "01101").m.tobytes() == m.tobytes()
+
     def test_single_qubit_gate_on_last_qubit_matches_expansion(self):
         rng = np.random.default_rng(61)
         body = [CircuitOp(random_matchgate(rng), (1, 2)), CircuitOp(gate_library("RZ", (0.3,)), (2,))]

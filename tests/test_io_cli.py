@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment
+from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, RepeatedSegment
 from matchgates.cli import main
 from matchgates.compiler import LOGICAL_FLAT_OP_CAP, compile_circuit
 from matchgates.errors import MatchgatesError, NonUnitaryInput, ParseError, TooLarge
@@ -92,10 +92,13 @@ class TestCircuitDocuments:
         rng = np.random.default_rng(80)
         circ = random_matchgate_circuit(rng, 4, 6)
         circ.append_segment(tuple(flat(random_matchgate_circuit(rng, 4, 2))), 5)
+        circ.append(H, (0,), tag="")
+        circ.append_segment([CircuitOp(H, (1,), tag="target"), CircuitOp(H, (2,), tag="")], 3)
         doc = emit_circuit_document(circ)
         text = dumps_document(doc)
         reparsed = parse_circuit_document(json.loads(text))
         assert dumps_document(emit_circuit_document(reparsed)) == text
+        assert reparsed.columns.tags == circ.columns.tags
         assert_allclose(
             circuit_unitary(reparsed), circuit_unitary(circ), atol=1e-12
         )
@@ -806,6 +809,30 @@ class TestRepeatCap:
             assert result.exit_code == 0, result.output
             payloads.append(np.array(json.loads(result.output)[key]))
         assert np.max(np.abs(payloads[0] - payloads[1])) < 1e-8
+
+
+def test_the_pipeline_reads_rows_not_op_views(runner, tmp_path, monkeypatch):
+    # Both simulators, the compiler and its verify read a circuit's rows
+    # from its columns over its entry spans; none makes a CircuitOp view.
+    g = {"name": "g", "targets": [0, 1], "blocks": {"a": TestRepeatCap.H_ROWS, "b": TestRepeatCap.H_ROWS}}
+    body = [{"name": "rz", "targets": [2], "params": [0.4]}, {**g, "targets": [2, 1]}]
+    circuit = write_doc(tmp_path, {"format_version": 1, "qubits": 3, "gates": [g, {"repeat": 3, "gates": body}]})
+    gates = [{"name": "h", "targets": [0]},
+             {"repeat": 2, "gates": [{"name": "cnot", "targets": [0, 2]}, {"name": "swap", "targets": [1, 2]}]}]
+    logical = write_doc(tmp_path, {"format_version": 1, "qubits": 3, "gates": gates}, "logical.json")
+    commands = [["simulate", "--input", circuit, "--backend", backend, "--json"] for backend in ("sv", "ff")]
+    commands.append(["compile", "--input", logical, "--target", "NL(0.2,0.1,0.35)", "--json"])
+    expected = [runner.invoke(main, args).output for args in commands]
+
+    def no_views(*args):
+        raise AssertionError("an op view was made")
+
+    monkeypatch.setattr(Columns, "ops", no_views)
+    for args, output in zip(commands, expected):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == output
+    assert json.loads(expected[2])["verification"]["passed"] is True
 
 
 class TestLoadCircuitPausesTheCollector:

@@ -72,9 +72,12 @@ def random_nonmatchgate_pp(rng: np.random.Generator) -> np.ndarray:
 
 def flat(circuit: Circuit):
     """Every op of ``circuit`` with repetition groups expanded."""
-    for ops, count in circuit.walk():
-        for _ in range(count):
-            yield from ops
+    for entry in circuit.ops:
+        if isinstance(entry, RepeatedSegment):
+            for _ in range(entry.count):
+                yield from entry.body
+        else:
+            yield entry
 
 
 def random_matchgate_circuit(
@@ -332,7 +335,7 @@ def _oracle_matrix_out(m) -> list:
 
 def _oracle_emit_op(op: CircuitOp) -> dict:
     entry = {"targets": list(op.targets)}
-    if op.tag:
+    if op.tag is not None:
         entry["tag"] = op.tag
     if op.name not in (None, "matrix", "g"):
         # By name only when the library reproduces the matrix exactly.
