@@ -5,9 +5,11 @@ Exit codes are a stable contract:
     0  success
     1  internal error (decomposition/synthesis bug)
     2  parse or usage error (including a bad shot count, a logical two-qubit
-       gate other than CZ, CNOT, SWAP, or a non-unitary gate: a document's
+       gate other than CZ, CNOT, SWAP, a non-unitary gate: a document's
        'g' block or 'matrix' entry is refused when it is parsed, with one
-       text whichever command reads it)
+       text whichever command reads it, or an --epsilon below the
+       verifier's rounding resolution, 4 * 2**-52 per flat op of the
+       physical circuit, in ``mgc verify`` or a verifying ``mgc compile``)
     3  target gate is a matchgate
     4  target gate is not parity-preserving
     5  problem too large for the requested mode (e.g. verifying > 12 logical
@@ -43,7 +45,7 @@ from .analysis import (
     weyl_chamber,
 )
 from .circuits import REPEAT_CAP
-from .compiler import DEFAULT_R_MAX, check_epsilon, compile_circuit, verify as verify_compiled
+from .compiler import DEFAULT_R_MAX, check_epsilon, check_resolution, compile_circuit, verify as verify_compiled
 from .errors import (
     BackendRefusal,
     BadSampleCount,
@@ -207,6 +209,8 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, as_json):
     if target_gate.shape != (4, 4):
         raise ParseError("target must be a two-qubit gate")
     compiled = compile_circuit(logical, target_gate, epsilon, r_max=r_max)
+    if not skip_verify:
+        check_resolution(epsilon, compiled.physical)
     doc = None
     if out or as_json:
         meta = {

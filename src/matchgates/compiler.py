@@ -519,6 +519,25 @@ class VerificationReport:
     flat_op_count: int
 
 
+# Rounding of verify, in units of 2**-52 per flat op of the physical
+# circuit.  Its computed 1 - F of exact compiles stays below 1.5e-16 per op
+# (4.4e-16 at 3 flat ops, 1.0e-13 at 3,200), and a folded power drifts
+# about 0.3 units per op it stands for.
+ROUNDING_UNITS_PER_OP = 4
+
+
+def check_resolution(epsilon: float, physical: Circuit) -> None:
+    """Refuse an infidelity budget below the verifier's rounding resolution
+    on ``physical``, ROUNDING_UNITS_PER_OP times 2**-52 per flat op: no
+    computed fidelity could be trusted to meet it."""
+    flat = physical.flat_count()
+    rho = ROUNDING_UNITS_PER_OP * 2.0**-52 * flat
+    if epsilon < rho:
+        raise ParseError(
+            f"--epsilon {epsilon:g} is below the verifier's rounding resolution {rho:.3g} for {flat} flat ops"
+        )
+
+
 def spectral_norm(block: np.ndarray) -> float:
     """Largest singular value of an (m, k) block: the square root of the
     largest eigenvalue of its k x k Gram matrix, which costs less than an
@@ -537,11 +556,12 @@ def verify(physical: Circuit, logical: Circuit, epsilon: float | None = None) ->
     amplitudes (L <= 8), Psi = I and the check is exact.  Past that,
     VERIFY_SAMPLES random states drawn with VERIFY_SEED are pushed one at a
     time and the worst is reported.  ParseError is raised unless the
-    physical circuit has 2L qubits, and TooLarge when one state exceeds the
-    cap (L > 12).  No op is checked: both circuits hold only admitted ops
-    (see ``matchgates.circuits``).  ``passed`` is None without ``epsilon``
-    and otherwise needs |1 - fidelity| <= epsilon: a fidelity above 1 is
-    the drift of a folded power, not a better circuit.
+    physical circuit has 2L qubits, TooLarge when one state exceeds the
+    cap (L > 12), and then ParseError for an ``epsilon`` below the
+    rounding resolution (:func:`check_resolution`).  No op is checked: both circuits hold only
+    admitted ops (see ``matchgates.circuits``).  ``passed`` is None without
+    ``epsilon`` and otherwise needs |1 - fidelity| <= epsilon: a fidelity
+    above 1 is the drift of a folded power, not a better circuit.
     """
     # Qubit counts are compared before any 2**n: at thousands of qubits the
     # amplitude count alone has thousands of digits.
@@ -555,6 +575,8 @@ def verify(physical: Circuit, logical: Circuit, epsilon: float | None = None) ->
             f"verifying {logical.n} logical qubits needs 4^{logical.n} amplitudes per state, "
             f"over the cap of 4^{UNITARY_QUBIT_CAP}"
         )
+    if epsilon is not None:
+        check_resolution(epsilon, physical)
     enc = Encoding(logical.n)
     cap, dim = 4**UNITARY_QUBIT_CAP, 2**physical.n
     code_rows = [enc.encode_index(x) for x in range(2**logical.n)]

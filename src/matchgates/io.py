@@ -22,24 +22,33 @@ Parsing writes the circuit's columns (see :mod:`matchgates.circuits`)
 directly.  One pass over the gate entries, repeat bodies included, checks
 each entry's structure and records it as a row: its targets, name, params
 and tag, a library gate built at once, the matrices of a 'g' or 'matrix'
-entry as written.  Those are then converted and checked PARSE_CHUNK
-entries of a kind at a time: one conversion (row shapes, number types,
-finiteness), one unitarity check and, for 'g', one G(A, B) assembly per
-chunk, written straight into the circuit's read-only gate stack of their
-size.  No per-entry op object is built.  Every 'g' block and every 'matrix'
-entry is checked, so a parsed circuit holds only admitted ops.  The targets
-of all entries are checked once the document has parsed.  Only a failed
-check runs the per-entry helpers (:func:`matrix_in`,
-:func:`~matchgates.gates.is_unitary`, ``circuits.check_targets``), to give
-the refusal a per-entry parse gives: the first structural, numeric or
-unitarity fault in document order ("gates[3]: matrix is not unitary within
-1e-09", or "even block A" / "odd block B" for a 'g' entry, or TooLarge for
-a 'repeat' count past ``circuits.REPEAT_CAP``); a target out of range or
-repeated only after the whole document has parsed.
+entry as written.  Each time PARSE_CHUNK entries of a kind have arrived,
+their matrices are converted and checked: one conversion (row shapes,
+number types, finiteness), one unitarity check and, for 'g', one G(A, B)
+assembly per chunk, written into the circuit's read-only gate stack of
+their size once the pass ends.  No per-entry op object is built.  Every 'g'
+block and every 'matrix' entry is checked, so a parsed circuit holds only
+admitted ops.  The targets of all entries are checked once the document
+has parsed.  Only a failed check runs the per-entry helpers
+(:func:`matrix_in`, :func:`~matchgates.gates.is_unitary`,
+``circuits.check_targets``), to give the refusal a per-entry parse gives:
+the first structural, numeric or unitarity fault in document order
+("gates[3]: matrix is not unitary within 1e-09", or "even block A" / "odd
+block B" for a 'g' entry, or TooLarge for a 'repeat' count past
+``circuits.REPEAT_CAP``); a target out of range or repeated only after the
+whole document has parsed.
 
-:func:`load_circuit` decodes and parses with the cyclic garbage collector
-paused, since nothing the decoder or the parser builds forms a cycle; it
-restores the caller's collector state on every exit.
+The same parser takes its entries from two sources.
+:func:`parse_circuit_document` walks a decoded document's list.
+:func:`load_circuit` reads the text's top-level object member by member
+and decodes the 'gates' list one entry at a time with json's own decoder,
+so it holds the text, the parsed rows and at most a chunk of decoded
+entries per kind, never the whole decoded tree.  On any fault it decodes
+the text whole and parses the dict, so its refusals are the dict path's.
+It alone refuses a top-level key written twice; inside the entries, as in
+``json.loads``, a repeated key's last value wins.  It runs with the cyclic
+garbage collector paused, since nothing the decoder or the parser builds
+forms a cycle, and restores the caller's collector state on every exit.
 
 Output is stacked too: :func:`emit_circuit_document` reads the circuit's
 columns and converts all of its rows in one pass.  All four commands write their JSON through
@@ -62,7 +71,7 @@ import numpy as np
 
 from .analysis import PPParams, reconstruct_pp
 from .circuits import REPEAT_CAP, Circuit, Columns, check_targets, entry_spans, index_array
-from .errors import BadArity, BadTargets, ParseError, TooLarge, UnknownGate
+from .errors import BadArity, BadTargets, MatchgatesError, ParseError, TooLarge, UnknownGate
 from .gates import (
     TOL_UNITARY,
     assemble_pp,
@@ -77,7 +86,8 @@ from .gates import (
 FORMAT_VERSION = 1
 
 # 'g' or 'matrix' entries of one kind per stacked conversion and check; it
-# bounds the chunk's arrays and their temporaries.
+# bounds the chunk's arrays and their temporaries, and the entries of a kind
+# held as decoded JSON at once while a document is loaded.
 PARSE_CHUNK = 256
 
 _PI_RE = re.compile(
@@ -190,27 +200,34 @@ _BLOCK_KEYS = {"a", "b"}
 class _DocumentParser:
     """One pass over a document's gate entries, in document order, that
     checks their structure and records each gate entry as a row of the
-    circuit's columns; :meth:`convert` then fills the gate stacks.
+    circuit's columns; :meth:`circuit` then builds the circuit.
 
-    A library gate is built as its entry is read.  The matrices of a 'g' or
-    'matrix' entry are kept as written, by kind, with the entry's row, and
-    :meth:`convert` turns them into gates PARSE_CHUNK entries at a time.
+    Entries arrive one at a time (:meth:`entry`) or as a list
+    (:meth:`walk`).  A library gate is built as its entry is read.  The
+    matrices of a 'g' or 'matrix' entry are kept as written, by kind, and
+    converted into gates each time PARSE_CHUNK entries of that kind have
+    arrived, so no more than a chunk of them is held as written.
+    ``entries`` is the document's gate list, which a failed check walks to
+    word its refusal, or None when the entries are streamed; a failed check
+    then raises :class:`_Unstreamable`.  A 'g' chunk is kept as its blocks
+    until :meth:`circuit` assembles it, at half the size of its gates.
     """
 
     # (op name, matrix size) of the entries whose matrices are converted in
     # stacks, and the number of matrices each entry holds.
     KINDS = {("g", 4): 2, ("matrix", 2): 1, ("matrix", 4): 1}
 
-    def __init__(self, entries: list):
+    def __init__(self, entries: list | None):
         self.entries = entries
         self.targets: list = []
         self.names: list = []
         self.params: list = []
         self.tags: list = []
         self.groups: list = []
-        # Per kind: the rows of its entries and their raw matrices in order.
-        self.rows = {kind: [] for kind in self.KINDS}
-        self.raw = {kind: [] for kind in self.KINDS}
+        # Per kind: the rows and raw matrices of its entries not yet
+        # converted, and the (rows, matrices) of each converted chunk.
+        self.pending = {kind: ([], []) for kind in self.KINDS}
+        self.chunks = {kind: [] for kind in self.KINDS}
         self.library_rows: list = []
         self.library_gates: list = []
 
@@ -218,22 +235,26 @@ class _DocumentParser:
         if not isinstance(entries, list):
             raise ParseError(f"{where}: expected a list of gate entries")
         for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ParseError(f"{where}[{i}]: gate entries must be objects")
-            if "repeat" in entry:
-                spot = f"{where}[{i}]"
-                count = entry["repeat"]
-                if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                    raise ParseError(f"{spot}: 'repeat' must be a positive integer")
-                if count > REPEAT_CAP:
-                    raise TooLarge(f"{spot}: 'repeat' count {count} is past the cap of {REPEAT_CAP}")
-                start, groups = len(self.names), len(self.groups)
-                self.walk(entry.get("gates", []), f"{spot}.gates")
-                if len(self.groups) > groups:
-                    raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
-                self.groups.append((start, len(self.names), count))
-                continue
-            self.gate(entry, where, i)
+            self.entry(entry, where, i)
+
+    def entry(self, entry, where: str, i: int) -> None:
+        """Check entry ``i`` of the list at ``where`` and record its rows."""
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}[{i}]: gate entries must be objects")
+        if "repeat" in entry:
+            spot = f"{where}[{i}]"
+            count = entry["repeat"]
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ParseError(f"{spot}: 'repeat' must be a positive integer")
+            if count > REPEAT_CAP:
+                raise TooLarge(f"{spot}: 'repeat' count {count} is past the cap of {REPEAT_CAP}")
+            start, groups = len(self.names), len(self.groups)
+            self.walk(entry.get("gates", []), f"{spot}.gates")
+            if len(self.groups) > groups:
+                raise ParseError(f"{spot}: nested 'repeat' groups are not supported")
+            self.groups.append((start, len(self.names), count))
+            return
+        self.gate(entry, where, i)
 
     def gate(self, entry: dict, where: str, i: int) -> None:
         """Check a gate entry's structure and record its row."""
@@ -260,11 +281,9 @@ class _DocumentParser:
                 raise ParseError(f"{where}[{i}]: gate 'g' needs blocks {{a, b}}")
             if len(targets) != 2:
                 raise ParseError(f"{where}[{i}]: gate 'g' acts on two qubits")
-            kind = ("g", 4)
-            self.raw[kind] += (blocks["a"], blocks["b"])
+            kind, mats = ("g", 4), (blocks["a"], blocks["b"])
         elif key == "matrix":
-            kind = ("matrix", 2 ** len(targets))
-            self.raw[kind].append(entry.get("matrix"))
+            kind, mats = ("matrix", 2 ** len(targets)), (entry.get("matrix"),)
         else:
             kind = None
             params = _angle_list(entry.get("params", []), f"{where}[{i}]")
@@ -278,18 +297,43 @@ class _DocumentParser:
             self.library_rows.append(len(self.names))
             self.library_gates.append(gate)
         if kind is not None:
-            self.rows[kind].append(len(self.names))
+            rows, raw = self.pending[kind]
+            rows.append(len(self.names))
+            raw += mats
             key = kind[0]  # one shared string, not one per entry
         self.targets.append(targets)
         self.names.append(key)
         self.params.append(params)
         self.tags.append(tag)
+        if kind is not None and len(rows) == PARSE_CHUNK:
+            self.convert(kind)
 
-    def convert(self) -> tuple[dict, np.ndarray, np.ndarray]:
-        """(stacks, sizes, slots) of the recorded rows.  Each kind's matrices
-        are converted and checked for unitarity PARSE_CHUNK entries at a
-        time, one stacked call each, and written into the stacks; a failed
-        check refuses the first fault in document order."""
+    def convert(self, kind: tuple) -> None:
+        """Convert and check the matrices of ``kind`` not yet converted, one
+        stacked call each, and keep their gates; a failed check refuses the
+        first fault in document order."""
+        name, size = kind
+        rows, raw = self.pending[kind]
+        if not rows:
+            return
+        self.pending[kind] = ([], [])
+        stack = _complex_stack(raw, 2 if name == "g" else size)
+        del raw
+        if stack is None or not np.all(unitarity_defect(stack) <= TOL_UNITARY):
+            if self.entries is None:
+                raise _Unstreamable
+            _refuse_first_fault(self.entries, "gates")
+        self.chunks[kind].append((np.array(rows), stack.reshape(len(rows), -1, *stack.shape[1:])))
+
+    def flush(self) -> None:
+        """Convert every kind's matrices not yet converted."""
+        for kind in self.KINDS:
+            self.convert(kind)
+
+    def circuit(self, n: int, metadata: dict) -> Circuit:
+        """The circuit of the recorded rows on ``n`` qubits.  The targets of
+        every row are checked at once for range and repeats."""
+        self.flush()
         arity = np.fromiter(map(len, self.targets), dtype=np.uint8, count=len(self.targets))
         sizes = 2**arity
         slots = np.empty(len(sizes), dtype=np.int64)
@@ -298,20 +342,29 @@ class _DocumentParser:
             mine = sizes == size
             slots[mine] = np.arange(np.count_nonzero(mine))
             stacks[size] = np.empty((np.count_nonzero(mine), size, size), dtype=complex)
-        for (name, size), per in self.KINDS.items():
-            rows, raw = self.rows[(name, size)], self.raw[(name, size)]
-            for c in range(0, len(rows), PARSE_CHUNK):
-                stack = _complex_stack(raw[per * c : per * (c + PARSE_CHUNK)], 2 if name == "g" else size)
-                if stack is None or not np.all(unitarity_defect(stack) <= TOL_UNITARY):
-                    _refuse_first_fault(self.entries, "gates")
-                mats = stack.reshape(-1, per, *stack.shape[1:])
-                gates = assemble_pp(mats[:, 0], mats[:, 1]) if name == "g" else mats[:, 0]
-                stacks[size][slots[rows[c : c + PARSE_CHUNK]]] = gates
+        for (name, size), chunks in self.chunks.items():
+            while chunks:
+                rows, mats = chunks.pop()
+                stacks[size][slots[rows]] = assemble_pp(mats[:, 0], mats[:, 1]) if name == "g" else mats[:, 0]
         for gate, row in zip(self.library_gates, self.library_rows):
             stacks[len(gate)][slots[row]] = gate
         for stack in stacks.values():
             stack.flags.writeable = False
-        return stacks, sizes, slots
+        flat = list(itertools.chain.from_iterable(self.targets))
+        if flat and (min(flat) < 0 or max(flat) >= n):
+            _refuse_targets(self, n)
+        # Each row's (first, last) target; a one-qubit row's qubit twice.
+        ends = np.cumsum(arity, dtype=np.intp)
+        targets = index_array(flat)[np.stack([ends - arity, ends - 1], axis=1)]
+        if np.any((sizes == 4) & (targets[:, 0] == targets[:, 1])):
+            _refuse_targets(self, n)
+        columns = Columns(stacks, sizes, slots, targets, self.names, self.params, self.tags)
+        return Circuit.from_columns(n, columns, self.groups, metadata=dict(metadata))
+
+
+class _Unstreamable(Exception):
+    """A fault met while a document's entries are streamed, which the parse
+    of the whole decoded document words as a refusal."""
 
 
 # (matrix_in's name, the unitarity refusal's name) of each matrix of an entry.
@@ -344,9 +397,9 @@ def _refuse_first_fault(entries: list, where: str) -> None:
         raise AssertionError("a stacked check refused matrices that the per-entry check accepts")
 
 
-def parse_circuit_document(doc: dict) -> Circuit:
-    if not isinstance(doc, dict):
-        raise ParseError("circuit document must be a JSON object")
+def _top_level(doc: dict) -> tuple[int, dict]:
+    """The qubit count and metadata of a document's top-level object, after
+    its format version is checked."""
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
@@ -356,27 +409,22 @@ def parse_circuit_document(doc: dict) -> Circuit:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("'metadata' must be an object")
+    return n, metadata
+
+
+def parse_circuit_document(doc: dict) -> Circuit:
+    if not isinstance(doc, dict):
+        raise ParseError("circuit document must be a JSON object")
+    n, metadata = _top_level(doc)
     entries = doc.get("gates", [])
     parser = _DocumentParser(entries)
     try:
         parser.walk(entries, "gates")
     except (ParseError, TooLarge):
         # A fault in a matrix before this one is the first refusal.
-        parser.convert()
+        parser.flush()
         raise
-    stacks, sizes, slots = parser.convert()
-    # Every entry's targets in one check for range and repeats.
-    flat = list(itertools.chain.from_iterable(parser.targets))
-    if flat and (min(flat) < 0 or max(flat) >= n):
-        _refuse_targets(parser, n)
-    # Each row's (first, last) target; a one-qubit row's qubit twice.
-    arity = sizes.astype(np.intp) // 2
-    ends = np.cumsum(arity)
-    targets = index_array(flat)[np.stack([ends - arity, ends - 1], axis=1)]
-    if np.any((sizes == 4) & (targets[:, 0] == targets[:, 1])):
-        _refuse_targets(parser, n)
-    columns = Columns(stacks, sizes, slots, targets, parser.names, parser.params, parser.tags)
-    return Circuit.from_columns(n, columns, parser.groups, metadata=dict(metadata))
+    return parser.circuit(n, metadata)
 
 
 def _refuse_targets(parser: _DocumentParser, n: int) -> None:
@@ -457,30 +505,129 @@ def dumps_document(doc: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def _read_document(path: str) -> Any:
+# JSON's whitespace, which the decoder skips between tokens.
+_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _skip(text: str, i: int) -> int:
+    return _SPACE.match(text, i).end()
+
+
+# After an item of a JSON object or array: whitespace, then a comma and
+# whitespace, or the closing bracket.
+_AFTER = {close: re.compile(rf"[ \t\n\r]*(?:(,)[ \t\n\r]*|\{close})") for close in "]}"}
+
+
+def _separator(text: str, i: int, close: str) -> tuple[int, bool]:
+    """After an item of a JSON object or array ending at ``i``: the start
+    of the next item and False, or the index past ``close`` and True."""
+    after = _AFTER[close].match(text, i)
+    if after is None:
+        raise _Unstreamable
+    return after.end(), after[1] is None
+
+
+def _stream_circuit(text: str) -> Circuit:
+    """The circuit of a document's text, read member by member with the
+    'gates' list decoded one entry at a time into the parser.  Raises on any
+    fault, in no set order: text that is not one JSON object, a repeated
+    top-level key, or a refusal of the parse."""
+    parser = _DocumentParser(None)
+    top: dict = {}
+    streamed = False
+    i = _skip(text, 0)
+    if text[i] != "{":
+        raise _Unstreamable
+    i = _skip(text, i + 1)
+    done = text[i] == "}"
+    i += done
+    while not done:
+        if text[i] != '"':
+            raise _Unstreamable
+        key, i = _DECODE(text, i)
+        i = _skip(text, i)
+        if key in top or text[i] != ":":
+            raise _Unstreamable
+        i = _skip(text, i + 1)
+        if key == "gates" and text[i] == "[":
+            top[key], streamed = None, True
+            i = _skip(text, i + 1)
+            last = text[i] == "]"
+            i += last
+            k = 0
+            while not last:
+                entry, i = _DECODE(text, i)
+                parser.entry(entry, "gates", k)
+                i, last = _separator(text, i, "]")
+                k += 1
+        else:
+            top[key], i = _DECODE(text, i)
+        i, done = _separator(text, i, "}")
+    if _skip(text, i) != len(text):
+        raise _Unstreamable
+    if not streamed:
+        parser.walk(top.get("gates", []), "gates")
+    return parser.circuit(*_top_level(top))
+
+
+def _parse_whole(text: str, path: str) -> Circuit:
+    """The circuit of a document's text decoded whole, with the refusals of
+    :func:`parse_circuit_document`, after those of the JSON decoder and of a
+    repeated top-level key."""
+    pairs: list = []
+
+    def keep(members: list) -> dict:
+        # The decoder builds the top-level object last.
+        pairs[:] = members
+        return dict(members)
+
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
+        doc = json.loads(text, object_pairs_hook=keep)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read circuit {path!r}: {exc}") from exc
+    if isinstance(doc, dict):
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"circuit document repeats the top-level key {key!r}")
+            seen.add(key)
+    return parse_circuit_document(doc)
 
 
 def load_circuit(path: str) -> Circuit:
     """The circuit of the document at ``path``; ParseError when it cannot be
-    read or decoded, and :func:`parse_circuit_document`'s refusals.
+    read or decoded or repeats a top-level key, and
+    :func:`parse_circuit_document`'s refusals.
+
+    The text is read whole; its top-level object is read member by member,
+    and the 'gates' list decoded one entry at a time, each entry handed to
+    the parser as it is decoded (a 'repeat' entry with its body).  The text
+    is not read by blocks, where a number cut at a block's edge could
+    decode as a shorter valid number.  On any fault the text is decoded
+    whole and parsed as a dict, which words the refusal: the decoder's
+    first, then a repeated top-level key, then the parse's.  Objects inside
+    the entries keep json's rule that a repeated key's last value wins.
 
     The cyclic garbage collector is paused while the document is decoded
     and parsed, and the caller's collector state is restored on every exit.
-    A 2,000-entry document decodes into some 34,000 lists and dicts, none in
-    a cycle.  Creating them would set off dozens of collections, and the
-    older generations' walk the caller's whole heap.  The tree is freed by
-    reference counting before the collector resumes, so those passes would
-    have nothing to find.
+    Nothing the decoder or the parser builds forms a cycle, so a collection
+    set off by their allocations would have nothing to find, and the older
+    generations' would walk the caller's whole heap.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return parse_circuit_document(_read_document(path))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot read circuit {path!r}: {exc}") from exc
+        try:
+            return _stream_circuit(text)
+        except (_Unstreamable, MatchgatesError, ValueError, IndexError, RecursionError):
+            pass
+        return _parse_whole(text, path)
     finally:
         if enabled:
             gc.enable()

@@ -387,22 +387,66 @@ class TestCompileCommand:
         assert "entry 0 repeats 1 op(s) 1000000 times" in result.output
         assert f"past the cap of {LOGICAL_FLAT_OP_CAP}" in result.output
 
-    def test_failed_verification_exits_8_after_writing_its_output(self, runner, tmp_path):
+    def test_an_epsilon_below_the_rounding_resolution_is_a_usage_error(self, runner, tmp_path):
         # r = 7138963 repetitions: the ZZ residual meets the angle budget, but
-        # the folded product drifts the fidelity about 1e-9 away from 1, past
-        # epsilon.
+        # the folded product drifts the fidelity about 1e-9 away from 1.  Its
+        # 14,277,927 flat ops resolve no |1 - F| below 4 * 2**-52 each.
         logical = write_logical_cz(tmp_path)
-        out = str(tmp_path / "compiled.json")
+        out = tmp_path / "compiled.json"
         args = ["compile", "--input", logical, "--target", "NL(0,0,0.1)", "--epsilon", "4e-14", "--json"]
         result = runner.invoke(main, args + ["--skip-verify"])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["repetitions"] == 7138963
-        result = runner.invoke(main, args + ["--out", out])
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: --epsilon 4e-14 is below the verifier's rounding resolution 1.27e-08 "
+            "for 14277927 flat ops\n"
+        )
+        assert not out.exists()
+
+    def test_failed_verification_exits_8_after_writing_its_output(self, runner, tmp_path, monkeypatch):
+        # An Rz(0.1) on physical qubit 0 after the compiled circuit: a
+        # logical phase error of 1 - F about 2.5e-3.
+        def perturbed(*args, **kwargs):
+            compiled = compile_circuit(*args, **kwargs)
+            compiled.physical.append(gate_library("rz", (0.1,)), (0,), name="rz", params=(0.1,))
+            return compiled
+
+        monkeypatch.setattr(matchgates.cli, "compile_circuit", perturbed)
+        logical = write_logical_cz(tmp_path)
+        out = str(tmp_path / "compiled.json")
+        args = ["compile", "--input", logical, "--target", "SWAP", "--json", "--out", out]
+        result = runner.invoke(main, args)
         assert result.exit_code == 8, result.output
         summary = json.loads(result.output)
         assert summary["verification"]["passed"] is False
+        assert 1e-3 < 1 - summary["verification"]["fidelity"] < 1e-2
         assert summary["out"] == out
-        assert parse_circuit_document(json.loads(Path(out).read_text())).n == 4
+        assert load_circuit(out).flat_count() == summary["flat_op_count"]
+
+    @pytest.mark.parametrize("epsilon,code", [("1e-15", 2), ("1.3e-14", 2), ("1.4e-14", 0)])
+    def test_the_epsilon_floor_scales_with_the_flat_op_count(self, runner, tmp_path, epsilon, code):
+        # H(0), CNOT(0, 2), Rz(0.3) on the SWAP target: 15 exact flat ops,
+        # whose computed 1 - F is about 1.3e-15; the floor is 15 * 4 * 2**-52.
+        doc = {"format_version": 1, "qubits": 3, "gates": [
+            {"name": "h", "targets": [0]},
+            {"name": "cnot", "targets": [0, 2]},
+            {"name": "rz", "targets": [0], "params": [0.3]},
+        ]}
+        logical = write_doc(tmp_path, doc, "logical.json")
+        physical = str(tmp_path / "physical.json")
+        compiled = runner.invoke(main, ["compile", "--input", logical, "--target", "SWAP", "--out", physical, "--skip-verify"])
+        assert compiled.exit_code == 0, compiled.output
+        refusal = "is below the verifier's rounding resolution 1.33e-14 for 15 flat ops"
+        for args in (
+            ["compile", "--input", logical, "--target", "SWAP", "--epsilon", epsilon],
+            ["verify", "--logical", logical, "--physical", physical, "--epsilon", epsilon],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == code, result.output
+            assert (refusal in result.output) == (code == 2)
+            assert ("passed=True" in result.output) == (code == 0)
 
     def test_matchgate_target_exit_code(self, runner, tmp_path):
         bell = write_bell(tmp_path)
