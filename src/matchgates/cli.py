@@ -9,17 +9,20 @@ Exit codes are a stable contract:
        'g' block or 'matrix' entry is refused when it is parsed, with one
        text whichever command reads it, or an --epsilon below the
        verifier's rounding resolution, 4 * 2**-52 per flat op of the
-       physical circuit, in ``mgc verify`` or a verifying ``mgc compile``)
+       physical circuit, in ``mgc verify`` or a verifying ``mgc compile``,
+       or a physical document's provenance span that fails its check in
+       ``mgc verify``)
     3  target gate is a matchgate
     4  target gate is not parity-preserving
-    5  problem too large for the requested mode (e.g. verifying > 12 logical
-       qubits, more than 1,000,000 --mc-samples, or a document's 'repeat'
+    5  problem too large for the requested mode (e.g. verifying more than 10
+       logical qubits, or more than 8 for a physical document without
+       provenance, more than 1,000,000 --mc-samples, or a document's 'repeat'
        count past 10,000,000, ``circuits.REPEAT_CAP``)
     6  backend refusal (e.g. non-matchgate op on the ff backend)
     7  repetition synthesis failed within --r-max
-    8  verification failed (fidelity more than epsilon from 1 in ``mgc verify``, or
-       in ``mgc compile`` without --skip-verify; the summary and --out are
-       still written)
+    8  verification failed (|1 - fidelity|, plus the decoded mode's leakage
+       terms 2s + s^2, past epsilon, in ``mgc verify`` or in ``mgc compile``
+       without --skip-verify; the summary and --out are still written)
 
 The unitarity and classification thresholds are fixed at 1e-9
 (``gates.TOL_UNITARY`` and ``gates.TOL_CLASSIFY``); no option changes them.
@@ -232,7 +235,7 @@ def compile_cmd(input_path, target, epsilon, r_max, out, skip_verify, as_json):
     }
     if not skip_verify:
         try:
-            report = verify_compiled(compiled.physical, logical, epsilon)
+            report = verify_compiled(compiled.physical, logical, epsilon, compiled.provenance)
         except TooLarge as exc:
             raise TooLarge(f"{exc}; compile with --skip-verify") from exc
         summary["verification"] = {
@@ -344,12 +347,14 @@ def _load_side(path: str, side: str):
 @click.option("--json", "as_json", is_flag=True)
 @_exit_codes
 def verify(logical_path, physical_path, epsilon, as_json):
-    """Check a physical circuit against a logical one under the pair encoding:
-    exactly up to 8 logical qubits, on 8 fixed random states up to 12."""
+    """Check a physical circuit against a logical one under the pair encoding.
+    A document with the provenance that compile --out writes is decoded span
+    by span and certified up to 10 logical qubits; one without is checked
+    exactly up to 8."""
     check_epsilon(epsilon)
     logical = _load_side(logical_path, "logical")
     physical = _load_side(physical_path, "physical")
-    report = verify_compiled(physical, logical, epsilon)
+    report = verify_compiled(physical, logical, epsilon, physical.metadata.get("provenance"))
 
     def render(r):
         click.echo(

@@ -84,7 +84,7 @@ from .gates import (
     nl,
     phase_rz,
 )
-from .statevector import UNITARY_QUBIT_CAP, propagate
+from .statevector import UNITARY_QUBIT_CAP, circuit_unitary, propagate
 
 # Largest repetition count searched per logical CZ; near-rational ZZ
 # strengths can need millions.  A schedule's repeat group holds r - 1 uses,
@@ -94,9 +94,11 @@ LOGICAL_QUBIT_CAP = 16
 # Logical ops, with repeat groups expanded, that one compile writes out; the
 # lowered body of a group is appended once per repetition.
 LOGICAL_FLAT_OP_CAP = 100_000
-# Random states that verify checks past the exact mode's size, and their seed.
-VERIFY_SAMPLES = 8
-VERIFY_SEED = 7
+# Logical qubits that verify takes without provenance, where it pushes 2^L
+# encoded columns of 4^L amplitudes (8^L within 4^UNITARY_QUBIT_CAP), and
+# with provenance, where it composes 2^L x 2^L logical blocks.
+EXACT_QUBIT_CAP = 2 * UNITARY_QUBIT_CAP // 3
+DECODED_QUBIT_CAP = 10
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
 
@@ -240,8 +242,13 @@ def plan_entangler(
     lo, chunk = 1, 2**10
     while lo <= r_max:
         hi = min(lo + chunk - 1, r_max)
-        r_values = np.arange(lo, hi + 1, dtype=np.float64)
-        dist = np.abs(np.mod(r_values * c_eff, _HALF_PI) - _QUARTER_PI)
+        # One array worked in place: a chunk's temporaries set a compile's
+        # memory peak at a few thousand repetitions.
+        dist = np.arange(lo, hi + 1, dtype=np.float64)
+        dist *= c_eff
+        np.mod(dist, _HALF_PI, out=dist)
+        dist -= _QUARTER_PI
+        np.abs(dist, out=dist)
         hits = np.flatnonzero(dist <= epsilon)
         if hits.size:
             r = lo + int(hits[0])
@@ -538,30 +545,229 @@ def check_resolution(epsilon: float, physical: Circuit) -> None:
         )
 
 
-def spectral_norm(block: np.ndarray) -> float:
-    """Largest singular value of an (m, k) block: the square root of the
-    largest eigenvalue of its k x k Gram matrix, which costs less than an
-    SVD of the block."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(block.conj().T @ block)[-1], 0.0)))
+def spectral_norm(block: np.ndarray) -> np.ndarray:
+    """Largest singular value of an (m, k) block, or of each block of a
+    stack of them: the square root of the largest eigenvalue of its k x k
+    Gram matrix, which costs less than an SVD of the block."""
+    gram = np.swapaxes(block.conj(), -1, -2) @ block
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
-def verify(physical: Circuit, logical: Circuit, epsilon: float | None = None) -> VerificationReport:
+# The kinds of provenance span the compiler writes, and the logical qubits
+# each acts on.
+SPAN_WIDTHS = {"1q": 1, "cz": 2, "swap": 2}
+# Per span width k: the code's indices among the 4^k basis states of the
+# span's 2k physical qubits, and the other indices.
+_CODE = {k: np.array([Encoding(k).encode_index(x) for x in range(2**k)]) for k in (1, 2)}
+_OUTSIDE = {k: np.array([i for i in range(4**k) if i not in code.tolist()]) for k, code in _CODE.items()}
+# The code's basis states on those qubits, as the columns a span is run on.
+_CODE_COLUMNS = {k: np.eye(4**k, dtype=complex)[:, code] for k, code in _CODE.items()}
+
+
+def _is_index_list(value, length: int) -> bool:
+    return type(value) is list and list(map(type, value)) == [int] * length
+
+
+def _first_slots(stack: np.ndarray) -> list[int]:
+    """For each slot of a gate stack, the first slot holding the same
+    matrix."""
+    seen: dict = {}
+    return [seen.setdefault(gate.tobytes(), slot) for slot, gate in enumerate(stack)]
+
+
+def check_provenance(provenance, physical: Circuit, logical_qubits: int) -> list[tuple]:
+    """The spans of ``provenance``, a compile's span records, over the
+    top-level entries of ``physical``: each (first logical qubit, width k,
+    start row, stop row, groups, rows).  ``groups`` holds the span's repeat
+    groups relative to its start row, and ``rows`` each row's (matrix size,
+    slot, first target, last target), the slot the first that holds the
+    row's matrix and the targets relative to the span's first physical
+    qubit.  So two spans with equal matrices on equal relative targets hold
+    equal rows, whether the circuit was compiled, where rows share slots, or
+    loaded, where each row has its own.
+
+    Provenance read from a document is untrusted, so every span is checked
+    before it is used, and ParseError names the first that fails: a record
+    that is not an object; a ``kind`` the compiler does not write;
+    ``qubits`` that are not the kind's k adjacent logical qubits in range;
+    ``physical_ops`` that is not a nonempty [start, stop) range of entries
+    that begins where the span before it ends; or a row that acts outside
+    the 2k physical qubits of the span's logical qubits.  The spans must
+    end at the last entry.
+    """
+    if not isinstance(provenance, list):
+        raise ParseError(f"provenance must be a list of spans, got {type(provenance).__name__}")
+    entries = list(entry_spans(physical.groups, physical.rows))
+    col = physical.columns
+    first = {size: _first_slots(stack) for size, stack in col.stacks.items()}
+    sizes, targets = col.sizes.tolist(), col.targets.tolist()
+    slots = [first[size][slot] for size, slot in zip(sizes, col.slots.tolist())]
+    lows, highs = col.targets.min(axis=1).tolist(), col.targets.max(axis=1).tolist()
+    spans = []
+    end = 0
+    for i, span in enumerate(provenance):
+        where = f"provenance[{i}]"
+        if type(span) is not dict:
+            raise ParseError(f"{where}: a span must be an object")
+        kind, qubits, ops = span.get("kind"), span.get("qubits"), span.get("physical_ops")
+        if not isinstance(kind, str) or kind not in SPAN_WIDTHS:
+            raise ParseError(f"{where}: 'kind' must be one of {', '.join(SPAN_WIDTHS)}, got {kind!r}")
+        k = SPAN_WIDTHS[kind]
+        if not (_is_index_list(qubits, k) and 0 <= qubits[0] and qubits[-1] == qubits[0] + k - 1 < logical_qubits):
+            raise ParseError(
+                f"{where}: a {kind!r} span acts on {k} adjacent logical qubit(s) of {logical_qubits}, "
+                f"got 'qubits' {qubits!r}"
+            )
+        if not _is_index_list(ops, 2):
+            raise ParseError(f"{where}: 'physical_ops' must be [start, stop], got {ops!r}")
+        start, stop = ops
+        if start > end:
+            raise ParseError(f"{where}: 'physical_ops' {ops} leaves entries {end}..{start - 1} in no span")
+        if start < end:
+            raise ParseError(f"{where}: 'physical_ops' {ops} overlaps the span before it, which ends at entry {end}")
+        if not start < stop <= len(entries):
+            raise ParseError(
+                f"{where}: 'physical_ops' {ops} is not a nonempty range of the {len(entries)} top-level entries"
+            )
+        row0, row1 = entries[start][0], entries[stop - 1][1]
+        low, width = 2 * qubits[0], 2 * k
+        if min(lows[row0:row1]) < low or max(highs[row0:row1]) >= low + width:
+            stray = next(r for r in range(row0, row1) if not low <= lows[r] <= highs[r] < low + width)
+            raise ParseError(
+                f"{where}: {physical.describe(stray)} acts outside physical qubits {low}..{low + width - 1}"
+            )
+        rows = tuple((size, slot, a - low, b - low)
+                     for size, slot, (a, b) in zip(sizes[row0:row1], slots[row0:row1], targets[row0:row1]))
+        groups = tuple((a - row0, b - row0, count) for a, b, count, grouped in entries[start:stop] if grouped)
+        spans.append((qubits[0], k, row0, row1, groups, rows))
+        end = stop
+    if end != len(entries):
+        raise ParseError(f"provenance: the spans end at entry {end} of the {len(entries)} top-level entries")
+    return spans
+
+
+def _apply_adjacent(block: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
+    """Left-multiply a (2^n, m) array by ``gate`` on the adjacent qubits
+    from ``first``: a product on the middle axis of a (2^first, d, rest)
+    view, with no transpose."""
+    return (gate @ block.reshape(2**first, len(gate), -1)).reshape(block.shape)
+
+
+def _apply_row(block: np.ndarray, stacks: dict, row: tuple, low: int) -> np.ndarray:
+    """:func:`_apply_adjacent` of a :func:`check_provenance` row whose
+    targets count from ``low``.  A two-qubit row whose targets are not
+    ascending neighbours is first widened to the unitary of the qubits
+    between them; the compiler writes none."""
+    size, slot, a, b = row
+    gate, a, b = stacks[size][slot], a - low, b - low
+    if a != b and b != a + 1:
+        first = min(a, b)
+        wide = Circuit(abs(b - a) + 1)
+        wide.append(gate, (a - first, b - first))
+        gate, a = circuit_unitary(wide), first
+    return _apply_adjacent(block, gate, a)
+
+
+def _run_span(columns: np.ndarray, stacks: dict, rows: tuple, groups: tuple) -> np.ndarray:
+    """Left-multiply a (4^k, m) array on a span's 2k physical qubits by the
+    span's ``rows`` (:func:`check_provenance`).  Each repeat group becomes
+    one matrix on the qubits its rows span, the body's product raised to
+    the group's count, as :func:`propagate` folds it."""
+    for start, stop, count, _ in entry_spans(list(groups), len(rows)):
+        body = rows[start:stop]
+        if count > 1:
+            low = min(min(row[2:]) for row in body)
+            power = np.eye(2 ** (max(max(row[2:]) for row in body) - low + 1), dtype=complex)
+            for row in body:
+                power = _apply_row(power, stacks, row, low)
+            columns = _apply_adjacent(columns, np.linalg.matrix_power(power, count), low)
+            continue
+        for row in body:
+            columns = _apply_row(columns, stacks, row, 0)
+    return columns
+
+
+def _decode(physical: Circuit, spans: list) -> tuple[list, float]:
+    """The code block D = U[code, code] of each of ``spans``
+    (:func:`check_provenance`), with its first logical qubit, and the sum
+    over the spans of their leakage, the spectral norm of U[outside, code];
+    U is a span's rows run on its 2k physical qubits.
+
+    Each distinct span (its width, groups and rows) is decoded once: a lone
+    4 x 4 row on one logical qubit's pair is read off its gate, any other
+    span is run from its code columns with its groups folded.  The
+    leakages of the distinct spans of one width come from one stacked Gram
+    eigvalsh, skipped when no column leaves the code, and each counts once
+    per use.
+    """
+    stacks = physical.columns.stacks
+    templates: dict = {}
+    found: dict = {1: [], 2: []}
+    picks = []
+    for _, k, _, _, groups, rows in spans:
+        pick = templates.get((k, groups, rows))
+        if pick is None:
+            pick = templates[k, groups, rows] = (k, len(found[k]))
+            found[k].append((groups, rows))
+        picks.append(pick)
+    blocks, leaks = {}, {}
+    for k, distinct in found.items():
+        if not distinct:
+            continue
+        u = np.empty((len(distinct), 4**k, 2**k), dtype=complex)
+        direct = {i: rows[0][1] for i, (groups, rows) in enumerate(distinct)
+                  if k == 1 and not groups and len(rows) == 1 and rows[0][0] == 4 and rows[0][2:] == (0, 1)}
+        if direct:
+            u[list(direct)] = stacks[4][list(direct.values())][:, :, _CODE[1]]
+        for i, (groups, rows) in enumerate(distinct):
+            if i not in direct:
+                u[i] = _run_span(_CODE_COLUMNS[k], stacks, rows, groups)
+        blocks[k] = u[:, _CODE[k]]
+        outside = u[:, _OUTSIDE[k]]
+        leaks[k] = spectral_norm(outside).tolist() if outside.any() else [0.0] * len(distinct)
+    gates = [(blocks[k][i], q) for (q, *_), (k, i) in zip(spans, picks)]
+    return gates, sum((leaks[k][i] for k, i in picks), 0.0)
+
+
+def _encoded_columns(code_rows: list) -> np.ndarray:
+    """The logical basis states on the encoded rows: a (4^L, 2^L) block."""
+    cols = np.zeros((len(code_rows) ** 2, len(code_rows)), dtype=complex)
+    cols[code_rows, np.arange(len(code_rows))] = 1.0
+    return cols
+
+
+def verify(
+    physical: Circuit, logical: Circuit, epsilon: float | None = None, provenance: list | None = None
+) -> VerificationReport:
     """Compare the physical circuit, restricted to the encoded subspace,
     against the logical circuit (up to global phase).
 
-    Logical columns Psi are scattered onto the encoded rows and pushed
-    through the physical circuit.  Rows inside the code are compared with
-    the logical circuit applied to Psi; rows outside are leakage (spectral
-    norm).  While the 2^(2L) x 2^L block fits in 4^UNITARY_QUBIT_CAP
-    amplitudes (L <= 8), Psi = I and the check is exact.  Past that,
-    VERIFY_SAMPLES random states drawn with VERIFY_SEED are pushed one at a
-    time and the worst is reported.  ParseError is raised unless the
-    physical circuit has 2L qubits, TooLarge when one state exceeds the
-    cap (L > 12), and then ParseError for an ``epsilon`` below the
-    rounding resolution (:func:`check_resolution`).  No op is checked: both circuits hold only
-    admitted ops (see ``matchgates.circuits``).  ``passed`` is None without
-    ``epsilon`` and otherwise needs |1 - fidelity| <= epsilon: a fidelity
-    above 1 is the drift of a folded power, not a better circuit.
+    With ``provenance``, the compile's span records, the mode is
+    "decoded".  The spans are checked (:func:`check_provenance`); each
+    distinct span is run once on the code columns of its 2k <= 4 physical
+    qubits and read off as its code block D and its leakage
+    (:func:`_decode`).  The blocks are composed on a 2^L x 2^L logical
+    block, which is compared with the logical circuit's.  ``leakage`` is the
+    sum s of the spans' leakages, which bounds the true leakage, and the
+    computed fidelity is within 2s + s^2 of the true one (insert the code
+    projector between spans and telescope), so ``passed`` needs
+    |1 - fidelity| + 2s + s^2 <= epsilon: the result is a certificate.  Up
+    to DECODED_QUBIT_CAP logical qubits.
+
+    Without it, the mode is "exact": the 2^L logical basis states are
+    encoded and pushed through the physical circuit.  Rows inside the code
+    are compared with the logical circuit; rows outside are the leakage
+    (spectral norm), and ``passed`` needs |1 - fidelity| <= epsilon.  Up to
+    EXACT_QUBIT_CAP logical qubits, where the 4^L x 2^L block fits in
+    4^UNITARY_QUBIT_CAP amplitudes.
+
+    ParseError is raised unless the physical circuit has 2L qubits,
+    TooLarge past the mode's cap, then ParseError for an ``epsilon`` below
+    the rounding resolution (:func:`check_resolution`, over every physical
+    flat op in both modes), then ParseError naming a span that fails its
+    check.  No op is checked: both circuits hold only admitted ops (see
+    ``matchgates.circuits``).  ``passed`` is None without ``epsilon``; a
+    fidelity above 1 is the drift of a folded power, not a better circuit.
     """
     # Qubit counts are compared before any 2**n: at thousands of qubits the
     # amplitude count alone has thousands of digits.
@@ -570,49 +776,44 @@ def verify(physical: Circuit, logical: Circuit, epsilon: float | None = None) ->
             f"physical circuit has {physical.n} qubits; expected {2 * logical.n} "
             f"for {logical.n} logical qubits"
         )
-    if logical.n > UNITARY_QUBIT_CAP:
+    n = logical.n
+    if provenance is None and n > EXACT_QUBIT_CAP:
         raise TooLarge(
-            f"verifying {logical.n} logical qubits needs 4^{logical.n} amplitudes per state, "
-            f"over the cap of 4^{UNITARY_QUBIT_CAP}"
+            f"verifying {n} logical qubits without provenance needs 4^{n} amplitudes for each of "
+            f"2^{n} encoded states, over the cap of 4^{UNITARY_QUBIT_CAP} in all ({EXACT_QUBIT_CAP} logical qubits)"
+        )
+    if provenance is not None and n > DECODED_QUBIT_CAP:
+        raise TooLarge(
+            f"verifying {n} logical qubits composes a 2^{n} x 2^{n} logical block, "
+            f"over the cap of {DECODED_QUBIT_CAP} logical qubits"
         )
     if epsilon is not None:
         check_resolution(epsilon, physical)
-    enc = Encoding(logical.n)
-    cap, dim = 4**UNITARY_QUBIT_CAP, 2**physical.n
-    code_rows = [enc.encode_index(x) for x in range(2**logical.n)]
-
-    def encode(psi: np.ndarray) -> np.ndarray:
-        cols = np.zeros((dim, psi.shape[1]), dtype=complex)
-        cols[code_rows] = psi
-        return cols
-
-    def compare(psi: np.ndarray) -> tuple[float, float]:
-        """Fidelity and leakage of the logical columns ``psi``."""
-        ideal = propagate(logical, psi)
+    if provenance is None:
+        mode = "exact"
+        enc = Encoding(n)
+        code_rows = [enc.encode_index(x) for x in range(2**n)]
         # No local keeps the encoded block, so propagate can free it.
-        out = propagate(physical, encode(psi))
+        out = propagate(physical, _encoded_columns(code_rows))
         in_code = out[code_rows]
         out[code_rows] = 0.0
-        overlap = np.vdot(ideal, in_code) / np.vdot(psi, psi)
-        return float(abs(overlap) ** 2), spectral_norm(out)
-
-    if dim * 2**logical.n <= cap:
-        fidelity, leakage = compare(np.eye(2**logical.n, dtype=complex))
-        mode = "exact"
+        leakage, bound = float(spectral_norm(out)), 0.0
+        del out
     else:
-        rng = np.random.default_rng(VERIFY_SEED)
-        results = []
-        for _ in range(VERIFY_SAMPLES):
-            psi = rng.normal(size=2**logical.n) + 1j * rng.normal(size=2**logical.n)
-            results.append(compare((psi / np.linalg.norm(psi))[:, None]))
-        fidelities, leakages = zip(*results)
-        fidelity, leakage, mode = min(fidelities), max(leakages), "sampled"
+        mode = "decoded"
+        gates, leakage = _decode(physical, check_provenance(provenance, physical, n))
+        in_code = np.eye(2**n, dtype=complex)
+        for gate, q in gates:
+            in_code = _apply_adjacent(in_code, gate, q)
+        bound = 2 * leakage + leakage**2
+    ideal = propagate(logical, np.eye(2**n, dtype=complex))
+    fidelity = float(abs(np.vdot(ideal, in_code) / 2**n) ** 2)
     return VerificationReport(
         mode=mode,
         fidelity=fidelity,
         leakage=leakage,
         epsilon=epsilon,
-        passed=None if epsilon is None else abs(1.0 - fidelity) <= epsilon,
+        passed=None if epsilon is None else abs(1.0 - fidelity) + bound <= epsilon,
         target_uses=count_target_uses(physical),
         flat_op_count=physical.flat_count(),
     )

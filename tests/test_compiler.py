@@ -28,6 +28,7 @@ from matchgates.errors import (
     SynthesisError,
     TargetIsMatchgate,
     TargetNotPP,
+    TooLarge,
     UnsupportedLogicalGate,
 )
 from matchgates.gates import (
@@ -629,30 +630,35 @@ class TestVerify:
         assert rep.passed is False
         assert verify(physical, logical, epsilon=3e-4).passed is True
 
-    def test_sampled_mode_agrees_with_exact(self):
-        # Past 8 logical qubits the exact block no longer fits; the SWAP
-        # target compiles every CZ exactly, so each sampled state has
-        # fidelity 1 and no leakage.
-        rng = np.random.default_rng(78)
-        logical = random_logical_circuit(rng, 9, 4)
+    @pytest.mark.parametrize("n_logical", [9, 10])
+    def test_decoded_mode_past_the_exact_cap(self, n_logical):
+        # Past 8 logical qubits only provenance verifies.  The SWAP target
+        # compiles the CZ routed across every qubit exactly, so the decoded
+        # fidelity is 1; an Rz(0.1) pair on physical qubits (0, 1), added as
+        # a one-qubit span, is seen.
+        logical = Circuit(n_logical)
+        logical.append(H, (0,))
+        logical.append(CZ, (0, n_logical - 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        sampled = verify(comp.physical, logical)
-        assert sampled.mode == "sampled"
-        assert sampled.fidelity >= 1 - 1e-9
-        assert sampled.leakage <= 1e-9
+        with pytest.raises(TooLarge, match=f"needs 4\\^{n_logical} amplitudes"):
+            verify(comp.physical, logical, 1e-6)
+        rep = verify(comp.physical, logical, 1e-6, comp.provenance)
+        assert rep.mode == "decoded" and rep.passed is True
+        assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert rep.leakage <= 1e-12
+        entries = comp.provenance[-1]["physical_ops"][1]
+        comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (0, 1))
+        span = {"logical_op": 2, "kind": "1q", "qubits": [0], "physical_ops": [entries, entries + 1]}
+        bad = verify(comp.physical, logical, 1e-6, comp.provenance + [span])
+        assert bad.mode == "decoded" and bad.passed is False
+        assert rep.fidelity - bad.fidelity > 1e-3
 
-    def test_sampled_mode_used_beyond_cap(self):
-        logical = Circuit(9)
+    def test_decoded_mode_refuses_eleven_logical_qubits(self):
+        logical = Circuit(11)
         logical.append(CZ, (0, 1), name="cz")
         comp = compile_circuit(logical, gate_library("SWAP"), 1e-6)
-        rep = verify(comp.physical, logical)
-        assert rep.mode == "sampled"
-        assert rep.fidelity >= 1 - 1e-9
-        assert rep.leakage <= 1e-9
-        comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (0, 1))
-        bad = verify(comp.physical, logical)
-        assert bad.mode == "sampled"
-        assert rep.fidelity - bad.fidelity > 1e-3
+        with pytest.raises(TooLarge, match="over the cap of 10 logical qubits"):
+            verify(comp.physical, logical, 1e-6, comp.provenance)
 
     @pytest.mark.parametrize("physical_qubits", [2, 3, 8])
     def test_physical_without_two_qubits_per_logical_is_refused(self, physical_qubits):

@@ -369,7 +369,7 @@ class TestCompileCommand:
             result = runner.invoke(main, ["compile", "--input", path, "--target", target, "--json"])
             assert result.exit_code == 0, result.output
             outputs.append(json.loads(result.output))
-        assert outputs[0]["verification"]["mode"] == "exact"
+        assert outputs[0]["verification"]["mode"] == "decoded"
         assert outputs[0]["verification"]["passed"] is True
         assert outputs[0]["target_uses"] > 0
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
@@ -410,7 +410,11 @@ class TestCompileCommand:
         # logical phase error of 1 - F about 2.5e-3.
         def perturbed(*args, **kwargs):
             compiled = compile_circuit(*args, **kwargs)
+            entries = compiled.provenance[-1]["physical_ops"][1]
             compiled.physical.append(gate_library("rz", (0.1,)), (0,), name="rz", params=(0.1,))
+            compiled.provenance.append(
+                {"logical_op": 1, "kind": "1q", "qubits": [0], "physical_ops": [entries, entries + 1]}
+            )
             return compiled
 
         monkeypatch.setattr(matchgates.cli, "compile_circuit", perturbed)
