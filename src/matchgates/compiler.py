@@ -84,7 +84,7 @@ from .gates import (
     nl,
     phase_rz,
 )
-from .statevector import UNITARY_QUBIT_CAP, circuit_unitary, propagate
+from .statevector import UNITARY_QUBIT_CAP, propagate
 
 # Largest repetition count searched per logical CZ; near-rational ZZ
 # strengths can need millions.  A schedule's repeat group holds r - 1 uses,
@@ -553,15 +553,30 @@ def spectral_norm(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
+def _code(k: int) -> np.ndarray:
+    """The code's indices among the 4^k basis states of 2k physical qubits,
+    logical basis state x at position x."""
+    enc = Encoding(k)
+    return np.array([enc.encode_index(x) for x in range(2**k)])
+
+
+def _code_columns(k: int) -> np.ndarray:
+    """The encoded logical basis states of k logical qubits, as the columns
+    of a (4^k, 2^k) block on their 2k physical qubits."""
+    columns = np.zeros((4**k, 2**k), dtype=complex)
+    columns[_code(k), np.arange(2**k)] = 1.0
+    return columns
+
+
 # The kinds of provenance span the compiler writes, and the logical qubits
 # each acts on.
 SPAN_WIDTHS = {"1q": 1, "cz": 2, "swap": 2}
 # Per span width k: the code's indices among the 4^k basis states of the
-# span's 2k physical qubits, and the other indices.
-_CODE = {k: np.array([Encoding(k).encode_index(x) for x in range(2**k)]) for k in (1, 2)}
+# span's 2k physical qubits, the other indices, and the code's basis states
+# as the columns a span is run on.
+_CODE = {k: _code(k) for k in (1, 2)}
 _OUTSIDE = {k: np.array([i for i in range(4**k) if i not in code.tolist()]) for k, code in _CODE.items()}
-# The code's basis states on those qubits, as the columns a span is run on.
-_CODE_COLUMNS = {k: np.eye(4**k, dtype=complex)[:, code] for k, code in _CODE.items()}
+_CODE_COLUMNS = {k: _code_columns(k) for k in (1, 2)}
 
 
 def _is_index_list(value, length: int) -> bool:
@@ -649,42 +664,19 @@ def check_provenance(provenance, physical: Circuit, logical_qubits: int) -> list
 def _apply_adjacent(block: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
     """Left-multiply a (2^n, m) array by ``gate`` on the adjacent qubits
     from ``first``: a product on the middle axis of a (2^first, d, rest)
-    view, with no transpose."""
+    view, with no transpose.  It composes the decoded code blocks of
+    :func:`_decode` on 2^L; they are contractions, not admitted ops, so no
+    :class:`Circuit` may hold them."""
     return (gate @ block.reshape(2**first, len(gate), -1)).reshape(block.shape)
 
 
-def _apply_row(block: np.ndarray, stacks: dict, row: tuple, low: int) -> np.ndarray:
-    """:func:`_apply_adjacent` of a :func:`check_provenance` row whose
-    targets count from ``low``.  A two-qubit row whose targets are not
-    ascending neighbours is first widened to the unitary of the qubits
-    between them; the compiler writes none."""
-    size, slot, a, b = row
-    gate, a, b = stacks[size][slot], a - low, b - low
-    if a != b and b != a + 1:
-        first = min(a, b)
-        wide = Circuit(abs(b - a) + 1)
-        wide.append(gate, (a - first, b - first))
-        gate, a = circuit_unitary(wide), first
-    return _apply_adjacent(block, gate, a)
-
-
-def _run_span(columns: np.ndarray, stacks: dict, rows: tuple, groups: tuple) -> np.ndarray:
-    """Left-multiply a (4^k, m) array on a span's 2k physical qubits by the
-    span's ``rows`` (:func:`check_provenance`).  Each repeat group becomes
-    one matrix on the qubits its rows span, the body's product raised to
-    the group's count, as :func:`propagate` folds it."""
-    for start, stop, count, _ in entry_spans(list(groups), len(rows)):
-        body = rows[start:stop]
-        if count > 1:
-            low = min(min(row[2:]) for row in body)
-            power = np.eye(2 ** (max(max(row[2:]) for row in body) - low + 1), dtype=complex)
-            for row in body:
-                power = _apply_row(power, stacks, row, low)
-            columns = _apply_adjacent(columns, np.linalg.matrix_power(power, count), low)
-            continue
-        for row in body:
-            columns = _apply_row(columns, stacks, row, 0)
-    return columns
+def _span_circuit(stacks: dict, k: int, groups: tuple, rows: tuple) -> Circuit:
+    """The ``rows`` and ``groups`` of a :func:`check_provenance` span as a
+    circuit on its 2k physical qubits.  Its rows name slots of the physical
+    circuit's gate ``stacks``, so it holds only admitted ops."""
+    table, m = np.array(rows, dtype=np.int64), len(rows)
+    columns = Columns(stacks, table[:, 0], table[:, 1], table[:, 2:], [None] * m, [()] * m, [None] * m)
+    return Circuit.from_columns(2 * k, columns, groups)
 
 
 def _decode(physical: Circuit, spans: list) -> tuple[list, float]:
@@ -695,10 +687,10 @@ def _decode(physical: Circuit, spans: list) -> tuple[list, float]:
 
     Each distinct span (its width, groups and rows) is decoded once: a lone
     4 x 4 row on one logical qubit's pair is read off its gate, any other
-    span is run from its code columns with its groups folded.  The
-    leakages of the distinct spans of one width come from one stacked Gram
-    eigvalsh, skipped when no column leaves the code, and each counts once
-    per use.
+    span is run from its code columns through :func:`propagate`, which
+    folds its repeat groups.  The leakages of the distinct spans of one
+    width come from one stacked Gram eigvalsh, skipped when no column
+    leaves the code, and each counts once per use.
     """
     stacks = physical.columns.stacks
     templates: dict = {}
@@ -721,19 +713,12 @@ def _decode(physical: Circuit, spans: list) -> tuple[list, float]:
             u[list(direct)] = stacks[4][list(direct.values())][:, :, _CODE[1]]
         for i, (groups, rows) in enumerate(distinct):
             if i not in direct:
-                u[i] = _run_span(_CODE_COLUMNS[k], stacks, rows, groups)
+                u[i] = propagate(_span_circuit(stacks, k, groups, rows), _CODE_COLUMNS[k])
         blocks[k] = u[:, _CODE[k]]
         outside = u[:, _OUTSIDE[k]]
         leaks[k] = spectral_norm(outside).tolist() if outside.any() else [0.0] * len(distinct)
     gates = [(blocks[k][i], q) for (q, *_), (k, i) in zip(spans, picks)]
     return gates, sum((leaks[k][i] for k, i in picks), 0.0)
-
-
-def _encoded_columns(code_rows: list) -> np.ndarray:
-    """The logical basis states on the encoded rows: a (4^L, 2^L) block."""
-    cols = np.zeros((len(code_rows) ** 2, len(code_rows)), dtype=complex)
-    cols[code_rows, np.arange(len(code_rows))] = 1.0
-    return cols
 
 
 def verify(
@@ -744,22 +729,22 @@ def verify(
 
     With ``provenance``, the compile's span records, the mode is
     "decoded".  The spans are checked (:func:`check_provenance`); each
-    distinct span is run once on the code columns of its 2k <= 4 physical
-    qubits and read off as its code block D and its leakage
-    (:func:`_decode`).  The blocks are composed on a 2^L x 2^L logical
-    block, which is compared with the logical circuit's.  ``leakage`` is the
-    sum s of the spans' leakages, which bounds the true leakage, and the
-    computed fidelity is within 2s + s^2 of the true one (insert the code
-    projector between spans and telescope), so ``passed`` needs
-    |1 - fidelity| + 2s + s^2 <= epsilon: the result is a certificate.  Up
-    to DECODED_QUBIT_CAP logical qubits.
+    distinct span is run once through :func:`propagate` on the code columns
+    of its 2k <= 4 physical qubits and read off as its code block D and its
+    leakage (:func:`_decode`).  The blocks are composed on a 2^L x 2^L
+    logical block, which is compared with the logical circuit's.
+    ``leakage`` is the sum s of the spans' leakages, which bounds the true
+    leakage, and the computed fidelity is within 2s + s^2 of the true one
+    (insert the code projector between spans and telescope), so ``passed``
+    needs |1 - fidelity| + 2s + s^2 <= epsilon: the result is a
+    certificate.  Up to DECODED_QUBIT_CAP logical qubits.
 
     Without it, the mode is "exact": the 2^L logical basis states are
-    encoded and pushed through the physical circuit.  Rows inside the code
-    are compared with the logical circuit; rows outside are the leakage
-    (spectral norm), and ``passed`` needs |1 - fidelity| <= epsilon.  Up to
-    EXACT_QUBIT_CAP logical qubits, where the 4^L x 2^L block fits in
-    4^UNITARY_QUBIT_CAP amplitudes.
+    encoded and pushed through the physical circuit by :func:`propagate`.
+    Rows inside the code are compared with the logical circuit; rows
+    outside are the leakage (spectral norm), and ``passed`` needs
+    |1 - fidelity| <= epsilon.  Up to EXACT_QUBIT_CAP logical qubits, where
+    the 4^L x 2^L block fits in 4^UNITARY_QUBIT_CAP amplitudes.
 
     ParseError is raised unless the physical circuit has 2L qubits,
     TooLarge past the mode's cap, then ParseError for an ``epsilon`` below
@@ -791,10 +776,9 @@ def verify(
         check_resolution(epsilon, physical)
     if provenance is None:
         mode = "exact"
-        enc = Encoding(n)
-        code_rows = [enc.encode_index(x) for x in range(2**n)]
+        code_rows = _code(n)
         # No local keeps the encoded block, so propagate can free it.
-        out = propagate(physical, _encoded_columns(code_rows))
+        out = propagate(physical, _code_columns(n))
         in_code = out[code_rows]
         out[code_rows] = 0.0
         leakage, bound = float(spectral_norm(out)), 0.0

@@ -1,7 +1,10 @@
 """Dense n-qubit statevector simulator.
 
 Serves as the exact oracle for the fermionic simulator and the compiler
-verifier, all three through :func:`propagate`.  Amplitude layout: basis
+verifier, all three through :func:`propagate`.  Both verifier modes run
+their physical rows through it: the exact mode the whole circuit on the
+encoded basis states, the decoded mode each distinct provenance span as a
+circuit of its own on its span's code columns.  Amplitude layout: basis
 index bit k is qubit k with qubit 0 the most-significant bit, matching the
 two-qubit gate convention.
 

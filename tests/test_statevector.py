@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, RepeatedSegment
+from matchgates.circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, RepeatedSegment
 from matchgates.errors import BadTargets, NonUnitaryInput, TooLarge
 from matchgates.gates import H, I2, X, build_pp, gate_library, kron
 from matchgates.statevector import (
@@ -271,6 +271,34 @@ class TestKernelAgainstKroneckerOracle:
             out = propagate(circ, columns)
             assert np.max(np.abs(out - expected @ columns)) < 1e-12
             assert np.array_equal(columns, before)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_propagate_reads_rows_by_slot_from_columns(self, n):
+        # The rows run twice, written in one from_columns call: the second
+        # pass names the first pass's stack slots, and an unused gate sits
+        # before every slot a row names.
+        rng = np.random.default_rng(300 + n)
+        circ, expected = random_circuit(rng, n, 16)
+        col, rows = circ.columns, circ.rows
+        stacks = {}
+        for size, stack in col.stacks.items():
+            stacks[size] = np.empty((2 * len(stack), size, size), dtype=complex)
+            stacks[size][0::2], stacks[size][1::2] = haar_unitary(rng, size), stack
+        columns = Columns(
+            stacks,
+            np.concatenate([col.sizes, col.sizes]),
+            np.concatenate([2 * col.slots + 1] * 2),
+            np.vstack([col.targets, col.targets]),
+            col.names * 2,
+            col.params * 2,
+            col.tags * 2,
+        )
+        twice = Circuit.from_columns(n, columns, circ.groups + [(a + rows, b + rows, c) for a, b, c in circ.groups])
+        appended = Circuit(n, circ.ops + circ.ops)
+        columns = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        out = propagate(twice, columns)
+        assert np.array_equal(out, propagate(appended, columns))
+        assert np.max(np.abs(out - expected @ expected @ columns)) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_apply(self, n):
