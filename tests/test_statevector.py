@@ -12,7 +12,10 @@ from matchgates.gates import H, I2, X, build_pp, gate_library, kron
 from matchgates.statevector import (
     EXPANSION_CAP,
     FOLD_QUBIT_CAP,
+    FUSE_BLOCK_MIN,
+    FUSE_QUBIT_CAP,
     StateVector,
+    _lower,
     apply,
     circuit_unitary,
     expectation_z,
@@ -20,7 +23,7 @@ from matchgates.statevector import (
     run,
     sample,
 )
-from util import embed, flat, haar_unitary, random_matchgate_circuit
+from util import embed, flat, haar_unitary, per_row_propagate, random_matchgate_circuit
 
 
 def slow_embedding(gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -310,6 +313,71 @@ class TestKernelAgainstKroneckerOracle:
             out = apply(state, op.gate, op.targets)
             assert np.max(np.abs(out.amps - embed(op.gate, op.targets, n) @ state.amps)) < 1e-12
             state = out
+
+
+def local_op(rng: np.random.Generator, n: int) -> CircuitOp:
+    """A :func:`random_op` on three neighbouring qubits half the time, so
+    runs fill up, and on all n qubits otherwise."""
+    if rng.random() < 0.5:
+        lo = int(rng.integers(0, n - 2))
+        return random_op(rng, [lo, lo + 1, lo + 2])
+    return random_op(rng, list(range(n)))
+
+
+def random_columns(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    return rng.normal(size=(2**n, m)) + 1j * rng.normal(size=(2**n, m))
+
+
+def assert_per_row(circ: Circuit, columns: np.ndarray) -> None:
+    assert np.max(np.abs(propagate(circ, columns) - per_row_propagate(circ, columns))) < 1e-12
+
+
+class TestFusedRuns:
+    # A block of FUSE_BLOCK_MIN = 2^13 entries or more is fused into runs;
+    # a smaller one (every m = 1 case here) is run row by row.
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_random_rows_match_the_per_row_reference(self, n):
+        rng = np.random.default_rng(400 + n)
+        circ = Circuit(n, ops=[local_op(rng, n) for _ in range(60)])
+        assert len(list(_lower(circ, FUSE_QUBIT_CAP))) < circ.rows / 2
+        for m in (1, FUSE_BLOCK_MIN >> n, 2 * FUSE_BLOCK_MIN >> n):
+            assert_per_row(circ, random_columns(rng, n, m))
+
+    @pytest.mark.parametrize("m", [1, 32, 64])
+    def test_interleaved_groups_match_the_per_row_reference(self, m):
+        # Groups on 3 qubits fold; groups on 7 > FOLD_QUBIT_CAP expand.
+        n, rng = 8, np.random.default_rng(450 + m)
+        circ = Circuit(n)
+        for entry in range(6):
+            for _ in range(8):
+                circ.add(local_op(rng, n))
+            width = 3 if entry % 2 else FOLD_QUBIT_CAP + 1
+            lo = int(rng.integers(0, n - width + 1))
+            support = list(range(lo, lo + width))
+            body = [random_op(rng, support) for _ in range(2 * width)]
+            body += [CircuitOp(haar_unitary(rng, 2), (q,)) for q in support]
+            circ.append_segment(body, 2 + entry % 3)
+        circ.add(local_op(rng, n))
+        assert_per_row(circ, random_columns(rng, n, m))
+
+    def test_a_row_joins_an_older_run_past_a_newer_disjoint_run(self):
+        rng = np.random.default_rng(460)
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]
+        circ = Circuit(8, ops=[CircuitOp(haar_unitary(rng, 4), t) for t in pairs])
+        circ.append(haar_unitary(rng, 2), (0,))
+        assert [t for _, t in _lower(circ, FUSE_QUBIT_CAP)] == [(0, 1, 2, 3, 4), (5, 6, 7)]
+        assert_per_row(circ, random_columns(rng, 8, 32))
+
+    def test_a_row_does_not_move_past_a_run_on_one_of_its_qubits(self):
+        # (4, 0) fits the first run's qubits, but the second run holds qubit
+        # 4 and has no room left, so the row opens a third run.
+        rng = np.random.default_rng(461)
+        pairs = [(q, q + 1) for q in range(8)] + [(4, 0)]
+        circ = Circuit(9, ops=[CircuitOp(haar_unitary(rng, 4), t) for t in pairs])
+        lowered = list(_lower(circ, FUSE_QUBIT_CAP))
+        assert [t for _, t in lowered] == [(0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (4, 0)]
+        assert np.array_equal(lowered[2][0], circ.columns.stacks[4][8])
+        assert_per_row(circ, random_columns(rng, 9, 16))
 
 
 def traced_peak(fn, *args) -> int:

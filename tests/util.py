@@ -4,7 +4,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from matchgates import fermion
-from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment
+from matchgates.circuits import Circuit, CircuitOp, RepeatedSegment, entry_spans
 from matchgates.analysis import makhlin_invariants
 from matchgates.compiler import Encoding
 from matchgates.errors import (
@@ -88,6 +88,23 @@ def random_matchgate_circuit(
         site = int(rng.integers(0, n - 1))
         circuit.append(random_matchgate(rng), (site, site + 1))
     return circuit
+
+
+def per_row_propagate(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
+    """Reference for ``statevector.propagate``: every row contracted into the
+    block on its own with ``np.tensordot``, and every group expanded."""
+    n, col = circuit.n, circuit.columns
+    tensor = columns.reshape((2,) * n + (columns.shape[1],))
+    for start, stop, count, _ in entry_spans(circuit.groups, circuit.rows):
+        for _ in range(count):
+            for r in range(start, stop):
+                a, b = (int(q) for q in col.targets[r])
+                targets = [a] if a == b else [a, b]
+                k = len(targets)
+                gate = col.stacks[int(col.sizes[r])][int(col.slots[r])].reshape((2,) * (2 * k))
+                tensor = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), targets))
+                tensor = np.moveaxis(tensor, list(range(k)), targets)
+    return tensor.reshape(2**n, -1)
 
 
 def majorana_operators(n: int) -> list[np.ndarray]:
