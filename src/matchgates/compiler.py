@@ -43,24 +43,32 @@ one 4 x 4 gate stack holds the target, the FSWAP, R, W, L' and each
 lowered G(A, A) once, and every row is a slot in it and a first qubit.
 Each body op of a logical repeat group is lowered once, to spans (kind,
 logical qubits, rows), and its rows are written once per repetition, with
-one provenance entry per span; repetitions reuse the same slots.
+one provenance entry per span; repetitions reuse the same slots.  The
+provenance is a record for readers of the document: nothing here reads it.
 
 Error budget: each logical CZ or CNOT contributes a residual
 exp(i delta ZZ) with |delta| <= eps_angle, and the FSWAP routing adds none.
 The generators are traceless, so residuals enter the process fidelity only
 at second order; eps_angle = sqrt(epsilon)/(2 k) over k logical CZs and
 CNOTs keeps the total infidelity below epsilon.
+
+Verification (:func:`verify`) trusts nothing from a document but its rows.
+It splits the physical circuit into windows of adjacent logical qubits read
+off the rows' targets, decodes each distinct window once on the code, and
+composes the decoded blocks on 2^L; the windows' leakage bounds the error
+of that composition, so the result is a certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import NonlocalTriple, classify, nonlocal_from_pp, pp_params
-from .circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, entry_spans
+from .circuits import REPEAT_CAP, Circuit, CircuitOp, Columns, _read_only, entry_spans
 from .errors import (
     DecompositionFailure,
     NonUnitaryInput,
@@ -94,10 +102,10 @@ LOGICAL_QUBIT_CAP = 16
 # Logical ops, with repeat groups expanded, that one compile writes out; the
 # lowered body of a group is appended once per repetition.
 LOGICAL_FLAT_OP_CAP = 100_000
-# Logical qubits that verify takes without provenance, where it pushes 2^L
-# encoded columns of 4^L amplitudes (8^L within 4^UNITARY_QUBIT_CAP), and
-# with provenance, where it composes 2^L x 2^L logical blocks.
-EXACT_QUBIT_CAP = 2 * UNITARY_QUBIT_CAP // 3
+# Logical qubits that one verify window may span, where it pushes 2^k
+# encoded columns of 4^k amplitudes (8^k within 4^UNITARY_QUBIT_CAP), and
+# logical qubits that verify takes, where it composes 2^L x 2^L blocks.
+WINDOW_QUBIT_CAP = 2 * UNITARY_QUBIT_CAP // 3
 DECODED_QUBIT_CAP = 10
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
@@ -533,15 +541,20 @@ class VerificationReport:
 ROUNDING_UNITS_PER_OP = 4
 
 
+def _rounding_resolution(physical: Circuit) -> float:
+    """The verifier's rounding resolution on ``physical``,
+    ROUNDING_UNITS_PER_OP times 2**-52 per flat op."""
+    return ROUNDING_UNITS_PER_OP * 2.0**-52 * physical.flat_count()
+
+
 def check_resolution(epsilon: float, physical: Circuit) -> None:
     """Refuse an infidelity budget below the verifier's rounding resolution
-    on ``physical``, ROUNDING_UNITS_PER_OP times 2**-52 per flat op: no
-    computed fidelity could be trusted to meet it."""
-    flat = physical.flat_count()
-    rho = ROUNDING_UNITS_PER_OP * 2.0**-52 * flat
+    on ``physical``: no computed fidelity could be trusted to meet it."""
+    rho = _rounding_resolution(physical)
     if epsilon < rho:
         raise ParseError(
-            f"--epsilon {epsilon:g} is below the verifier's rounding resolution {rho:.3g} for {flat} flat ops"
+            f"--epsilon {epsilon:g} is below the verifier's rounding resolution {rho:.3g} "
+            f"for {physical.flat_count()} flat ops"
         )
 
 
@@ -553,11 +566,14 @@ def spectral_norm(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
+# Cached for every window width up to WINDOW_QUBIT_CAP, and read-only
+# because every caller shares it.
+@functools.cache
 def _code(k: int) -> np.ndarray:
     """The code's indices among the 4^k basis states of 2k physical qubits,
     logical basis state x at position x."""
     enc = Encoding(k)
-    return np.array([enc.encode_index(x) for x in range(2**k)])
+    return _read_only(np.array([enc.encode_index(x) for x in range(2**k)]))
 
 
 def _code_columns(k: int) -> np.ndarray:
@@ -568,21 +584,6 @@ def _code_columns(k: int) -> np.ndarray:
     return columns
 
 
-# The kinds of provenance span the compiler writes, and the logical qubits
-# each acts on.
-SPAN_WIDTHS = {"1q": 1, "cz": 2, "swap": 2}
-# Per span width k: the code's indices among the 4^k basis states of the
-# span's 2k physical qubits, the other indices, and the code's basis states
-# as the columns a span is run on.
-_CODE = {k: _code(k) for k in (1, 2)}
-_OUTSIDE = {k: np.array([i for i in range(4**k) if i not in code.tolist()]) for k, code in _CODE.items()}
-_CODE_COLUMNS = {k: _code_columns(k) for k in (1, 2)}
-
-
-def _is_index_list(value, length: int) -> bool:
-    return type(value) is list and list(map(type, value)) == [int] * length
-
-
 def _first_slots(stack: np.ndarray) -> list[int]:
     """For each slot of a gate stack, the first slot holding the same
     matrix."""
@@ -590,75 +591,79 @@ def _first_slots(stack: np.ndarray) -> list[int]:
     return [seen.setdefault(gate.tobytes(), slot) for slot, gate in enumerate(stack)]
 
 
-def check_provenance(provenance, physical: Circuit, logical_qubits: int) -> list[tuple]:
-    """The spans of ``provenance``, a compile's span records, over the
-    top-level entries of ``physical``: each (first logical qubit, width k,
-    start row, stop row, groups, rows).  ``groups`` holds the span's repeat
-    groups relative to its start row, and ``rows`` each row's (matrix size,
-    slot, first target, last target), the slot the first that holds the
-    row's matrix and the targets relative to the span's first physical
-    qubit.  So two spans with equal matrices on equal relative targets hold
-    equal rows, whether the circuit was compiled, where rows share slots, or
-    loaded, where each row has its own.
+def _window(table: list, lo: int, k: int, entries: list) -> tuple:
+    """The window (lo, k, groups, rows) of top-level ``entries`` on logical
+    qubits lo..lo+k-1: ``rows`` holds each row of ``table`` with its targets
+    relative to physical qubit 2 lo, and ``groups`` the entries' repeat
+    groups over those rows."""
+    rows, groups = [], []
+    for start, stop, count, grouped in entries:
+        if grouped:
+            groups.append((len(rows), len(rows) + stop - start, count))
+        rows += [(size, slot, a - 2 * lo, b - 2 * lo) for size, slot, a, b in table[start:stop]]
+    return lo, k, tuple(groups), tuple(rows)
 
-    Provenance read from a document is untrusted, so every span is checked
-    before it is used, and ParseError names the first that fails: a record
-    that is not an object; a ``kind`` the compiler does not write;
-    ``qubits`` that are not the kind's k adjacent logical qubits in range;
-    ``physical_ops`` that is not a nonempty [start, stop) range of entries
-    that begins where the span before it ends; or a row that acts outside
-    the 2k physical qubits of the span's logical qubits.  The spans must
-    end at the last entry.
+
+def _windows(physical: Circuit, whole: bool = False) -> list[tuple]:
+    """The decode windows of ``physical``'s top-level entries, in an order
+    of application, each as :func:`_window` gives it; with ``whole``, one
+    window over every entry and logical qubit.
+
+    An entry's support is the logical qubits from its lowest target's to its
+    highest target's.  It joins every open window it overlaps when their
+    hull spans at most max(2, its support) logical qubits; otherwise those
+    windows close and it opens a window of its own.  Open windows are
+    disjoint, so they commute and stay open side by side; after the last
+    entry they close in the order they last took one.  An entry wider than
+    WINDOW_QUBIT_CAP logical qubits is refused with TooLarge, named by
+    :meth:`Circuit.describe`, before any block is decoded.
+
+    A row names the first slot that holds its matrix, so equal rows on equal
+    relative targets make equal windows, whether the circuit was compiled,
+    where rows share slots, or loaded, where each row has its own.
     """
-    if not isinstance(provenance, list):
-        raise ParseError(f"provenance must be a list of spans, got {type(provenance).__name__}")
-    entries = list(entry_spans(physical.groups, physical.rows))
     col = physical.columns
     first = {size: _first_slots(stack) for size, stack in col.stacks.items()}
-    sizes, targets = col.sizes.tolist(), col.targets.tolist()
-    slots = [first[size][slot] for size, slot in zip(sizes, col.slots.tolist())]
-    lows, highs = col.targets.min(axis=1).tolist(), col.targets.max(axis=1).tolist()
-    spans = []
-    end = 0
-    for i, span in enumerate(provenance):
-        where = f"provenance[{i}]"
-        if type(span) is not dict:
-            raise ParseError(f"{where}: a span must be an object")
-        kind, qubits, ops = span.get("kind"), span.get("qubits"), span.get("physical_ops")
-        if not isinstance(kind, str) or kind not in SPAN_WIDTHS:
-            raise ParseError(f"{where}: 'kind' must be one of {', '.join(SPAN_WIDTHS)}, got {kind!r}")
-        k = SPAN_WIDTHS[kind]
-        if not (_is_index_list(qubits, k) and 0 <= qubits[0] and qubits[-1] == qubits[0] + k - 1 < logical_qubits):
-            raise ParseError(
-                f"{where}: a {kind!r} span acts on {k} adjacent logical qubit(s) of {logical_qubits}, "
-                f"got 'qubits' {qubits!r}"
+    table = [(size, first[size][slot], a, b)
+             for size, slot, (a, b) in zip(col.sizes.tolist(), col.slots.tolist(), col.targets.tolist())]
+    entries = list(entry_spans(physical.groups, physical.rows))
+    if whole:
+        return [_window(table, 0, physical.n // 2, entries)]
+    lows = (col.targets.min(axis=1) // 2).tolist()
+    highs = (col.targets.max(axis=1) // 2).tolist()
+    # Windows as [lo, hi, entries]; the newest open window is last.
+    closed, opened = [], []
+    for entry in entries:
+        start, stop = entry[:2]
+        if start == stop:
+            continue  # an empty repeat group is the identity
+        lo, hi = min(lows[start:stop]), max(highs[start:stop])
+        if hi - lo >= WINDOW_QUBIT_CAP:
+            row = start + highs[start:stop].index(hi)
+            raise TooLarge(
+                f"{physical.describe(row)} spans logical qubits {lo}..{hi}, past the "
+                f"{WINDOW_QUBIT_CAP} that one decode window may hold"
             )
-        if not _is_index_list(ops, 2):
-            raise ParseError(f"{where}: 'physical_ops' must be [start, stop], got {ops!r}")
-        start, stop = ops
-        if start > end:
-            raise ParseError(f"{where}: 'physical_ops' {ops} leaves entries {end}..{start - 1} in no span")
-        if start < end:
-            raise ParseError(f"{where}: 'physical_ops' {ops} overlaps the span before it, which ends at entry {end}")
-        if not start < stop <= len(entries):
-            raise ParseError(
-                f"{where}: 'physical_ops' {ops} is not a nonempty range of the {len(entries)} top-level entries"
-            )
-        row0, row1 = entries[start][0], entries[stop - 1][1]
-        low, width = 2 * qubits[0], 2 * k
-        if min(lows[row0:row1]) < low or max(highs[row0:row1]) >= low + width:
-            stray = next(r for r in range(row0, row1) if not low <= lows[r] <= highs[r] < low + width)
-            raise ParseError(
-                f"{where}: {physical.describe(stray)} acts outside physical qubits {low}..{low + width - 1}"
-            )
-        rows = tuple((size, slot, a - low, b - low)
-                     for size, slot, (a, b) in zip(sizes[row0:row1], slots[row0:row1], targets[row0:row1]))
-        groups = tuple((a - row0, b - row0, count) for a, b, count, grouped in entries[start:stop] if grouped)
-        spans.append((qubits[0], k, row0, row1, groups, rows))
-        end = stop
-    if end != len(entries):
-        raise ParseError(f"provenance: the spans end at entry {end} of the {len(entries)} top-level entries")
-    return spans
+        hit = [w for w in opened if w[0] <= hi and lo <= w[1]]
+        a, b = lo, hi
+        for w in hit:
+            a, b = min(a, w[0]), max(b, w[1])
+        joins = b - a < max(2, hi - lo + 1)
+        if joins and len(hit) == 1:
+            # The common case: it joins one open window, in place.
+            window = hit[0]
+            opened.remove(window)
+            window[:2] = a, b
+        else:
+            opened = [w for w in opened if w[1] < lo or hi < w[0]]
+            if joins:
+                window = [a, b, [e for w in hit for e in w[2]]]
+            else:
+                closed += hit
+                window = [lo, hi, []]
+        window[2].append(entry)
+        opened.append(window)
+    return [_window(table, lo, hi - lo + 1, group) for lo, hi, group in closed + opened]
 
 
 def _apply_adjacent(block: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
@@ -670,87 +675,77 @@ def _apply_adjacent(block: np.ndarray, gate: np.ndarray, first: int) -> np.ndarr
     return (gate @ block.reshape(2**first, len(gate), -1)).reshape(block.shape)
 
 
-def _span_circuit(stacks: dict, k: int, groups: tuple, rows: tuple) -> Circuit:
-    """The ``rows`` and ``groups`` of a :func:`check_provenance` span as a
-    circuit on its 2k physical qubits.  Its rows name slots of the physical
-    circuit's gate ``stacks``, so it holds only admitted ops."""
+def _window_circuit(stacks: dict, k: int, groups: tuple, rows: tuple) -> Circuit:
+    """The ``rows`` and ``groups`` of a window as a circuit on its 2k
+    physical qubits.  Its rows name slots of the physical circuit's gate
+    ``stacks``, so it holds only admitted ops."""
     table, m = np.array(rows, dtype=np.int64), len(rows)
     columns = Columns(stacks, table[:, 0], table[:, 1], table[:, 2:], [None] * m, [()] * m, [None] * m)
     return Circuit.from_columns(2 * k, columns, groups)
 
 
-def _decode(physical: Circuit, spans: list) -> tuple[list, float]:
-    """The code block D = U[code, code] of each of ``spans``
-    (:func:`check_provenance`), with its first logical qubit, and the sum
-    over the spans of their leakage, the spectral norm of U[outside, code];
-    U is a span's rows run on its 2k physical qubits.
+def _decode(physical: Circuit, windows: list) -> tuple[list, list]:
+    """The code block D = U[code, code] of each of ``windows``
+    (:func:`_windows`), with its first logical qubit, and each window's
+    leakage, the spectral norm of U[outside, code]; U is a window's rows run
+    on its 2k physical qubits.
 
-    Each distinct span (its width, groups and rows) is decoded once: a lone
-    4 x 4 row on one logical qubit's pair is read off its gate, any other
-    span is run from its code columns through :func:`propagate`, which
-    folds its repeat groups.  The leakages of the distinct spans of one
-    width come from one stacked Gram eigvalsh, skipped when no column
-    leaves the code, and each counts once per use.
+    Each distinct window (its width, groups and rows) is decoded once: a
+    lone 4 x 4 row on one logical qubit's pair is read off its gate, any
+    other window is run from its code columns through :func:`propagate`,
+    which folds its repeat groups.
     """
     stacks = physical.columns.stacks
-    templates: dict = {}
-    found: dict = {1: [], 2: []}
-    picks = []
-    for _, k, _, _, groups, rows in spans:
-        pick = templates.get((k, groups, rows))
-        if pick is None:
-            pick = templates[k, groups, rows] = (k, len(found[k]))
-            found[k].append((groups, rows))
-        picks.append(pick)
-    blocks, leaks = {}, {}
-    for k, distinct in found.items():
-        if not distinct:
+    decoded: dict = {}
+    for _, k, groups, rows in windows:
+        if (k, groups, rows) in decoded:
             continue
-        u = np.empty((len(distinct), 4**k, 2**k), dtype=complex)
-        direct = {i: rows[0][1] for i, (groups, rows) in enumerate(distinct)
-                  if k == 1 and not groups and len(rows) == 1 and rows[0][0] == 4 and rows[0][2:] == (0, 1)}
-        if direct:
-            u[list(direct)] = stacks[4][list(direct.values())][:, :, _CODE[1]]
-        for i, (groups, rows) in enumerate(distinct):
-            if i not in direct:
-                u[i] = propagate(_span_circuit(stacks, k, groups, rows), _CODE_COLUMNS[k])
-        blocks[k] = u[:, _CODE[k]]
-        outside = u[:, _OUTSIDE[k]]
-        leaks[k] = spectral_norm(outside).tolist() if outside.any() else [0.0] * len(distinct)
-    gates = [(blocks[k][i], q) for (q, *_), (k, i) in zip(spans, picks)]
-    return gates, sum((leaks[k][i] for k, i in picks), 0.0)
+        if k == 1 and not groups and len(rows) == 1 and rows[0][0] == 4 and rows[0][2:] == (0, 1):
+            u = stacks[4][rows[0][1]][:, _code(1)]
+        else:
+            u = propagate(_window_circuit(stacks, k, groups, rows), _code_columns(k))
+        block = u[_code(k)]
+        # What is left is U[outside, code], with no copy of it.
+        u[_code(k)] = 0.0
+        decoded[k, groups, rows] = block, float(spectral_norm(u)) if u.any() else 0.0
+    picks = [(decoded[k, groups, rows], q) for q, k, groups, rows in windows]
+    return [(block, q) for (block, _), q in picks], [leak for (_, leak), _ in picks]
 
 
-def verify(
-    physical: Circuit, logical: Circuit, epsilon: float | None = None, provenance: list | None = None
-) -> VerificationReport:
+def verify(physical: Circuit, logical: Circuit, epsilon: float | None = None) -> VerificationReport:
     """Compare the physical circuit, restricted to the encoded subspace,
     against the logical circuit (up to global phase).
 
-    With ``provenance``, the compile's span records, the mode is
-    "decoded".  The spans are checked (:func:`check_provenance`); each
-    distinct span is run once through :func:`propagate` on the code columns
-    of its 2k <= 4 physical qubits and read off as its code block D and its
-    leakage (:func:`_decode`).  The blocks are composed on a 2^L x 2^L
+    Nothing is read from the document but its rows.  The top-level entries
+    are split into windows of adjacent logical qubits (:func:`_windows`);
+    each distinct window is run once through :func:`propagate` on the code
+    columns of its 2k physical qubits and read off as its code block D and
+    its leakage (:func:`_decode`).  The blocks are composed on a 2^L x 2^L
     logical block, which is compared with the logical circuit's.
-    ``leakage`` is the sum s of the spans' leakages, which bounds the true
-    leakage, and the computed fidelity is within 2s + s^2 of the true one
-    (insert the code projector between spans and telescope), so ``passed``
-    needs |1 - fidelity| + 2s + s^2 <= epsilon: the result is a
-    certificate.  Up to DECODED_QUBIT_CAP logical qubits.
 
-    Without it, the mode is "exact": the 2^L logical basis states are
-    encoded and pushed through the physical circuit by :func:`propagate`.
-    Rows inside the code are compared with the logical circuit; rows
-    outside are the leakage (spectral norm), and ``passed`` needs
-    |1 - fidelity| <= epsilon.  Up to EXACT_QUBIT_CAP logical qubits, where
-    the 4^L x 2^L block fits in 4^UNITARY_QUBIT_CAP amplitudes.
+    Any split into windows applied in an order the circuit allows is sound.
+    With U = U_m ... U_1 the windows in that order and P the code projector,
+    the composed block is P U_m P ... P U_1 P.  Inserting P after U_j, for
+    j < m, moves the product by at most |(1 - P) U_j P|, window j's
+    leakage, and nothing is inserted after the last window.  So the
+    composed block is within s' (the sum of the leakages of every window
+    but the last) of P U P, and the computed fidelity within 2s' + s'^2 of
+    the true one.  ``passed`` needs |1 - fidelity| + 2s' + s'^2 <= epsilon:
+    the result is a certificate.  ``leakage`` is the sum s over every
+    window, which bounds the true leakage.
+
+    A circuit can leave the code between windows and come back.  When
+    2s' + s'^2 is past the rounding resolution
+    (:func:`_rounding_resolution`) and L <= WINDOW_QUBIT_CAP, one window
+    over the whole circuit decides instead: its leakage is the true one and
+    its s' is 0.  Past that cap the windows' bound stands, so such a
+    circuit fails any epsilon below it.
 
     ParseError is raised unless the physical circuit has 2L qubits,
-    TooLarge past the mode's cap, then ParseError for an ``epsilon`` below
-    the rounding resolution (:func:`check_resolution`, over every physical
-    flat op in both modes), then ParseError naming a span that fails its
-    check.  No op is checked: both circuits hold only admitted ops (see
+    TooLarge past DECODED_QUBIT_CAP logical qubits, then ParseError for an
+    ``epsilon`` below the rounding resolution (:func:`check_resolution`),
+    then TooLarge for an entry wider than a window may be.  No op is
+    checked: both circuits hold only admitted ops (see
     ``matchgates.circuits``).  ``passed`` is None without ``epsilon``; a
     fidelity above 1 is the drift of a folded power, not a better circuit.
     """
@@ -762,40 +757,27 @@ def verify(
             f"for {logical.n} logical qubits"
         )
     n = logical.n
-    if provenance is None and n > EXACT_QUBIT_CAP:
-        raise TooLarge(
-            f"verifying {n} logical qubits without provenance needs 4^{n} amplitudes for each of "
-            f"2^{n} encoded states, over the cap of 4^{UNITARY_QUBIT_CAP} in all ({EXACT_QUBIT_CAP} logical qubits)"
-        )
-    if provenance is not None and n > DECODED_QUBIT_CAP:
+    if n > DECODED_QUBIT_CAP:
         raise TooLarge(
             f"verifying {n} logical qubits composes a 2^{n} x 2^{n} logical block, "
             f"over the cap of {DECODED_QUBIT_CAP} logical qubits"
         )
     if epsilon is not None:
         check_resolution(epsilon, physical)
-    if provenance is None:
-        mode = "exact"
-        code_rows = _code(n)
-        # No local keeps the encoded block, so propagate can free it.
-        out = propagate(physical, _code_columns(n))
-        in_code = out[code_rows]
-        out[code_rows] = 0.0
-        leakage, bound = float(spectral_norm(out)), 0.0
-        del out
-    else:
-        mode = "decoded"
-        gates, leakage = _decode(physical, check_provenance(provenance, physical, n))
-        in_code = np.eye(2**n, dtype=complex)
-        for gate, q in gates:
-            in_code = _apply_adjacent(in_code, gate, q)
-        bound = 2 * leakage + leakage**2
+    gates, leaks = _decode(physical, _windows(physical))
+    s = sum(leaks[:-1], 0.0)
+    bound = 2 * s + s * s
+    if bound > _rounding_resolution(physical) and n <= WINDOW_QUBIT_CAP:
+        (gates, leaks), bound = _decode(physical, _windows(physical, whole=True)), 0.0
+    in_code = np.eye(2**n, dtype=complex)
+    for gate, q in gates:
+        in_code = _apply_adjacent(in_code, gate, q)
     ideal = propagate(logical, np.eye(2**n, dtype=complex))
     fidelity = float(abs(np.vdot(ideal, in_code) / 2**n) ** 2)
     return VerificationReport(
-        mode=mode,
+        mode="decoded",
         fidelity=fidelity,
-        leakage=leakage,
+        leakage=sum(leaks, 0.0),
         epsilon=epsilon,
         passed=None if epsilon is None else abs(1.0 - fidelity) + bound <= epsilon,
         target_uses=count_target_uses(physical),

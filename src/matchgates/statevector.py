@@ -1,10 +1,9 @@
 """Dense n-qubit statevector simulator.
 
 Serves as the exact oracle for the fermionic simulator and the compiler
-verifier, all three through :func:`propagate`.  Both verifier modes run
-their physical rows through it: the exact mode the whole circuit on the
-encoded basis states, the decoded mode each distinct provenance span as a
-circuit of its own on its span's code columns.  Amplitude layout: basis
+verifier, all three through :func:`propagate`.  The verifier runs each
+distinct decode window of a physical circuit through it, as a circuit of
+its own on the window's code columns.  Amplitude layout: basis
 index bit k is qubit k with qubit 0 the most-significant bit, matching the
 two-qubit gate convention.
 
@@ -27,8 +26,8 @@ entry at a time, and lowers them to the matrices it applies, in order:
   fastest at n = 16, and 6 slower at every n.  A block of fewer
   than FUSE_BLOCK_MIN entries is run row by row: there building a matrix
   costs about as much as applying the rows it replaces, and runs of 3-5
-  qubits made n = 8-12 single columns and the small blocks of the decoded
-  verifier slower.
+  qubits made n = 8-12 single columns and the small blocks of the
+  verifier's windows slower.
 
 Every matrix goes through one kernel, :class:`_Block`: the block of
 columns is a tensor with one axis per qubit, the matrix's targets are

@@ -1,26 +1,27 @@
-"""verify's decoded mode, which runs each distinct provenance span once on
-its code columns and composes the decoded blocks on 2^L, against its exact
-mode, which pushes the encoded states through the whole physical circuit;
-and the checks of provenance read from a document."""
+"""verify, which reads decode windows off the physical rows, runs each
+distinct window once on its code columns and composes the decoded blocks on
+2^L, against the exact oracle, which pushes the encoded states through the
+whole physical circuit; and a document's provenance, which verify ignores."""
 
 import copy
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchgates.circuits import Circuit, CircuitOp
 from matchgates.cli import main
-from matchgates.compiler import check_provenance, compile_circuit, verify
-from matchgates.errors import ParseError
+from matchgates.compiler import _decode, _windows, compile_circuit, verify
+from matchgates.errors import ParseError, TooLarge
 from matchgates.gates import H, build_pp, gate_library, phase_rz
 from matchgates.io import emit_circuit_document, load_circuit, parse_circuit_document
 from test_io_cli import FUZZ, JSON_VALUES, write_doc
-from util import haar_unitary
+from util import exact_verify, haar_unitary
 
 
 def fsim(theta: float, phi: float) -> np.ndarray:
@@ -65,14 +66,23 @@ def random_logical(rng: np.random.Generator, n: int, grouped: bool) -> Circuit:
     return circuit
 
 
-def assert_within_the_bound(decoded, exact) -> None:
-    """The decoded fidelity within 2s + s^2 of the exact one, s the summed
-    span leakage, which bounds the exact leakage; 1e-13 for rounding."""
-    s = decoded.leakage
-    assert decoded.mode == "decoded" and exact.mode == "exact"
-    assert abs(decoded.fidelity - exact.fidelity) <= 2 * s + s * s + 1e-13
-    assert exact.leakage <= s + 1e-13
-    assert (decoded.target_uses, decoded.flat_op_count) == (exact.target_uses, exact.flat_op_count)
+def windows_before_the_last(physical: Circuit) -> float:
+    """s', the summed leakage of every decode window but the last."""
+    _, leaks = _decode(physical, _windows(physical))
+    return sum(leaks[:-1], 0.0)
+
+
+def assert_agrees_with_the_oracle(report, physical: Circuit, logical: Circuit) -> None:
+    """The verified fidelity within 2s' + s'^2 of the oracle's (1e-13 for
+    rounding), the reported leakage a bound on the oracle's, and, with an
+    epsilon, the oracle's verdict."""
+    fidelity, leakage = exact_verify(physical, logical)
+    s = windows_before_the_last(physical)
+    assert report.mode == "decoded"
+    assert abs(report.fidelity - fidelity) <= 2 * s + s * s + 1e-13
+    assert leakage <= report.leakage + 1e-13
+    if report.epsilon is not None:
+        assert report.passed == (abs(1 - fidelity) <= report.epsilon)
 
 
 @pytest.mark.parametrize("target", list(TARGETS))
@@ -83,32 +93,38 @@ def test_decoded_agrees_with_exact_on_random_compiles(target, n, grouped):
     logical = random_logical(rng, n, grouped)
     assert bool(logical.groups) == grouped
     comp = compile_circuit(logical, TARGETS[target], 1e-6)
-    decoded = verify(comp.physical, logical, 1e-6, comp.provenance)
-    exact = verify(comp.physical, logical, 1e-6)
-    assert_within_the_bound(decoded, exact)
-    assert decoded.passed is True and exact.passed is True
+    report = verify(comp.physical, logical, 1e-6)
+    assert_agrees_with_the_oracle(report, comp.physical, logical)
+    assert report.passed is True
 
 
 def test_a_leaking_span_is_bounded_and_seen():
     # An RX(0.3) on physical qubit 1 takes the code's |00> half out of it:
-    # that span's leakage is sin(0.15), and the compile no longer passes.
+    # the leakage is sin(0.15), and the compile no longer passes.  After the
+    # first entry instead, it leaks in a window before the last, and the one
+    # window over the whole circuit decides.
     rng = np.random.default_rng(5)
     logical = random_logical(rng, 3, False)
     comp = compile_circuit(logical, TARGETS["NL"], 1e-6)
-    entries = comp.provenance[-1]["physical_ops"][1]
-    comp.physical.append(gate_library("RX", (0.3,)), (1,))
-    span = {"logical_op": len(comp.provenance), "kind": "1q", "qubits": [0], "physical_ops": [entries, entries + 1]}
-    decoded = verify(comp.physical, logical, 1e-6, comp.provenance + [span])
-    exact = verify(comp.physical, logical, 1e-6)
-    assert_within_the_bound(decoded, exact)
-    assert decoded.leakage == pytest.approx(math.sin(0.15), abs=1e-12)
-    assert exact.leakage == pytest.approx(math.sin(0.15), rel=1e-12)
-    assert decoded.passed is False and exact.passed is False
+    rx = CircuitOp(gate_library("RX", (0.3,)), (1,))
+    entries = comp.physical.ops
+    comp.physical.add(rx)
+    report = verify(comp.physical, logical, 1e-6)
+    assert_agrees_with_the_oracle(report, comp.physical, logical)
+    assert report.leakage == pytest.approx(math.sin(0.15), abs=1e-12)
+    assert exact_verify(comp.physical, logical)[1] == pytest.approx(math.sin(0.15), rel=1e-12)
+    assert report.passed is False
+    early = Circuit(6, [entries[0], rx, *entries[1:]])
+    assert windows_before_the_last(early) == pytest.approx(math.sin(0.15), abs=1e-12)
+    report = verify(early, logical, 1e-6)
+    assert (report.fidelity, report.leakage) == pytest.approx(exact_verify(early, logical), abs=1e-13)
+    assert report.passed is False
 
 
 @pytest.mark.parametrize("target", ["SWAP", "NL(0.2,0.1,0.35)"])
 def test_a_compiled_document_verifies_as_the_compile_did(tmp_path, target):
-    # compile --out writes the provenance that mgc verify reads back.
+    # mgc verify reads back what compile --out wrote and finds what the
+    # compile found.
     doc = {"format_version": 1, "qubits": 4, "gates": [
         {"name": "h", "targets": [0]},
         {"repeat": 2, "gates": [{"name": "cnot", "targets": [0, 3]}, {"name": "rz", "targets": [2], "params": [0.3]}]},
@@ -121,9 +137,9 @@ def test_a_compiled_document_verifies_as_the_compile_did(tmp_path, target):
     assert result.exit_code == 0, result.output
     summary = json.loads(result.output)["verification"]
     physical, logical = load_circuit(out), load_circuit(logical_path)
-    report = verify(physical, logical, 1e-6, physical.metadata["provenance"])
+    report = verify(physical, logical, 1e-6)
     assert summary == {"mode": "decoded", "fidelity": report.fidelity, "leakage": report.leakage, "passed": True}
-    assert_within_the_bound(report, verify(physical, logical, 1e-6))
+    assert_agrees_with_the_oracle(report, physical, logical)
     result = runner.invoke(main, ["verify", "--logical", logical_path, "--physical", out, "--json"])
     assert result.exit_code == 0, result.output
     printed = json.loads(result.output)
@@ -150,7 +166,7 @@ def test_eight_logical_qubits_verify_in_under_a_second():
     logical = ring_circuit(8, np.random.default_rng(8))
     comp = compile_circuit(logical, TARGETS["SWAP"], 1e-6)
     start = time.perf_counter()
-    report = verify(comp.physical, logical, 1e-6, comp.provenance)
+    report = verify(comp.physical, logical, 1e-6)
     assert time.perf_counter() - start < 1.0
     assert report.mode == "decoded" and report.passed is True
     assert 1 - report.fidelity < 1e-13 and report.leakage < 1e-13
@@ -171,8 +187,84 @@ def test_eleven_logical_qubits_exit_5(tmp_path):
     assert "--skip-verify" not in result.output
 
 
+def test_an_entry_wider_than_a_window_is_refused_before_any_block(tmp_path):
+    # A cz on physical (0, 19) spans logical qubits 0..9: decoding it as one
+    # window would take a 2^20 x 2^10 block.  A group is named by the row
+    # that reaches furthest.
+    logical = Circuit(10)
+    group = [{"name": "h", "targets": [1]}, {"name": "h", "targets": [18]}]
+    rows = {
+        "op 1 (cz on (0, 19))": [{"name": "h", "targets": [3]}, {"name": "cz", "targets": [0, 19]}],
+        "op 0.1 (h on (18,))": [{"repeat": 2, "gates": group}],
+    }
+    for op, gates in rows.items():
+        physical = parse_circuit_document({"format_version": 1, "qubits": 20, "gates": gates})
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge) as info:
+                verify(physical, logical, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert str(info.value) == f"{op} spans logical qubits 0..9, past the 8 that one decode window may hold"
+    logical_path = write_doc(tmp_path, {"format_version": 1, "qubits": 10, "gates": []}, "logical.json")
+    physical_path = write_doc(tmp_path, {"format_version": 1, "qubits": 20, "gates": rows["op 1 (cz on (0, 19))"]},
+                              "physical.json")
+    result = CliRunner().invoke(main, ["verify", "--logical", logical_path, "--physical", physical_path])
+    assert result.exit_code == 5, result.output
+    assert result.output.startswith("error: op 1 (cz on (0, 19)) spans logical qubits 0..9")
+
+
+def test_interleaved_cz_schedules_at_ten_logical_qubits():
+    # The schedules of CZ(0, 1) and CZ(8, 9) alternate entry by entry; each
+    # stays in a window of its own, open beside the other's.  1 - F is about
+    # 5.6e-9, the residual of the two schedules.
+    logical = Circuit(10)
+    for pair in ((0, 1), (8, 9)):
+        logical.append(TWO_QUBIT["cz"], pair, name="cz")
+    comp = compile_circuit(logical, TARGETS["NL"], 1e-6)
+    entries = comp.physical.ops
+    half = len(entries) // 2
+    interleaved = Circuit(20, [entry for pair in zip(entries[:half], entries[half:]) for entry in pair])
+    assert len(_windows(interleaved)) == 2
+    report, sequential = verify(interleaved, logical, 1e-6), verify(comp.physical, logical, 1e-6)
+    assert report.passed is True and 0 < 1 - report.fidelity < 1e-6
+    assert report.fidelity == pytest.approx(sequential.fidelity, abs=1e-13)
+
+
+def fswap_identity(n: int) -> Circuit:
+    """FSWAP on physical (1, 2), (3, 4), (3, 4), (1, 2) of n logical
+    qubits: the identity, whose first window on logical (0, 1) leaves the
+    code and whose last comes back."""
+    gates = [{"name": "fswap", "targets": [q, q + 1]} for q in (1, 3, 3, 1)]
+    return parse_circuit_document({"format_version": 1, "qubits": 2 * n, "gates": gates})
+
+
+def test_an_fswap_identity_passes_through_the_one_window_fallback():
+    physical = fswap_identity(3)
+    assert [window[:2] for window in _windows(physical)] == [(0, 2), (1, 2), (0, 2)]
+    _, leaks = _decode(physical, _windows(physical))
+    assert leaks == pytest.approx([1.0, 0.0, 1.0], abs=1e-15)
+    report = verify(physical, Circuit(3), 1e-6)
+    assert report.passed is True
+    assert report.fidelity == pytest.approx(1.0, abs=1e-15) and report.leakage == pytest.approx(0.0, abs=1e-15)
+    assert_agrees_with_the_oracle(report, physical, Circuit(3))
+
+
+def test_the_fswap_identity_past_the_window_cap_fails(tmp_path):
+    # At 9 logical qubits no window covers the circuit: the windows' F and
+    # their bound 2s' + s'^2 = 3 stand, the documented limit.
+    physical = write_doc(tmp_path, emit_circuit_document(fswap_identity(9)), "physical.json")
+    logical = write_doc(tmp_path, {"format_version": 1, "qubits": 9, "gates": []}, "logical.json")
+    result = CliRunner().invoke(main, ["verify", "--logical", logical, "--physical", physical, "--json"])
+    assert result.exit_code == 8, result.output
+    report = json.loads(result.output)
+    assert report["fidelity"] == pytest.approx(0.25, abs=1e-15) and report["leakage"] == pytest.approx(2.0, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
-# Provenance read from a document
+# Provenance in a document, which verify does not read
 # ---------------------------------------------------------------------------
 
 # H(0), CNOT(0, 2), Rz(0.3) on 3 logical qubits: the spans are 1q H on 0,
@@ -185,169 +277,189 @@ ROUTED = {"format_version": 1, "qubits": 3, "gates": [
 ]}
 
 
+def verify_document(logical: str, doc: dict, tmp_path) -> tuple[int, str]:
+    """The exit code and output of ``mgc verify --json`` on ``doc``."""
+    physical = write_doc(tmp_path, doc, "physical.json")
+    result = CliRunner().invoke(main, ["verify", "--logical", logical, "--physical", physical, "--json"])
+    return result.exit_code, result.output
+
+
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
-    """The logical and physical documents of ROUTED compiled with the SWAP
-    target."""
+    """The logical document of ROUTED, its compile with the SWAP target,
+    and the exit code and output of ``mgc verify --json`` on that."""
     tmp = tmp_path_factory.mktemp("routed")
     logical = write_doc(tmp, ROUTED, "logical.json")
     out = tmp / "physical.json"
     result = CliRunner().invoke(main, ["compile", "--input", logical, "--target", "SWAP", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    return logical, json.loads(out.read_text())
+    doc = json.loads(out.read_text())
+    return logical, doc, verify_document(logical, doc, tmp)
 
 
 def test_the_routed_compile_has_the_spans_the_tampering_expects(compiled):
-    _, doc = compiled
+    _, doc, _ = compiled
     spans = [(span["kind"], span["qubits"]) for span in doc["metadata"]["provenance"]]
     assert spans == [("1q", [0]), ("1q", [2]), ("swap", [1, 2]), ("cz", [0, 1]), ("swap", [1, 2]),
                      ("1q", [2]), ("1q", [0])]
 
 
-def verify_tampered(tmp_path, compiled, tamper):
-    """``mgc verify`` of the compiled document with its provenance changed
-    by ``tamper``."""
-    logical, doc = compiled
-    doc = copy.deepcopy(doc)
-    tamper(doc["metadata"]["provenance"])
-    physical = write_doc(tmp_path, doc, "tampered.json")
-    return CliRunner().invoke(main, ["verify", "--logical", logical, "--physical", physical, "--json"])
-
-
-def test_the_untampered_document_verifies_decoded(tmp_path, compiled):
-    result = verify_tampered(tmp_path, compiled, lambda spans: None)
-    assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["mode"] == "decoded"
-
-
-def test_without_provenance_the_document_verifies_exactly(tmp_path, compiled):
-    logical, doc = compiled
-    doc = copy.deepcopy(doc)
-    del doc["metadata"]["provenance"]
-    physical = write_doc(tmp_path, doc, "bare.json")
-    result = CliRunner().invoke(main, ["verify", "--logical", logical, "--physical", physical, "--json"])
-    assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["mode"] == "exact"
+def spans_edited(edit):
+    """A tamper of the metadata that applies ``edit`` to its provenance."""
+    return lambda metadata: edit(metadata["provenance"])
 
 
 def shift(span: dict, by: int) -> None:
     span["physical_ops"] = [span["physical_ops"][0] + by, span["physical_ops"][1]]
 
 
-TAMPERED = {
-    "a qubit one too high": (
-        lambda spans: spans[3].update(qubits=[1, 2]),
-        "provenance[3]: op 6 (g on (1, 2)) acts outside physical qubits 2..5",
-    ),
-    "non-adjacent qubits": (
-        lambda spans: spans[3].update(qubits=[0, 2]),
-        "provenance[3]: a 'cz' span acts on 2 adjacent logical qubit(s) of 3, got 'qubits' [0, 2]",
-    ),
-    "a qubit out of range": (
-        lambda spans: spans[1].update(qubits=[3]),
-        "provenance[1]: a '1q' span acts on 1 adjacent logical qubit(s) of 3, got 'qubits' [3]",
-    ),
-    "a one-qubit span on two qubits": (
-        lambda spans: spans[0].update(qubits=[0, 1]),
-        "provenance[0]: a '1q' span acts on 1 adjacent logical qubit(s) of 3, got 'qubits' [0, 1]",
-    ),
-    "a kind the compiler does not write": (
-        lambda spans: spans[2].update(kind="cnot"),
-        "provenance[2]: 'kind' must be one of 1q, cz, swap, got 'cnot'",
-    ),
-    "overlapping ranges": (
-        lambda spans: shift(spans[4], -1),
-        "provenance[4]: 'physical_ops' [8, 13] overlaps the span before it, which ends at entry 9",
-    ),
-    "a gap": (
-        lambda spans: shift(spans[4], 1),
-        "provenance[4]: 'physical_ops' [10, 13] leaves entries 9..9 in no span",
-    ),
-    "an entry index out of range": (
-        lambda spans: spans[6].update(physical_ops=[14, 16]),
-        "provenance[6]: 'physical_ops' [14, 16] is not a nonempty range of the 15 top-level entries",
-    ),
-    "a missing last span": (
-        lambda spans: spans.pop(),
-        "provenance: the spans end at entry 14 of the 15 top-level entries",
-    ),
-    "a row outside its span's pairs": (
-        lambda spans: spans[0].update(qubits=[1]),
-        "provenance[0]: op 0 (g on (0, 1)) acts outside physical qubits 2..3",
-    ),
-    "a bool for an index": (
-        lambda spans: spans[0].update(physical_ops=[False, 1]),
-        "provenance[0]: 'physical_ops' must be [start, stop], got [False, 1]",
-    ),
-    "a span that is not an object": (
-        lambda spans: spans.__setitem__(5, [2]),
-        "provenance[5]: a span must be an object",
-    ),
-}
+# Spans that would fail any check of them: wrong, non-adjacent or
+# out-of-range qubits, a kind the compiler does not write, ranges that
+# overlap, leave a gap or run past the entries, a missing last span, a bool
+# for an index and a span that is not an object; then provenance that is not
+# a list, and none.
+TAMPERS = [
+    spans_edited(lambda spans: spans[3].update(qubits=[1, 2])),
+    spans_edited(lambda spans: spans[3].update(qubits=[0, 2])),
+    spans_edited(lambda spans: spans[1].update(qubits=[3])),
+    spans_edited(lambda spans: spans[0].update(qubits=[0, 1])),
+    spans_edited(lambda spans: spans[2].update(kind="cnot")),
+    spans_edited(lambda spans: shift(spans[4], -1)),
+    spans_edited(lambda spans: shift(spans[4], 1)),
+    spans_edited(lambda spans: spans[6].update(physical_ops=[14, 16])),
+    spans_edited(lambda spans: spans.pop()),
+    spans_edited(lambda spans: spans[0].update(qubits=[1])),
+    spans_edited(lambda spans: spans[0].update(physical_ops=[False, 1])),
+    spans_edited(lambda spans: spans.__setitem__(5, [2])),
+    lambda metadata: metadata.update(provenance={"kind": "1q"}),
+    lambda metadata: metadata.pop("provenance"),
+]
+SPAN_FIELDS = ("kind", "qubits", "physical_ops", "logical_op")
 
 
-@pytest.mark.parametrize("case", list(TAMPERED))
-def test_tampered_provenance_is_refused_naming_the_span(tmp_path, compiled, case):
-    tamper, refusal = TAMPERED[case]
-    result = verify_tampered(tmp_path, compiled, tamper)
-    assert result.exit_code == 2, result.output
-    assert result.output.startswith(f"error: {refusal}"), result.output
+def fuzzed(edits):
+    """A tamper that deletes or sets span fields, as ``edits`` say."""
+    def edit(spans):
+        for index, key, delete, value in edits:
+            if delete:
+                spans[index].pop(key, None)
+            else:
+                spans[index][key] = value
+
+    return spans_edited(edit)
 
 
-def test_provenance_that_is_not_a_list_is_refused(tmp_path, compiled):
-    logical, doc = compiled
+FUZZED = st.lists(st.tuples(st.integers(0, 6), st.sampled_from(SPAN_FIELDS), st.booleans(), JSON_VALUES),
+                  min_size=1, max_size=3).map(fuzzed)
+
+
+@settings(FUZZ, max_examples=30)
+@given(tamper=FUZZED)
+def test_provenance_is_ignored(tmp_path_factory, compiled, tamper):
+    # mgc verify prints the same bytes whatever the provenance holds.
+    logical, doc, untouched = compiled
+    assert untouched[0] == 0 and json.loads(untouched[1])["passed"] is True
     doc = copy.deepcopy(doc)
-    doc["metadata"]["provenance"] = {"kind": "1q"}
-    physical = write_doc(tmp_path, doc, "tampered.json")
-    result = CliRunner().invoke(main, ["verify", "--logical", logical, "--physical", physical])
-    assert result.exit_code == 2, result.output
-    assert result.output == "error: provenance must be a list of spans, got dict\n"
+    tamper(doc["metadata"])
+    assert verify_document(logical, doc, tmp_path_factory.getbasetemp()) == untouched
 
 
-def test_the_checked_spans_hold_relative_rows():
+for _tamper in TAMPERS:
+    test_provenance_is_ignored = example(tamper=_tamper)(test_provenance_is_ignored)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_provenance_is_ignored_past_eight_logical_qubits(tmp_path, n):
+    doc = {"format_version": 1, "qubits": n, "gates": [{"name": "h", "targets": [0]},
+                                                       {"name": "cz", "targets": [0, n - 1]}]}
+    logical = write_doc(tmp_path, doc, "logical.json")
+    out = tmp_path / "compiled.json"
+    result = CliRunner().invoke(main, ["compile", "--input", logical, "--target", "SWAP", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    compiled = json.loads(out.read_text())
+    untouched = verify_document(logical, compiled, tmp_path)
+    assert untouched[0] == 0
+    for tamper in TAMPERS[-3:]:
+        doc = copy.deepcopy(compiled)
+        tamper(doc["metadata"])
+        assert verify_document(logical, doc, tmp_path) == untouched
+
+
+def test_a_window_holds_relative_rows():
     logical = Circuit(2)
     logical.append(TWO_QUBIT["swap"], (0, 1), name="swap")
     comp = compile_circuit(logical, TARGETS["SWAP"], 1e-6)
-    [(q, k, row0, row1, groups, rows)] = check_provenance(comp.provenance, comp.physical, 2)
-    assert (q, k, row0, row1, groups) == (0, 2, 0, 4, ())
+    [(q, k, groups, rows)] = _windows(comp.physical)
+    assert (q, k, groups) == (0, 2, ())
     assert [row[2:] for row in rows] == [(1, 2), (0, 1), (2, 3), (1, 2)]
 
 
-def test_a_span_can_hold_a_physical_repeat_group():
-    # The span is decoded with its group folded, as the exact mode folds it.
+# (targets of each physical row, on 8 physical qubits; the windows'
+# (first logical qubit, width) in order of application).
+WINDOW_RULE = {
+    "two windows joined by a row over both": ([(0, 1), (2, 3), (1, 2)], [(0, 2)]),
+    "a row past the hull of 2 closes": ([(1, 2), (3, 4)], [(0, 2), (1, 2)]),
+    "disjoint windows stay open, last taker last": ([(0, 1), (4, 5), (1,)], [(2, 1), (0, 1)]),
+    "a wide row": ([(1,), (0, 5)], [(0, 3)]),
+    "a narrow row inside a wide window opens its own": ([(0, 5), (2,)], [(0, 3), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", list(WINDOW_RULE))
+def test_windows_follow_the_hull_rule(case):
+    rows, want = WINDOW_RULE[case]
+    rng = np.random.default_rng(len(rows))
+    physical = Circuit(8, [CircuitOp(haar_unitary(rng, 2 ** len(t)), t) for t in rows])
+    assert [window[:2] for window in _windows(physical)] == want
+
+
+def test_a_window_can_hold_a_physical_repeat_group():
+    # The window is decoded with its group folded, as the oracle folds it.
     logical = Circuit(2)
     logical.append(TWO_QUBIT["cz"], (0, 1), name="cz")
     comp = compile_circuit(logical, TARGETS["NL"], 1e-6)
     assert comp.physical.groups and comp.plan.repetitions > 2
-    [(_, _, _, _, groups, _)] = check_provenance(comp.provenance, comp.physical, 2)
+    [(_, _, groups, _)] = _windows(comp.physical)
     assert groups == ((2, 4, comp.plan.repetitions - 1),)
-    assert_within_the_bound(verify(comp.physical, logical, 1e-6, comp.provenance), verify(comp.physical, logical, 1e-6))
+    assert_agrees_with_the_oracle(verify(comp.physical, logical, 1e-6), comp.physical, logical)
 
 
 def test_equal_spans_of_a_loaded_document_hold_equal_rows():
     # The parser gives every row its own slot; rows name the first slot
-    # holding their matrix, so a loaded document decodes each distinct span
-    # once, as the compile does.
-    logical = Circuit(3)
-    logical.append(H, (0,))
-    logical.append(TWO_QUBIT["swap"], (0, 1), name="swap")
-    logical.append(TWO_QUBIT["swap"], (1, 2), name="swap")
-    logical.append(H, (0,))
+    # holding their matrix, so a loaded document decodes each distinct
+    # window once, as the compile does: H then SWAP on logical (0, 1) and
+    # on (2, 3) make two equal windows, open side by side.
+    logical = Circuit(4)
+    for q in (0, 2):
+        logical.append(H, (q,))
+        logical.append(TWO_QUBIT["swap"], (q, q + 1), name="swap")
     comp = compile_circuit(logical, TARGETS["SWAP"], 1e-6)
     loaded = parse_circuit_document(emit_circuit_document(comp.physical))
     assert sorted(loaded.columns.slots.tolist()) == list(range(loaded.rows))
 
     def templates(physical):
-        return [(k, groups, rows) for _, k, _, _, groups, rows in check_provenance(comp.provenance, physical, 3)]
+        return [(k, groups, rows) for _, k, groups, rows in _windows(physical)]
 
-    for spans in (templates(comp.physical), templates(loaded)):
-        assert spans[0] == spans[3] and spans[1] == spans[2]
-        assert len(set(spans)) == 2
+    for physical in (comp.physical, loaded):
+        assert [window[:2] for window in _windows(physical)] == [(0, 2), (2, 2)]
+        assert len(set(templates(physical))) == 1
 
 
-def odd_span(rng: np.random.Generator, k: int) -> Circuit:
+def test_an_empty_repeat_group_is_in_no_window():
+    x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    gates = [{"repeat": 3, "gates": []}, {"name": "g", "targets": [0, 1], "blocks": {"a": x, "b": x}},
+             {"repeat": 2, "gates": []}]
+    physical = parse_circuit_document({"format_version": 1, "qubits": 4, "gates": gates})
+    assert [window[:2] for window in _windows(physical)] == [(0, 1)]
+    logical = Circuit(2)
+    logical.append(gate_library("X"), (0,))
+    report = verify(physical, logical, 1e-6)
+    assert report.passed is True and report.fidelity == pytest.approx(1.0, abs=1e-15)
+
+
+def odd_window(rng: np.random.Generator, k: int) -> Circuit:
     """Rows the compiler never writes, on the 2k physical qubits of one
-    span: two-qubit gates on reversed and non-adjacent pairs, one-qubit
+    window: two-qubit gates on reversed and non-adjacent pairs, one-qubit
     gates, and a repeat group of both."""
     physical = Circuit(2 * k)
     pairs = [(1, 0), (0, 1)] if k == 1 else [(1, 0), (0, 2), (3, 1), (0, 3), (2, 3)]
@@ -359,39 +471,20 @@ def odd_span(rng: np.random.Generator, k: int) -> Circuit:
     return physical
 
 
-@pytest.mark.parametrize("k,kind", [(1, "1q"), (2, "swap")])
-def test_a_span_of_odd_rows_decodes_to_its_unitary(k, kind):
-    # With one span, the decoded block is the physical unitary on the code,
-    # so both modes read the same fidelity and leakage.
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_window_of_odd_rows_decodes_to_its_unitary(k):
+    # With one window, the decoded block is the physical unitary on the
+    # code, so verify and the oracle read the same fidelity and leakage.
     rng = np.random.default_rng(k)
-    physical = odd_span(rng, k)
+    physical = odd_window(rng, k)
+    assert len(_windows(physical)) == 1
     logical = Circuit(k)
     logical.append(haar_unitary(rng, 2**k), tuple(range(k)))
-    provenance = [{"kind": kind, "qubits": list(range(k)), "physical_ops": [0, len(physical.ops)]}]
-    decoded, exact = verify(physical, logical, None, provenance), verify(physical, logical)
-    assert decoded.mode == "decoded" and 0.01 < exact.fidelity < 0.99 and exact.leakage > 0.1
-    assert decoded.fidelity == pytest.approx(exact.fidelity, abs=1e-13)
-    assert decoded.leakage == pytest.approx(exact.leakage, rel=1e-12)
-
-
-SPAN_FIELDS = ("kind", "qubits", "physical_ops", "logical_op")
-
-
-@settings(FUZZ, max_examples=60)
-@given(edits=st.lists(st.tuples(st.integers(0, 6), st.sampled_from(SPAN_FIELDS), st.booleans(), JSON_VALUES),
-                      min_size=1, max_size=3))
-def test_mutated_provenance_maps_to_documented_exit_codes(tmp_path_factory, compiled, edits):
-    def tamper(spans):
-        for index, key, delete, value in edits:
-            if delete:
-                spans[index].pop(key, None)
-            else:
-                spans[index][key] = value
-
-    result = verify_tampered(tmp_path_factory.getbasetemp(), compiled, tamper)
-    assert result.exit_code in (0, 2, 8), (result.exit_code, result.output)
-    if result.exit_code == 2:
-        assert result.output.startswith("error: provenance"), result.output
+    report = verify(physical, logical)
+    fidelity, leakage = exact_verify(physical, logical)
+    assert 0.01 < fidelity < 0.99 and leakage > 0.1
+    assert report.fidelity == pytest.approx(fidelity, abs=1e-13)
+    assert report.leakage == pytest.approx(leakage, rel=1e-12)
 
 
 def test_decoded_mode_uses_the_rounding_floor_of_every_physical_flat_op():
@@ -400,20 +493,18 @@ def test_decoded_mode_uses_the_rounding_floor_of_every_physical_flat_op():
     comp = compile_circuit(logical, TARGETS["NL"], 1e-6)
     flat = comp.physical.flat_count()
     with pytest.raises(ParseError, match=f"for {flat} flat ops"):
-        verify(comp.physical, logical, 4 * 2.0**-52 * flat / 2, comp.provenance)
+        verify(comp.physical, logical, 4 * 2.0**-52 * flat / 2)
 
 
 def test_a_perturbed_rz_pair_fails_in_both_modes():
+    # Both verify and the oracle see an Rz(0.1) pair on logical qubit 1.
     logical = Circuit(2)
     logical.append(TWO_QUBIT["cz"], (0, 1), name="cz")
     comp = compile_circuit(logical, TARGETS["SWAP"], 1e-6)
-    entries = comp.provenance[-1]["physical_ops"][1]
     comp.physical.append(build_pp(phase_rz(0.1), phase_rz(0.1)), (2, 3))
-    span = {"logical_op": 1, "kind": "1q", "qubits": [1], "physical_ops": [entries, entries + 1]}
-    decoded = verify(comp.physical, logical, 1e-6, comp.provenance + [span])
-    exact = verify(comp.physical, logical, 1e-6)
-    assert_within_the_bound(decoded, exact)
-    assert decoded.passed is False and 1 - decoded.fidelity > 1e-3
+    report = verify(comp.physical, logical, 1e-6)
+    assert_agrees_with_the_oracle(report, comp.physical, logical)
+    assert report.passed is False and 1 - report.fidelity > 1e-3
 
 
 def test_an_empty_compile_verifies_with_float_fields(tmp_path):

@@ -410,11 +410,7 @@ class TestCompileCommand:
         # logical phase error of 1 - F about 2.5e-3.
         def perturbed(*args, **kwargs):
             compiled = compile_circuit(*args, **kwargs)
-            entries = compiled.provenance[-1]["physical_ops"][1]
             compiled.physical.append(gate_library("rz", (0.1,)), (0,), name="rz", params=(0.1,))
-            compiled.provenance.append(
-                {"logical_op": 1, "kind": "1q", "qubits": [0], "physical_ops": [entries, entries + 1]}
-            )
             return compiled
 
         monkeypatch.setattr(matchgates.cli, "compile_circuit", perturbed)
@@ -792,7 +788,7 @@ class TestVerifyCommand:
         result = runner.invoke(main, args)
         assert result.exit_code == 5, result.output
         assert len(result.output) < 300
-        assert f"needs 4^{logical_qubits} amplitudes" in result.output
+        assert f"composes a 2^{logical_qubits} x 2^{logical_qubits} logical block" in result.output
         # Skipping verification is advice for compile, not for verify.
         assert "--skip-verify" not in result.output
 
@@ -1233,7 +1229,7 @@ def valid_logical_document() -> dict:
     }
 
 
-# As JSON_VALUES, but a logical qubit count stays at most 6 (exact verify in
+# As JSON_VALUES, but a logical qubit count stays at most 6 (verify in
 # milliseconds) or reaches the refusals past 12 and past 16; 7 to 12 logical
 # qubits cost seconds to gigabytes to verify.
 LOGICAL_VALUES = st.recursive(

@@ -40,6 +40,7 @@ from matchgates.gates import (
     unitarity_defect,
 )
 from matchgates.io import FORMAT_VERSION, _angle_list, _library_gate, matrix_in
+from matchgates.statevector import propagate
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -206,6 +207,23 @@ def isometry(enc: Encoding) -> np.ndarray:
     for x in range(2**enc.logical_count):
         v[enc.encode_index(x), x] = 1.0
     return v
+
+
+def exact_verify(physical: Circuit, logical: Circuit) -> tuple[float, float]:
+    """Oracle for ``compiler.verify``: the fidelity and leakage of
+    ``physical`` on the pair code against ``logical``, from the 2^L encoded
+    basis states pushed through the whole 2L-qubit circuit by
+    ``statevector.propagate``.  Rows inside the code are compared with the
+    logical circuit (up to global phase); the rows outside are the leakage,
+    their spectral norm.  It holds 4^L x 2^L amplitudes, so at most 8
+    logical qubits."""
+    n = logical.n
+    v = isometry(Encoding(n))
+    out = propagate(physical, v)
+    in_code = v.T @ out
+    ideal = propagate(logical, np.eye(2**n, dtype=complex))
+    fidelity = abs(np.vdot(ideal, in_code) / 2**n) ** 2
+    return float(fidelity), float(np.linalg.norm(out - v @ in_code, 2))
 
 
 def antisymmetry_defect(state: CovarianceState) -> float:
